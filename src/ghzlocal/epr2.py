@@ -11,6 +11,7 @@ deterministic diagonal grid plus seeded random settings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .qcore import (
     _vanishing_cos,
     diagonal_prob,
     joint_prob_ghz,
-    outcome_sign_matrix,
 )
 
 # A certificate is violated when the worst observed residual P_Q - w*P_L
@@ -34,6 +34,14 @@ CERT_TOLERANCE = 1e-9
 # Number of points of the deterministic all-parties-equal grid that certify()
 # always evaluates in addition to the random samples.
 DIAG_GRID_POINTS = 2001
+
+# Byte budget of one float64 (rows, 2^n) array of the certification kernel,
+# which sizes its chunks: 8192 rows up to n = 9, 1024 rows at n = 12.  The
+# kernel holds about three such arrays at once, so certification peaks near
+# 100 MiB of arrays at every n <= 12.  The row cap keeps small n at
+# 8192-row chunks; larger chunks there only raise peak memory.
+_CERT_CHUNK_BYTES = 32 * 2**20
+_CERT_MAX_ROWS = 8192
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -251,8 +259,24 @@ def certification_thetas(seed: int, start: int, count: int, n: int) -> np.ndarra
     return (z >> np.uint64(11)).astype(float) * (math.pi / 2**53)
 
 
+def _kron_rows(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of per-party pairs (plus[:, j], minus[:, j]).
+
+    Returns shape (rows, 2^n).  Party 0 is the most significant bit of the
+    column index and bit value 0 selects the +1 factor, which is the order
+    of :func:`ghzlocal.qcore.all_outcome_patterns`.  Each column is the
+    product over parties taken left to right, ``((f_0 * f_1) * f_2) ...``.
+    """
+    rows, n = plus.shape
+    out = np.stack((plus[:, 0], minus[:, 0]), axis=1)
+    for j in range(1, n):
+        pair = np.stack((plus[:, j], minus[:, j]), axis=1)
+        out = (out[:, :, None] * pair[:, None, :]).reshape(rows, -1)
+    return out
+
+
 def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
-                      patterns: np.ndarray):
+                      patterns: np.ndarray | None = None):
     """(min residual, min ratio) over theta rows x all patterns x both phase signs.
 
     The residual is P_Q - w * P_L; the ratio P_Q / P_L is tracked where P_L
@@ -261,36 +285,74 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
     square (cos(a) prod p_j +- prod r_j sin(a) prod q_j)^2 with p_j, q_j the
     half-angle cosine/sine picked by each outcome sign, so the worse of the
     two is (A - B)^2, nonnegative by construction.
+
+    With h = theta / 2 and t_j the :func:`_party_terms`, all three factors
+    are row-wise Kronecker products of per-party pairs (+1 factor, -1
+    factor), built by :func:`_kron_rows` as (rows, 2^n) arrays in the
+    pattern order of ``all_outcome_patterns``:
+
+    * ``A = cos(a) * kron_j (cos h_j, sin h_j)``
+    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``
+    * ``P_L = kron_j ((1 + t_j) / 2, (1 - t_j) / 2)``
+
+    Each product is taken over parties left to right and the cos(a) /
+    sin(a) scale is applied last.  That is the multiplication order of
+    ``np.prod(..., axis=-1)`` over the dense (rows, 2^n, n) factor array,
+    so both returned values are bit-identical to that reference, at
+    1/n of its memory.  ``patterns``, when given, must be
+    ``outcome_sign_matrix(n)``: the column order is fixed by the
+    construction above, and any other matrix is refused.
     """
+    n = scenario.n
+    if patterns is not None:
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        if np.shape(patterns) != (2**n, n) or not np.array_equal(patterns, 1 - 2 * bits):
+            raise ValueError(
+                f"patterns must be outcome_sign_matrix({n}), shape {(2**n, n)}"
+            )
     half = 0.5 * thetas
     ch, sh = np.cos(half), np.sin(half)
-    plus = patterns[None, :, :] > 0.0
-    p = np.where(plus, ch[:, None, :], sh[:, None, :])
-    q = np.where(plus, sh[:, None, :], ch[:, None, :])
-    a = math.cos(scenario.alpha) * np.prod(p, axis=-1)
-    b = math.sin(scenario.alpha) * np.prod(q, axis=-1)
-    pq_worst = (a - b) ** 2
+    pq_worst = _kron_rows(ch, sh)
+    pq_worst *= math.cos(scenario.alpha)
+    b = _kron_rows(sh, ch)
+    b *= math.sin(scenario.alpha)
+    pq_worst -= b
+    del b
+    np.square(pq_worst, out=pq_worst)
     terms = _party_terms(cos_theta0(scenario), thetas)
-    pl = np.prod(0.5 * (1.0 + patterns[None, :, :] * terms[:, None, :]), axis=-1)
-    min_residual = float(np.min(pq_worst - w * pl))
+    pl = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms))
+    scratch = w * pl
+    np.subtract(pq_worst, scratch, out=scratch)
+    min_residual = float(np.min(scratch))
     positive = pl > 1e-12
     if np.any(positive):
-        min_ratio = float(np.min(pq_worst[positive] / pl[positive]))
+        scratch.fill(math.inf)
+        np.divide(pq_worst, pl, out=scratch, where=positive)
+        min_ratio = float(np.min(scratch))
     else:
         min_ratio = math.inf
     return min_residual, min_ratio
 
 
 def _certification_scan(scenario: GhzScenario, w: float, samples: int, seed: int,
-                        chunk: int = 8192):
+                        chunk: int | None = None):
+    """(min residual, min ratio) over the diagonal grid and the sample stream.
+
+    Both sets go through the kernel in chunks of ``chunk`` rows, by default
+    as many as fit ``_CERT_CHUNK_BYTES`` per (rows, 2^n) array, at most
+    ``_CERT_MAX_ROWS``.
+    """
     n = scenario.n
-    patterns = outcome_sign_matrix(n)
-    diag = np.repeat(np.linspace(0.0, math.pi, DIAG_GRID_POINTS)[:, None], n, axis=1)
-    min_residual, min_ratio = _residual_extrema(scenario, w, diag, patterns)
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
-        thetas = certification_thetas(seed, start, count, n)
-        res, ratio = _residual_extrema(scenario, w, thetas, patterns)
+    if chunk is None:
+        chunk = min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
+    grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
+    diagonal = (np.repeat(grid[start:start + chunk, None], n, axis=1)
+                for start in range(0, DIAG_GRID_POINTS, chunk))
+    stream = (certification_thetas(seed, start, min(chunk, samples - start), n)
+              for start in range(0, samples, chunk))
+    min_residual = min_ratio = math.inf
+    for thetas in itertools.chain(diagonal, stream):
+        res, ratio = _residual_extrema(scenario, w, thetas)
         min_residual = min(min_residual, res)
         min_ratio = min(min_ratio, ratio)
     return min_residual, min_ratio

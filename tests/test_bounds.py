@@ -160,6 +160,21 @@ class TestMabk:
         assert report.violates
         assert report.implied_upper == 0.0
 
+    @pytest.mark.parametrize("n, alpha, seed", [
+        (5, 0.3, 0),
+        (4, math.pi / 4, 0),
+        (4, math.pi / 4, 1),
+        (4, math.pi / 4, 5),
+    ])
+    def test_single_restart_reaches_equatorial_value(self, n, alpha, seed):
+        # These random starts alone stop at the Z-string value
+        # cos^2 a + (-1)^n sin^2 a; equatorial settings attain
+        # 2^((n-1)/2) sin 2a, which the maximum can never fall below.
+        report = mabk_quantum_max(GhzScenario(n, alpha), restarts=1, seed=seed)
+        floor = 2.0 ** ((n - 1) / 2) * math.sin(2.0 * alpha)
+        assert report.quantum_max >= floor - 1e-6
+        assert report.violates
+
     def test_implied_upper_rule(self):
         assert mabk_implied_upper(GhzScenario(4, math.pi / 4)) == 0.0
         assert mabk_implied_upper(GhzScenario(3, math.pi / 12)) == 1.0

@@ -48,6 +48,14 @@ class TestPoint:
         assert row["w_lower"] <= 1e-6
         assert abs(row["w_upper_chen"] - 0.585786) < 1e-5
 
+    def test_twelve_parties_certify(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "point", "--n", "12", "--alpha", "0.2617994",
+            "--samples", "2048",
+        )
+        assert code == 0
+        assert json.loads(out)["certified"] is True
+
     def test_alpha_in_degrees(self, capsys):
         code, out, _ = run_cli(
             capsys, "point", "--n", "2", "--alpha-deg", "15",

@@ -1,6 +1,7 @@
 """Tests for the local model, ratio minimization and certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from ghzlocal.qcore import (
     OutcomePattern,
     all_outcome_patterns,
     joint_prob_ghz,
+    outcome_sign_matrix,
 )
 from ghzlocal.epr2 import (
     CERT_TOLERANCE,
     DecompositionCertificate,
     LocalModel,
     _certification_scan,
+    _party_terms,
+    _residual_extrema,
     certification_thetas,
     certify,
     cos_theta0,
@@ -27,6 +31,31 @@ from ghzlocal.epr2 import (
     sampled_min_ratio,
     theta0,
 )
+
+
+def _dense_residual_extrema(scenario, w, thetas):
+    """Dense reference for the certification kernel, on (rows, 2^n, n) arrays.
+
+    The Kronecker kernel must reproduce both of its values exactly.
+    """
+    patterns = outcome_sign_matrix(scenario.n)
+    half = 0.5 * thetas
+    ch, sh = np.cos(half), np.sin(half)
+    plus = patterns[None, :, :] > 0.0
+    p = np.where(plus, ch[:, None, :], sh[:, None, :])
+    q = np.where(plus, sh[:, None, :], ch[:, None, :])
+    a = math.cos(scenario.alpha) * np.prod(p, axis=-1)
+    b = math.sin(scenario.alpha) * np.prod(q, axis=-1)
+    pq_worst = (a - b) ** 2
+    terms = _party_terms(cos_theta0(scenario), thetas)
+    pl = np.prod(0.5 * (1.0 + patterns[None, :, :] * terms[:, None, :]), axis=-1)
+    min_residual = float(np.min(pq_worst - w * pl))
+    positive = pl > 1e-12
+    if np.any(positive):
+        min_ratio = float(np.min(pq_worst[positive] / pl[positive]))
+    else:
+        min_ratio = math.inf
+    return min_residual, min_ratio
 
 
 class TestTheta0:
@@ -296,12 +325,41 @@ class TestCertify:
                         row, [phi0] + [0.0] * (sc.n - 1)
                     )
                     naive = min(naive, joint_prob_ghz(sc, ctx, pat) - w * pl)
-        # restrict the kernel to the same rows by zeroing the diagonal part
-        from ghzlocal.epr2 import _residual_extrema
-        from ghzlocal.qcore import outcome_sign_matrix
-
         kernel, _ = _residual_extrema(sc, w, thetas, outcome_sign_matrix(sc.n))
         assert abs(kernel - naive) < 1e-12
+
+    def test_kernel_matches_dense_reference_bit_for_bit(self):
+        for n in range(2, 9):
+            rows = certification_thetas(n, 0, 300, n)
+            # exact zeros, right angles and pi exercise the sgn(0) and
+            # saturated branches of the local model
+            rows[:3] = [[0.0] * n, [math.pi / 2] * n, [math.pi] * n]
+            for alpha in (0.0, 0.2, 0.5, math.pi / 4):
+                sc = GhzScenario(n, alpha)
+                for w in (0.0, 0.5, 1.0):
+                    got = _residual_extrema(sc, w, rows)
+                    assert got == _dense_residual_extrema(sc, w, rows)
+
+    def test_kernel_refuses_other_patterns(self):
+        sc = GhzScenario(3, 0.3)
+        rows = certification_thetas(0, 0, 4, 3)
+        with pytest.raises(ValueError):
+            _residual_extrema(sc, 0.1, rows, outcome_sign_matrix(3)[::-1])
+        with pytest.raises(ValueError):
+            _residual_extrema(sc, 0.1, rows, outcome_sign_matrix(3)[:4])
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_large_n_certifies_in_bounded_memory(self, n):
+        sc = GhzScenario(n, math.pi / 12)
+        w = lower_bound(sc)
+        tracemalloc.start()
+        try:
+            cert = certify(sc, w, samples=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not cert.violated
+        assert peak < 256 * 2**20
 
     def test_sample_stream_is_per_index(self):
         whole = certification_thetas(5, 0, 200, 4)
