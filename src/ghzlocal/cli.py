@@ -189,11 +189,11 @@ def cmd_point(args) -> int:
 def cmd_scan(args) -> int:
     n_list = args.n
     alphas = np.linspace(0.0, math.pi / 4, args.alpha_steps)
-    rows = [
-        _scan_row(n, float(alpha), args.samples, args.seed, args.grid_points)[0]
+    rows, codes = zip(*(
+        _scan_row(n, float(alpha), args.samples, args.seed, args.grid_points)
         for n in n_list
         for alpha in alphas
-    ]
+    ))
     if args.format == "csv":
         text = _rows_csv(rows)
     elif args.format == "json":
@@ -201,7 +201,7 @@ def cmd_scan(args) -> int:
     else:
         text = _rows_svg(rows, n_list)
     _write_out(text, args.out)
-    return 0
+    return max(codes)
 
 
 def cmd_certify(args) -> int:

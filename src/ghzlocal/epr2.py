@@ -22,7 +22,7 @@ from .qcore import (
     MeasurementContext,
     OutcomePattern,
     _diagonal_amplitude,
-    _vanishing_cos,
+    cos_theta0,
     diagonal_prob,
     joint_prob_ghz,
 )
@@ -44,15 +44,6 @@ _CERT_CHUNK_BYTES = 32 * 2**20
 _CERT_MAX_ROWS = 8192
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def cos_theta0(scenario: GhzScenario) -> float:
-    """cos of the diagonal angle where P_Q (all outcomes +1) vanishes.
-
-    ``-(1 - tan(a)^(2/n)) / (1 + tan(a)^(2/n))``; equals -1 for a product
-    state and 0 for the maximally entangled state.
-    """
-    return _vanishing_cos(scenario)
 
 
 def theta0(scenario: GhzScenario) -> float:
@@ -111,6 +102,8 @@ def _diagonal_local_prob(scenario: GhzScenario, theta):
     In the unsaturated region the per-party factor (1 + cos t / cos t0)/2 is
     evaluated as sin((t0+t)/2) sin((t0-t)/2) / |cos t0|, which avoids the
     catastrophic cancellation of the direct difference near t0 and near pi.
+    Like ``qcore._diagonal_amplitude``, a deliberate duplicate: the ratio
+    divides by P_L at its zero, where :func:`_party_terms` loses all digits.
     """
     theta = np.asarray(theta, dtype=float)
     c0 = cos_theta0(scenario)
@@ -124,6 +117,23 @@ def _diagonal_local_prob(scenario: GhzScenario, theta):
     return factor**scenario.n
 
 
+def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
+    """P_Q / P_L along the diagonal, all outcomes +1 (vectorized over thetas).
+
+    ``+inf`` where P_L vanishes; within 1e-12 of the vanishing angle (when
+    ``cos theta0 < 0``) the value of :func:`_ratio_limit_at_theta0`.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    pq = _diagonal_amplitude(scenario, thetas) ** 2
+    pl = _diagonal_local_prob(scenario, thetas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(pl > 0.0, pq / pl, math.inf)
+    at_zero = np.abs(thetas - theta0(scenario)) <= 1e-12
+    if cos_theta0(scenario) < 0.0 and at_zero.any():
+        f = np.where(at_zero, _ratio_limit_at_theta0(scenario), f)
+    return f
+
+
 def ratio_f(scenario: GhzScenario, theta: float) -> float:
     """Quantum/local probability ratio along the diagonal, all outcomes +1.
 
@@ -134,14 +144,7 @@ def ratio_f(scenario: GhzScenario, theta: float) -> float:
     """
     if not (0.0 <= theta <= math.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    c0 = cos_theta0(scenario)
-    if c0 < 0.0 and abs(theta - theta0(scenario)) <= 1e-12:
-        return _ratio_limit_at_theta0(scenario)
-    pq = diagonal_prob(scenario, theta)
-    pl = float(_diagonal_local_prob(scenario, theta))
-    if pl > 0.0:
-        return pq / pl
-    return math.inf
+    return float(_diagonal_ratio(scenario, theta))
 
 
 def _ratio_limit_at_theta0(scenario: GhzScenario) -> float:
@@ -170,22 +173,29 @@ def _ratio_limit_at_theta0(scenario: GhzScenario) -> float:
     return math.inf
 
 
-def _golden_section_min(fun, a: float, b: float, tol: float):
-    """Golden-section minimum of fun on [a, b]; returns min of evaluated values."""
+def _refine_minima(scenario: GhzScenario, a, b, tol: float) -> np.ndarray:
+    """Golden-section minimum of the diagonal ratio on every bracket [a_i, b_i].
+
+    One vectorized ratio evaluation per step for all brackets; each follows
+    the scalar golden-section sequence and leaves once narrower than ``tol``.
+    Returns the smallest ratio evaluated in each bracket.
+    """
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
-    fc, fd = fun(c), fun(d)
-    best = min(fc, fd)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = fun(d)
-        best = min(best, fc, fd)
+    fc, fd = _diagonal_ratio(scenario, c), _diagonal_ratio(scenario, d)
+    best = np.minimum(fc, fd)
+    live, keep = np.arange(best.size), (b - a) > tol
+    while keep.any():
+        live, a, b, c, d, fc, fd = (x[keep] for x in (live, a, b, c, d, fc, fd))
+        left = fc < fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        probe = np.where(left, b - (b - a) * _GOLDEN, a + (b - a) * _GOLDEN)
+        fprobe = _diagonal_ratio(scenario, probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fprobe, fd), np.where(left, fc, fprobe)
+        best[live] = np.minimum(best[live], fprobe)
+        keep = (b - a) > tol
     return best
 
 
@@ -194,38 +204,21 @@ def lower_bound(scenario: GhzScenario, grid_points: int = 10000,
     """Lower bound on the local content: min of the diagonal ratio over [0, pi].
 
     Dense grid evaluation, golden-section refinement around every bracketing
-    local minimum (capped to the deepest few dozen when float noise on an
-    exactly flat stretch produces spurious ties), plus the limit value at the
-    common-zero angle.  Gives ``1 - sin(2a)`` for n = 2, 1 for product
-    states, 0 for maximal entanglement.
+    local minimum, plus the values at the common-zero angle and at both
+    ends.  Gives ``1 - sin(2a)`` for n = 2, 1 for product states, 0 for
+    maximal entanglement.
     """
     if grid_points < 1000:
         raise ValueError(f"grid_points must be at least 1000, got {grid_points}")
     if refine_tol <= 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     thetas = np.linspace(0.0, math.pi, grid_points)
-    pq = _diagonal_amplitude(scenario, thetas) ** 2
-    pl = _diagonal_local_prob(scenario, thetas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(pl > 0.0, pq / pl, math.inf)
-    finite = f[np.isfinite(f)]
-    candidates = [float(finite.min())] if finite.size else []
-
+    f = _diagonal_ratio(scenario, thetas)
     interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
-    if interior.size > 64:
-        # Spurious ulp-level ties flood flat stretches; the deepest brackets
-        # cover every genuinely distinct basin.
-        interior = interior[np.argsort(f[interior], kind="stable")[:64]]
-    fun = lambda t: ratio_f(scenario, t)
-    for i in interior:
-        candidates.append(
-            _golden_section_min(fun, thetas[i - 1], thetas[i + 1], refine_tol)
-        )
-
-    candidates.append(ratio_f(scenario, theta0(scenario)))
-    candidates.append(ratio_f(scenario, 0.0))
-    candidates.append(ratio_f(scenario, math.pi))
-    w = min(c for c in candidates if not math.isnan(c))
+    refined = _refine_minima(scenario, thetas[interior - 1], thetas[interior + 1],
+                             refine_tol)
+    ends = [ratio_f(scenario, t) for t in (theta0(scenario), 0.0, math.pi)]
+    w = float(np.min(np.concatenate((f, refined, ends))))
     return min(max(w, 0.0), 1.0)
 
 
@@ -302,6 +295,11 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
     1/n of its memory.  ``patterns``, when given, must be
     ``outcome_sign_matrix(n)``: the column order is fixed by the
     construction above, and any other matrix is refused.
+
+    Flipping outcome ``r_j`` is the reflection ``theta_j -> pi - theta_j``
+    (it swaps cos h_j and sin h_j in all three factors), so the certificate
+    checks one function of theta over ``[0, pi]^n``; each sampled row is
+    still evaluated at all 2^n patterns.
     """
     n = scenario.n
     if patterns is not None:

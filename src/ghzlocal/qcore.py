@@ -186,29 +186,6 @@ def joint_prob_dense(state: np.ndarray, context: MeasurementContext,
     return float(np.vdot(psi, psi).real)
 
 
-def _ghz_prob_parts(alpha: float, thetas, signs):
-    """Symmetric and interference parts of the GHZ closed form.
-
-    ``thetas`` and ``signs`` broadcast over a trailing party axis.  The full
-    probability is ``sym + PHASE_FACTOR_SIGN * cos(sum of phis) * cross``.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    n = thetas.shape[-1]
-    scale = 0.5**n
-    ru = signs * np.cos(thetas)
-    c2 = math.cos(alpha) ** 2
-    s2 = math.sin(alpha) ** 2
-    sym = scale * (c2 * np.prod(1.0 + ru, axis=-1) + s2 * np.prod(1.0 - ru, axis=-1))
-    cross = (
-        scale
-        * math.sin(2.0 * alpha)
-        * np.prod(signs, axis=-1)
-        * np.prod(np.sin(thetas), axis=-1)
-    )
-    return sym, cross
-
-
 def joint_prob_ghz(scenario: GhzScenario, context: MeasurementContext,
                    outcomes: OutcomePattern, *,
                    phase_factor_sign: float = PHASE_FACTOR_SIGN) -> float:
@@ -225,7 +202,13 @@ def joint_prob_ghz(scenario: GhzScenario, context: MeasurementContext,
             f"dimension mismatch: scenario has {n} parties, context {len(context)}, "
             f"outcomes {len(outcomes)}"
         )
-    sym, cross = _ghz_prob_parts(scenario.alpha, context.thetas, outcomes.signs())
+    alpha, thetas, signs = scenario.alpha, context.thetas, outcomes.signs()
+    scale = 0.5**n
+    ru = signs * np.cos(thetas)
+    c2 = math.cos(alpha) ** 2
+    s2 = math.sin(alpha) ** 2
+    sym = scale * (c2 * np.prod(1.0 + ru) + s2 * np.prod(1.0 - ru))
+    cross = scale * math.sin(2.0 * alpha) * np.prod(signs) * np.prod(np.sin(thetas))
     phi_sum = float(np.sum(context.phis))
     return float(sym + phase_factor_sign * math.cos(phi_sum) * cross)
 
@@ -242,8 +225,12 @@ def diagonal_prob(scenario: GhzScenario, theta: float) -> float:
     return float(_diagonal_amplitude(scenario, theta) ** 2)
 
 
-def _vanishing_cos(scenario: GhzScenario) -> float:
-    """cos of the diagonal angle where the all-plus probability vanishes."""
+def cos_theta0(scenario: GhzScenario) -> float:
+    """cos of the diagonal angle where P_Q (all outcomes +1) vanishes.
+
+    ``-(1 - tan(a)^(2/n)) / (1 + tan(a)^(2/n))``; equals -1 for a product
+    state and 0 for the maximally entangled state.
+    """
     t = math.tan(scenario.alpha) ** (2.0 / scenario.n)
     return -(1.0 - t) / (1.0 + t)
 
@@ -255,10 +242,14 @@ def _diagonal_amplitude(scenario: GhzScenario, theta):
     ``cos(a)/sin(h0)^n * sin(h0 - h) * sum_k (cos h sin h0)^k (cos h0 sin h)^(n-1-k)``
     with ``h = theta/2`` and ``h0`` half the vanishing angle, which is free
     of the cancellation the direct difference suffers near its zero.
+
+    A deliberate duplicate of the closed form of :func:`joint_prob_ghz`:
+    that one subtracts two nearly equal products near ``theta0``, where the
+    diagonal ratio that ``lower_bound`` minimises needs P_Q most precisely.
     """
     n = scenario.n
     half = 0.5 * np.asarray(theta, dtype=float)
-    half0 = 0.5 * math.acos(_vanishing_cos(scenario))
+    half0 = 0.5 * math.acos(cos_theta0(scenario))
     x = np.cos(half) * math.sin(half0)
     y = math.cos(half0) * np.sin(half)
     geo = sum(x**k * y ** (n - 1 - k) for k in range(n))

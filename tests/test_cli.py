@@ -99,6 +99,22 @@ class TestScan:
         assert w[2] <= 1e-6
         assert all(r[3] == "" for r in rows)  # no chen bound at n = 2
 
+    def test_fallback_flags_row_and_exits_3(self, capsys, monkeypatch):
+        # As for point: every row falls back from the uncertifiable weight,
+        # the whole table is still written, and the exit code is 3.
+        monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
+        code, out, _ = run_cli(
+            capsys, "scan", "--n", "2", "--alpha-steps", "2",
+            "--samples", "2000",
+        )
+        assert code == 3
+        lines = out.splitlines()
+        assert len(lines) == 3
+        rows = [line.split(",") for line in lines[1:]]
+        # alpha = 0 certifies 0.9 (P_L = P_Q); alpha = pi/4 falls back
+        assert [r[5] for r in rows] == ["true", "false"]
+        assert float(rows[1][2]) < 0.9
+
     def test_csv_formatting(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--n", "2,3", "--alpha-steps", "3",

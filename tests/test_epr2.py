@@ -14,12 +14,16 @@ from ghzlocal.qcore import (
     joint_prob_ghz,
     outcome_sign_matrix,
 )
+from ghzlocal import epr2
 from ghzlocal.epr2 import (
     CERT_TOLERANCE,
     DecompositionCertificate,
     LocalModel,
+    _GOLDEN,
     _certification_scan,
+    _diagonal_ratio,
     _party_terms,
+    _refine_minima,
     _residual_extrema,
     certification_thetas,
     certify,
@@ -56,6 +60,40 @@ def _dense_residual_extrema(scenario, w, thetas):
     else:
         min_ratio = math.inf
     return min_residual, min_ratio
+
+
+def _golden_section_min(fun, a, b, tol):
+    """Scalar golden-section reference for the array refinement.
+
+    Returns the smallest of the values evaluated on [a, b].
+    """
+    c = b - (b - a) * _GOLDEN
+    d = a + (b - a) * _GOLDEN
+    fc, fd = fun(c), fun(d)
+    best = min(fc, fd)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * _GOLDEN
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * _GOLDEN
+            fd = fun(d)
+        best = min(best, fc, fd)
+    return best
+
+
+def _one_point_ratio(scenario):
+    """The diagonal ratio at one angle, through the array evaluator.
+
+    numpy rounds ``x ** k`` on a float64 scalar differently from the same
+    power on an array, so :func:`ratio_f` and the array evaluator differ by
+    ulps; on flat stretches of the ratio that is enough to send a
+    golden-section step the other way.  Replaying one-element arrays keeps
+    the reference on the refinement's own arithmetic.
+    """
+    return lambda t: float(_diagonal_ratio(scenario, np.array([t]))[0])
 
 
 class TestTheta0:
@@ -266,6 +304,59 @@ class TestLowerBound:
             values = [lower_bound(GhzScenario(n, alpha)) for n in (2, 3, 4, 5)]
             for smaller, larger in zip(values[1:], values[:-1]):
                 assert smaller < larger
+
+    def test_array_refinement_matches_scalar_golden_section(self):
+        thetas = np.linspace(0.0, math.pi, 10000)
+        for n in range(2, 13):
+            for alpha in (0.0, 0.1, 0.3, math.pi / 4):
+                sc = GhzScenario(n, alpha)
+                f = _diagonal_ratio(sc, thetas)
+                interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
+                # flat stretches give thousands of brackets: refine them all,
+                # replay an even subset through the scalar reference
+                got = _refine_minima(sc, thetas[interior - 1], thetas[interior + 1],
+                                     1e-10)
+                picked = range(0, interior.size, max(1, interior.size // 24))
+                for k in picked:
+                    i = interior[k]
+                    ref = _golden_section_min(_one_point_ratio(sc), thetas[i - 1],
+                                              thetas[i + 1], 1e-10)
+                    assert abs(got[k] - ref) <= 1e-15, (n, alpha, i)
+
+    def test_array_refinement_brackets_of_mixed_width(self):
+        # Wider brackets need more steps than narrow ones, so brackets leave
+        # the array pass at different steps.
+        sc = GhzScenario(4, 0.2)
+        a = np.array([0.1, 1.0, 0.5, 2.0, 1.9])
+        b = np.array([0.2, 1.0004, 2.5, 2.1, 1.90001])
+        got = _refine_minima(sc, a, b, 1e-10)
+        for k in range(a.size):
+            ref = _golden_section_min(_one_point_ratio(sc), a[k], b[k], 1e-10)
+            assert got[k] == ref or abs(got[k] - ref) <= 1e-15
+        assert math.isinf(got[3])  # beyond theta0 the ratio is +inf
+
+    def test_ratio_agrees_with_scalar_ratio(self):
+        cases = ((2, math.pi / 6), (3, math.pi / 12), (5, 0.0), (7, math.pi / 4))
+        for n, alpha in cases:
+            sc = GhzScenario(n, alpha)
+            grid = np.append(np.linspace(0.0, math.pi, 301), theta0(sc))
+            got = _diagonal_ratio(sc, grid)
+            want = [ratio_f(sc, float(t)) for t in grid]
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+            assert got[-1] == ratio_f(sc, theta0(sc))
+
+    @pytest.mark.parametrize("n, alpha", [(2, 0.3), (5, 0.0)])
+    def test_flat_ratio_needs_few_scalar_calls(self, n, alpha, monkeypatch):
+        # Flat stretches of the ratio (n = 2, and alpha = 0) used to send
+        # thousands of scalar ratio_f calls through the refinement.
+        calls = []
+        original = epr2.ratio_f
+        monkeypatch.setattr(
+            epr2, "ratio_f", lambda sc, t: calls.append(t) or original(sc, t)
+        )
+        expected = 1.0 - math.sin(2.0 * alpha)
+        assert abs(lower_bound(GhzScenario(n, alpha)) - expected) < 1e-9
+        assert len(calls) <= 3
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
