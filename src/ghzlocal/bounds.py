@@ -21,9 +21,6 @@ from .qcore import GhzScenario, ghz_state
 # value exceeds 1 + MABK_TOLERANCE.
 MABK_TOLERANCE = 1e-6
 
-# The maximizer builds 2^n x 2^n operators; keep that at desk scale.
-MAX_MABK_PARTIES = 6
-
 # Phase offsets tried over one period for the deterministic equatorial start.
 _EQUATORIAL_OFFSETS = 12
 
@@ -124,28 +121,41 @@ def mabk_operator(setting_pairs) -> np.ndarray:
     pairs = list(setting_pairs)
     if len(pairs) < 2:
         raise ValueError("need at least two parties")
+    return _mabk_recursion(pairs, np.kron)
+
+
+def _mabk_recursion(pairs, product) -> np.ndarray:
+    """The recursion of :func:`mabk_operator`, parties joined by ``product``.
+
+    ``np.multiply`` gives the operator's 2x2 corner on ``|0..0>, |1..1>``:
+    the corner of a Kronecker product is the product of the factors' corners.
+    """
     m = _observable(*pairs[0][0])
     m_swapped = _observable(*pairs[0][1])
     for first, second in pairs[1:]:
         b, b_prime = _observable(*first), _observable(*second)
         total, diff = b + b_prime, b - b_prime
         m, m_swapped = (
-            0.5 * (np.kron(m, total) + np.kron(m_swapped, diff)),
-            0.5 * (np.kron(m_swapped, total) - np.kron(m, diff)),
+            0.5 * (product(m, total) + product(m_swapped, diff)),
+            0.5 * (product(m_swapped, total) - product(m, diff)),
         )
     return m
 
 
-def _mabk_value(state: np.ndarray, angles: np.ndarray) -> float:
-    """MABK expectation for flat angles [t, p, t', p'] per party."""
+def _mabk_value(support: np.ndarray, angles: np.ndarray) -> float:
+    """MABK expectation for flat angles [t, p, t', p'] per party.
+
+    ``support`` is the GHZ state's two nonzero amplitudes, on |0..0>, |1..1>.
+    """
     pairs = [
         ((angles[i], angles[i + 1]), (angles[i + 2], angles[i + 3]))
         for i in range(0, angles.size, 4)
     ]
-    return float(np.vdot(state, mabk_operator(pairs) @ state).real)
+    corner = _mabk_recursion(pairs, np.multiply)
+    return float(np.vdot(support, corner @ support).real)
 
 
-def _coordinate_ascent(state: np.ndarray, angles: np.ndarray,
+def _coordinate_ascent(support: np.ndarray, angles: np.ndarray,
                        initial_step: float = 0.6, final_step: float = 1e-6,
                        gain_tol: float = 1e-12, max_sweeps: int = 20):
     """Gradient-free pattern search: sweep coordinates, shrink the step.
@@ -154,7 +164,7 @@ def _coordinate_ascent(state: np.ndarray, angles: np.ndarray,
     (or after ``max_sweeps``); sub-tolerance improvements are still kept, so
     flat ridges cannot stall the shrink schedule.
     """
-    best = _mabk_value(state, angles)
+    best = _mabk_value(support, angles)
     step = initial_step
     while step > final_step:
         for _ in range(max_sweeps):
@@ -162,7 +172,7 @@ def _coordinate_ascent(state: np.ndarray, angles: np.ndarray,
             for i in range(angles.size):
                 for delta in (step, -step):
                     angles[i] += delta
-                    value = _mabk_value(state, angles)
+                    value = _mabk_value(support, angles)
                     if value > best:
                         gained = gained or value > best + gain_tol
                         best = value
@@ -174,7 +184,7 @@ def _coordinate_ascent(state: np.ndarray, angles: np.ndarray,
     return best, angles
 
 
-def _equatorial_start(state: np.ndarray, n: int) -> np.ndarray:
+def _equatorial_start(support: np.ndarray, n: int) -> np.ndarray:
     """Deterministic start in the equatorial plane: every theta = pi/2, the
     first direction of each party at a common phase d, the second at
     d + pi/2.
@@ -189,7 +199,7 @@ def _equatorial_start(state: np.ndarray, n: int) -> np.ndarray:
     for k in range(_EQUATORIAL_OFFSETS):
         d = 2.0 * math.pi * k / (n * _EQUATORIAL_OFFSETS)
         angles = np.tile([math.pi / 2, d, math.pi / 2, d + math.pi / 2], n)
-        value = _mabk_value(state, angles)
+        value = _mabk_value(support, angles)
         if value > best_value:
             best_value, best = value, angles
     return best
@@ -197,7 +207,7 @@ def _equatorial_start(state: np.ndarray, n: int) -> np.ndarray:
 
 def mabk_quantum_max(scenario: GhzScenario, restarts: int = 8,
                      seed: int = 0) -> MabkReport:
-    """Maximize the normalized MABK expression for the GHZ state (dense, n <= 6).
+    """Maximize the normalized MABK expression for the GHZ state, on its support.
 
     Multi-start pattern search over each party's two Bloch directions: one
     deterministic equatorial start (see :func:`_equatorial_start`), then
@@ -205,21 +215,16 @@ def mabk_quantum_max(scenario: GhzScenario, restarts: int = 8,
     aggregate is the maximum over all starts, so identical arguments
     reproduce the identical report.
     """
-    if scenario.n > MAX_MABK_PARTIES:
-        raise ValueError(
-            f"the dense MABK engine supports n <= {MAX_MABK_PARTIES}, "
-            f"got {scenario.n}"
-        )
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
-    state = ghz_state(scenario)
-    quantum_max, _ = _coordinate_ascent(state, _equatorial_start(state, scenario.n))
+    support = ghz_state(scenario)[[0, -1]]
+    quantum_max, _ = _coordinate_ascent(support, _equatorial_start(support, scenario.n))
     for stream in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(stream)
         angles = np.empty(4 * scenario.n)
         angles[0::2] = rng.uniform(0.0, math.pi, 2 * scenario.n)
         angles[1::2] = rng.uniform(0.0, 2.0 * math.pi, 2 * scenario.n)
-        value, _ = _coordinate_ascent(state, angles)
+        value, _ = _coordinate_ascent(support, angles)
         quantum_max = max(quantum_max, value)
     return MabkReport(
         quantum_max=quantum_max,

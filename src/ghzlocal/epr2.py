@@ -285,7 +285,8 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
     pattern order of ``all_outcome_patterns``:
 
     * ``A = cos(a) * kron_j (cos h_j, sin h_j)``
-    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``
+    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``, A's product with its
+      columns reversed (column ``2^n - 1 - c`` complements every bit)
     * ``P_L = kron_j ((1 + t_j) / 2, (1 - t_j) / 2)``
 
     Each product is taken over parties left to right and the cos(a) /
@@ -311,9 +312,8 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
     half = 0.5 * thetas
     ch, sh = np.cos(half), np.sin(half)
     pq_worst = _kron_rows(ch, sh)
+    b = pq_worst[:, ::-1] * math.sin(scenario.alpha)
     pq_worst *= math.cos(scenario.alpha)
-    b = _kron_rows(sh, ch)
-    b *= math.sin(scenario.alpha)
     pq_worst -= b
     del b
     np.square(pq_worst, out=pq_worst)

@@ -6,9 +6,8 @@ phi)``.  Two independent evaluation routes are provided and validate each
 other:
 
 * :func:`joint_prob_dense` -- a dense state-vector computation (projector
-  applied qubit by qubit), usable for any pure state up to ``n = 8``;
-* :func:`joint_prob_ghz` -- a closed form specific to the GHZ family, valid
-  for any ``n`` up to 12.
+  applied qubit by qubit), usable for any pure state;
+* :func:`joint_prob_ghz` -- a closed form specific to the GHZ family.
 
 Conventions (fixed, since the two routes must agree bit-for-bit in spirit):
 ``sigma_z|0> = +|0>``, and basis index bit 0 corresponds to ``|0>``.
@@ -25,7 +24,6 @@ from itertools import product
 import numpy as np
 
 MAX_PARTIES = 12
-MAX_DENSE_PARTIES = 8
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -138,13 +136,8 @@ def outcome_sign_matrix(n: int) -> np.ndarray:
 def ghz_state(scenario: GhzScenario) -> np.ndarray:
     """State vector of the generalized GHZ state, shape (2**n,).
 
-    Only the all-zeros and all-ones basis amplitudes are nonzero.  Limited to
-    the dense-oracle range ``n <= 8``.
+    Only the all-zeros and all-ones basis amplitudes are nonzero.
     """
-    if scenario.n > MAX_DENSE_PARTIES:
-        raise ValueError(
-            f"dense state vectors support n <= {MAX_DENSE_PARTIES}, got {scenario.n}"
-        )
     amp = np.zeros(2**scenario.n, dtype=complex)
     amp[0] = math.cos(scenario.alpha)
     amp[-1] = math.sin(scenario.alpha)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ghzlocal.qcore import GhzScenario
+from ghzlocal.qcore import GhzScenario, ghz_state
 from ghzlocal.epr2 import lower_bound
 from ghzlocal.bounds import (
     InequalityConstants,
     MabkReport,
+    _mabk_value,
     chen_upper,
     mabk_implied_upper,
     mabk_operator,
@@ -188,7 +189,39 @@ class TestMabk:
         assert isinstance(a, MabkReport)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            mabk_quantum_max(GhzScenario(7, 0.1))
+        report = mabk_quantum_max(GhzScenario(12, math.pi / 4), restarts=1, seed=0)
+        assert abs(report.quantum_max - 2.0 ** 5.5) < 1e-9
+        assert report.violates
         with pytest.raises(ValueError):
             mabk_quantum_max(GhzScenario(2, 0.1), restarts=0)
+
+    def test_corner_value_matches_dense_operator(self):
+        # The dense oracle: <psi| M |psi> with the full 2^n x 2^n operator.
+        rng = np.random.default_rng(7)
+        for n in range(2, 9):
+            for alpha in (0.0, 0.3, math.pi / 4):
+                sc = GhzScenario(n, alpha)
+                state = ghz_state(sc)
+                for _ in range(3):
+                    angles = np.empty(4 * n)
+                    angles[0::2] = rng.uniform(0.0, math.pi, 2 * n)
+                    angles[1::2] = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+                    pairs = [((t, p), (tp, pp)) for t, p, tp, pp in angles.reshape(n, 4)]
+                    dense = np.vdot(state, mabk_operator(pairs) @ state).real
+                    assert abs(_mabk_value(state[[0, -1]], angles) - dense) < 1e-13
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_reaches_scarani_gisin_value(self, n):
+        # Above the threshold the GHZ maximum is 2^((n-1)/2) sin 2a
+        # (Scarani and Gisin, J. Phys. A 34, 6043 (2001)).
+        report = mabk_quantum_max(GhzScenario(n, 0.5), restarts=1, seed=0)
+        expected = 2.0 ** ((n - 1) / 2) * math.sin(1.0)
+        assert abs(report.quantum_max - expected) < 1e-9
+        assert report.violates
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_no_violation_below_threshold(self, n):
+        alpha = 0.5 * math.asin(0.9 * 2.0 ** (-(n - 1) / 2))
+        report = mabk_quantum_max(GhzScenario(n, alpha), restarts=6, seed=0)
+        assert report.quantum_max <= 1.0 + 1e-6
+        assert not report.violates

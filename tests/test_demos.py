@@ -9,14 +9,12 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
 
-# 05_bell_violation.py is left out: it spends about 17 s in the dense MABK
-# maximiser, and joins this list once that maximiser evaluates in the GHZ
-# subspace.
 QUICK_DEMOS = (
     "01_quantum_probabilities.py",
     "02_local_model_and_ratio.py",
     "03_local_content_bounds.py",
     "04_certification.py",
+    "05_bell_violation.py",
 )
 
 

@@ -81,8 +81,12 @@ class TestGhzState:
         assert abs(np.vdot(amp, amp).real - 1.0) < 1e-12
 
     def test_rejects_beyond_dense_range(self):
+        amp = ghz_state(GhzScenario(12, 0.1))
+        assert amp.shape == (4096,)
+        assert np.count_nonzero(amp) == 2
+        assert abs(np.vdot(amp, amp).real - 1.0) < 1e-12
         with pytest.raises(ValueError):
-            ghz_state(GhzScenario(9, 0.1))
+            ghz_state(GhzScenario(13, 0.1))
 
 
 class TestProjector:
