@@ -11,7 +11,6 @@ deterministic diagonal grid plus seeded random settings.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +34,12 @@ CERT_TOLERANCE = 1e-9
 # always evaluates in addition to the random samples.
 DIAG_GRID_POINTS = 2001
 
-# Byte budget of one float64 (rows, 2^n) array of the certification kernel,
+# Byte budget of one float64 (2^n, rows) array of the certification kernel,
 # which sizes its chunks: 8192 rows up to n = 9, 1024 rows at n = 12.  The
-# kernel holds about three such arrays at once, so certification peaks near
-# 100 MiB of arrays at every n <= 12.  The row cap keeps small n at
-# 8192-row chunks; larger chunks there only raise peak memory.
+# kernel holds about three such arrays at once (P_Q, P_L and the residual or
+# ratio), so certification peaks near 100 MiB of arrays at every n <= 12.
+# The row cap keeps small n at 8192-row chunks; larger chunks there only
+# raise peak memory.
 _CERT_CHUNK_BYTES = 32 * 2**20
 _CERT_MAX_ROWS = 8192
 
@@ -253,49 +253,82 @@ def certification_thetas(seed: int, start: int, count: int, n: int) -> np.ndarra
 
 
 def _kron_rows(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product of per-party pairs (plus[:, j], minus[:, j]).
+    """Kronecker product of per-party pairs (plus[j], minus[j]) for every row.
 
-    Returns shape (rows, 2^n).  Party 0 is the most significant bit of the
-    column index and bit value 0 selects the +1 factor, which is the order
-    of :func:`ghzlocal.qcore.all_outcome_patterns`.  Each column is the
-    product over parties taken left to right, ``((f_0 * f_1) * f_2) ...``.
+    Takes (n, rows) factors and returns the pattern-major (2^n, rows)
+    array, so each step multiplies contiguous runs of ``rows`` doubles.
+    Party 0 is the most significant bit of the pattern index and bit value
+    0 selects the +1 factor, which is the order of
+    :func:`ghzlocal.qcore.all_outcome_patterns`.  Each entry is the product
+    over parties taken left to right, ``((f_0 * f_1) * f_2) ...``.
     """
-    rows, n = plus.shape
-    out = np.stack((plus[:, 0], minus[:, 0]), axis=1)
+    n, rows = plus.shape
+    out = np.stack((plus[0], minus[0]))
     for j in range(1, n):
-        pair = np.stack((plus[:, j], minus[:, j]), axis=1)
-        out = (out[:, :, None] * pair[:, None, :]).reshape(rows, -1)
+        pair = np.stack((plus[j], minus[j]))
+        out = (out[:, None, :] * pair[None, :, :]).reshape(-1, rows)
     return out
+
+
+def _certification_factors(scenario: GhzScenario, thetas: np.ndarray):
+    """(worst-phase P_Q, P_L) at theta rows (rows, n), each a (2^n, rows) array.
+
+    At the phase extremes cos(sum of phis) = +-1 the quantum probability is
+    the perfect square (cos(a) prod p_j +- prod r_j sin(a) prod q_j)^2 with
+    p_j, q_j the half-angle cosine/sine picked by each outcome sign, so the
+    worse of the two is (A - B)^2, nonnegative by construction.
+
+    With h = theta / 2 and t_j the :func:`_party_terms`, all three factors
+    are Kronecker products of per-party pairs (+1 factor, -1 factor), built
+    by :func:`_kron_rows` in the pattern order of ``all_outcome_patterns``:
+
+    * ``A = cos(a) * kron_j (cos h_j, sin h_j)``
+    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``, A's product with its
+      patterns reversed (pattern ``2^n - 1 - c`` complements every bit)
+    * ``P_L = kron_j ((1 + t_j) / 2, (1 - t_j) / 2)``
+
+    Each product is taken over parties left to right and the cos(a) /
+    sin(a) scale is applied last.  That is the multiplication order of
+    ``np.prod(..., axis=-1)`` over the dense (rows, 2^n, n) factor array,
+    so every entry is bit-identical to that reference.
+    """
+    parties = np.ascontiguousarray(thetas.T)
+    half = 0.5 * parties
+    pq_worst = _kron_rows(np.cos(half), np.sin(half))
+    b = pq_worst[::-1] * math.sin(scenario.alpha)
+    pq_worst *= math.cos(scenario.alpha)
+    pq_worst -= b
+    del b
+    np.square(pq_worst, out=pq_worst)
+    terms = _party_terms(cos_theta0(scenario), parties)
+    return pq_worst, _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms))
+
+
+def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
+    """min of P_Q - w * P_L over the factor arrays."""
+    scratch = w * pl
+    np.subtract(pq_worst, scratch, out=scratch)
+    return float(np.min(scratch))
+
+
+def _min_ratio(pq_worst: np.ndarray, pl: np.ndarray) -> float:
+    """min of P_Q / P_L where P_L is meaningfully positive, else ``+inf``."""
+    ratio = np.full_like(pl, math.inf)
+    np.divide(pq_worst, pl, out=ratio, where=pl > 1e-12)
+    return float(np.min(ratio))
 
 
 def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
                       patterns: np.ndarray | None = None):
     """(min residual, min ratio) over theta rows x all patterns x both phase signs.
 
-    The residual is P_Q - w * P_L; the ratio P_Q / P_L is tracked where P_L
-    is meaningfully positive (used by the fallback weight).  At the phase
-    extremes cos(sum of phis) = +-1 the quantum probability is the perfect
-    square (cos(a) prod p_j +- prod r_j sin(a) prod q_j)^2 with p_j, q_j the
-    half-angle cosine/sine picked by each outcome sign, so the worse of the
-    two is (A - B)^2, nonnegative by construction.
-
-    With h = theta / 2 and t_j the :func:`_party_terms`, all three factors
-    are row-wise Kronecker products of per-party pairs (+1 factor, -1
-    factor), built by :func:`_kron_rows` as (rows, 2^n) arrays in the
-    pattern order of ``all_outcome_patterns``:
-
-    * ``A = cos(a) * kron_j (cos h_j, sin h_j)``
-    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``, A's product with its
-      columns reversed (column ``2^n - 1 - c`` complements every bit)
-    * ``P_L = kron_j ((1 + t_j) / 2, (1 - t_j) / 2)``
-
-    Each product is taken over parties left to right and the cos(a) /
-    sin(a) scale is applied last.  That is the multiplication order of
-    ``np.prod(..., axis=-1)`` over the dense (rows, 2^n, n) factor array,
-    so both returned values are bit-identical to that reference, at
-    1/n of its memory.  ``patterns``, when given, must be
-    ``outcome_sign_matrix(n)``: the column order is fixed by the
-    construction above, and any other matrix is refused.
+    The residual is P_Q - w * P_L, the quantity :func:`certify` bounds; the
+    ratio P_Q / P_L, taken where P_L is meaningfully positive, is the one
+    :func:`sampled_min_ratio` bounds.  Both are reductions of
+    :func:`_certification_factors`, so both values are bit-identical to
+    the dense (rows, 2^n, n) reference.  ``patterns``,
+    when given, must be ``outcome_sign_matrix(n)``: the pattern order is
+    fixed by the construction, and any other matrix is refused.
 
     Flipping outcome ``r_j`` is the reflection ``theta_j -> pi - theta_j``
     (it swaps cos h_j and sin h_j in all three factors), so the certificate
@@ -309,51 +342,22 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
             raise ValueError(
                 f"patterns must be outcome_sign_matrix({n}), shape {(2**n, n)}"
             )
-    half = 0.5 * thetas
-    ch, sh = np.cos(half), np.sin(half)
-    pq_worst = _kron_rows(ch, sh)
-    b = pq_worst[:, ::-1] * math.sin(scenario.alpha)
-    pq_worst *= math.cos(scenario.alpha)
-    pq_worst -= b
-    del b
-    np.square(pq_worst, out=pq_worst)
-    terms = _party_terms(cos_theta0(scenario), thetas)
-    pl = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms))
-    scratch = w * pl
-    np.subtract(pq_worst, scratch, out=scratch)
-    min_residual = float(np.min(scratch))
-    positive = pl > 1e-12
-    if np.any(positive):
-        scratch.fill(math.inf)
-        np.divide(pq_worst, pl, out=scratch, where=positive)
-        min_ratio = float(np.min(scratch))
-    else:
-        min_ratio = math.inf
-    return min_residual, min_ratio
+    pq_worst, pl = _certification_factors(scenario, thetas)
+    return _min_residual(pq_worst, pl, w), _min_ratio(pq_worst, pl)
 
 
-def _certification_scan(scenario: GhzScenario, w: float, samples: int, seed: int,
-                        chunk: int | None = None):
-    """(min residual, min ratio) over the diagonal grid and the sample stream.
+def _certification_rows(n: int, samples: int, seed: int):
+    """Theta row chunks of the diagonal grid, then of the sample stream.
 
-    Both sets go through the kernel in chunks of ``chunk`` rows, by default
-    as many as fit ``_CERT_CHUNK_BYTES`` per (rows, 2^n) array, at most
-    ``_CERT_MAX_ROWS``.
+    Each chunk holds as many rows as fit ``_CERT_CHUNK_BYTES`` per
+    (2^n, rows) array, at most ``_CERT_MAX_ROWS``.
     """
-    n = scenario.n
-    if chunk is None:
-        chunk = min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
+    chunk = min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
     grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
-    diagonal = (np.repeat(grid[start:start + chunk, None], n, axis=1)
-                for start in range(0, DIAG_GRID_POINTS, chunk))
-    stream = (certification_thetas(seed, start, min(chunk, samples - start), n)
-              for start in range(0, samples, chunk))
-    min_residual = min_ratio = math.inf
-    for thetas in itertools.chain(diagonal, stream):
-        res, ratio = _residual_extrema(scenario, w, thetas)
-        min_residual = min(min_residual, res)
-        min_ratio = min(min_ratio, ratio)
-    return min_residual, min_ratio
+    for start in range(0, DIAG_GRID_POINTS, chunk):
+        yield np.repeat(grid[start:start + chunk, None], n, axis=1)
+    for start in range(0, samples, chunk):
+        yield certification_thetas(seed, start, min(chunk, samples - start), n)
 
 
 def certify(scenario: GhzScenario, w: float, samples: int = 100_000,
@@ -369,7 +373,10 @@ def certify(scenario: GhzScenario, w: float, samples: int = 100_000,
         raise ValueError(f"w must lie in [0, 1], got {w}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    min_residual, _ = _certification_scan(scenario, w, samples, seed)
+    min_residual = min(
+        _min_residual(*_certification_factors(scenario, thetas), w)
+        for thetas in _certification_rows(scenario.n, samples, seed)
+    )
     return DecompositionCertificate(
         w=w,
         min_residual=min_residual,
@@ -386,7 +393,10 @@ def sampled_min_ratio(scenario: GhzScenario, samples: int = 100_000,
     Fallback weight when a claimed w fails certification; by construction
     certify() at this value over the same seed and sample count passes.
     """
-    _, min_ratio = _certification_scan(scenario, 0.0, samples, seed)
+    min_ratio = min(
+        _min_ratio(*_certification_factors(scenario, thetas))
+        for thetas in _certification_rows(scenario.n, samples, seed)
+    )
     return min(max(min_ratio, 0.0), 1.0)
 
 

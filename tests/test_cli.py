@@ -79,6 +79,30 @@ class TestPoint:
         assert row["w_lower"] < 0.9
         assert abs(row["w_lower"] - (1.0 - math.sin(math.pi / 3))) < 0.05
 
+    def test_fallback_runs_one_certify_and_one_ratio_scan(self, capsys, monkeypatch):
+        # The fallen-back row is flagged whatever a second verdict would
+        # say, so the fallback weight is not certified again.
+        calls = {"certify": 0, "sampled_min_ratio": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        code, out, _ = run_cli(
+            capsys, "point", "--n", "3", "--alpha", "0.3", "--samples", "2000",
+        )
+        assert code == 3
+        assert json.loads(out)["certified"] is False
+        assert calls == {"certify": 1, "sampled_min_ratio": 1}
+
 
 class TestScan:
     def test_three_step_two_party(self, capsys):

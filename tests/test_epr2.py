@@ -20,7 +20,6 @@ from ghzlocal.epr2 import (
     DecompositionCertificate,
     LocalModel,
     _GOLDEN,
-    _certification_scan,
     _diagonal_ratio,
     _party_terms,
     _refine_minima,
@@ -387,12 +386,39 @@ class TestCertify:
         b = certify(sc, 0.08, samples=30_000, seed=42)
         assert a == b
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         sc = GhzScenario(3, 0.4)
-        res_a, ratio_a = _certification_scan(sc, 0.1, 10_000, 7, chunk=512)
-        res_b, ratio_b = _certification_scan(sc, 0.1, 10_000, 7, chunk=8192)
-        assert res_a == res_b
-        assert ratio_a == ratio_b
+        whole = (certify(sc, 0.1, samples=10_000, seed=7),
+                 sampled_min_ratio(sc, samples=10_000, seed=7))
+        monkeypatch.setattr(epr2, "_CERT_MAX_ROWS", 512)
+        assert len(list(epr2._certification_rows(3, 10_000, 7))) == 4 + 20
+        chunked = (certify(sc, 0.1, samples=10_000, seed=7),
+                   sampled_min_ratio(sc, samples=10_000, seed=7))
+        assert chunked == whole
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_split_reductions_match_both_extrema(self, n):
+        # certify keeps only the residual and sampled_min_ratio only the
+        # ratio; each must equal its half of the both-extrema kernel.
+        samples, seed, w = (3000 if n <= 8 else 300), 5, 0.3
+        rows = list(epr2._certification_rows(n, samples, seed))
+        for alpha in (0.0, 0.2, math.pi / 4):
+            sc = GhzScenario(n, alpha)
+            residuals, ratios = zip(*(_residual_extrema(sc, w, t) for t in rows))
+            assert certify(sc, w, samples=samples, seed=seed).min_residual == min(residuals)
+            assert sampled_min_ratio(sc, samples=samples, seed=seed) == min(
+                max(min(ratios), 0.0), 1.0
+            )
+
+    def test_certify_skips_the_ratio(self, monkeypatch):
+        sc = GhzScenario(4, 0.3)
+        expected = certify(sc, 0.05, samples=5000, seed=2)
+
+        def refuse(*args):
+            raise AssertionError("certify reduced the ratio")
+
+        monkeypatch.setattr(epr2, "_min_ratio", refuse)
+        assert certify(sc, 0.05, samples=5000, seed=2) == expected
 
     def test_violated_flag_matches_tolerance(self):
         cert = certify(GhzScenario(2, 0.4), 0.3, samples=5_000, seed=1)
@@ -430,6 +456,15 @@ class TestCertify:
                 for w in (0.0, 0.5, 1.0):
                     got = _residual_extrema(sc, w, rows)
                     assert got == _dense_residual_extrema(sc, w, rows)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_kernel_matches_dense_reference_at_large_n(self, n):
+        rows = certification_thetas(n, 0, 64, n)
+        rows[:3] = [[0.0] * n, [math.pi / 2] * n, [math.pi] * n]
+        for alpha in (0.0, 0.2, math.pi / 4):
+            sc = GhzScenario(n, alpha)
+            for w in (0.0, 0.5, 1.0):
+                assert _residual_extrema(sc, w, rows) == _dense_residual_extrema(sc, w, rows)
 
     def test_kernel_refuses_other_patterns(self):
         sc = GhzScenario(3, 0.3)
