@@ -121,19 +121,24 @@ def mabk_operator(setting_pairs) -> np.ndarray:
     pairs = list(setting_pairs)
     if len(pairs) < 2:
         raise ValueError("need at least two parties")
-    return _mabk_recursion(pairs, np.kron)
+    return _mabk_recursion([_observable(*s) for pair in pairs for s in pair], np.kron)
 
 
-def _mabk_recursion(pairs, product) -> np.ndarray:
+def _observables(angles: np.ndarray) -> list:
+    """The 2n observables of flat angles [t, p, t', p'] per party, in that order."""
+    return [_observable(angles[i], angles[i + 1]) for i in range(0, angles.size, 2)]
+
+
+def _mabk_recursion(observables, product) -> np.ndarray:
     """The recursion of :func:`mabk_operator`, parties joined by ``product``.
 
+    ``observables`` holds each party's pair in turn: [A_0, A'_0, A_1, ...].
     ``np.multiply`` gives the operator's 2x2 corner on ``|0..0>, |1..1>``:
     the corner of a Kronecker product is the product of the factors' corners.
     """
-    m = _observable(*pairs[0][0])
-    m_swapped = _observable(*pairs[0][1])
-    for first, second in pairs[1:]:
-        b, b_prime = _observable(*first), _observable(*second)
+    m, m_swapped = observables[0], observables[1]
+    for k in range(2, len(observables), 2):
+        b, b_prime = observables[k], observables[k + 1]
         total, diff = b + b_prime, b - b_prime
         m, m_swapped = (
             0.5 * (product(m, total) + product(m_swapped, diff)),
@@ -147,11 +152,12 @@ def _mabk_value(support: np.ndarray, angles: np.ndarray) -> float:
 
     ``support`` is the GHZ state's two nonzero amplitudes, on |0..0>, |1..1>.
     """
-    pairs = [
-        ((angles[i], angles[i + 1]), (angles[i + 2], angles[i + 3]))
-        for i in range(0, angles.size, 4)
-    ]
-    corner = _mabk_recursion(pairs, np.multiply)
+    return _corner_value(support, _observables(angles))
+
+
+def _corner_value(support: np.ndarray, observables) -> float:
+    """:func:`_mabk_value` from the flat observables of :func:`_observables`."""
+    corner = _mabk_recursion(observables, np.multiply)
     return float(np.vdot(support, corner @ support).real)
 
 
@@ -164,20 +170,27 @@ def _coordinate_ascent(support: np.ndarray, angles: np.ndarray,
     (or after ``max_sweeps``); sub-tolerance improvements are still kept, so
     flat ridges cannot stall the shrink schedule.
     """
-    best = _mabk_value(support, angles)
+    observables = _observables(angles)
+    best = _corner_value(support, observables)
     step = initial_step
     while step > final_step:
         for _ in range(max_sweeps):
             gained = False
             for i in range(angles.size):
+                # a probe moves one angle, so only its observable is rebuilt
+                k = i // 2
                 for delta in (step, -step):
                     angles[i] += delta
-                    value = _mabk_value(support, angles)
+                    observables[k] = _observable(angles[2 * k], angles[2 * k + 1])
+                    value = _corner_value(support, observables)
                     if value > best:
                         gained = gained or value > best + gain_tol
                         best = value
                         break
                     angles[i] -= delta
+                else:
+                    # x + d - d need not be x, so rebuild from the restored angle
+                    observables[k] = _observable(angles[2 * k], angles[2 * k + 1])
             if not gained:
                 break
         step *= 0.5

@@ -257,7 +257,8 @@ def _suite_normalization(quick: bool):
         scenario = GhzScenario(n, float(rng.uniform(0.0, math.pi / 4)))
         thetas = rng.uniform(0.0, math.pi, n)
         terms = _party_terms(cos_theta0(scenario), thetas)[:, None]
-        total = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms)).sum()
+        total = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms),
+                           np.empty(2**n), np.empty(2**n)).sum()
         worst = max(worst, abs(total - 1.0))
         if n <= 5:
             context = MeasurementContext.from_angles(

@@ -35,12 +35,14 @@ CERT_TOLERANCE = 1e-9
 DIAG_GRID_POINTS = 2001
 
 # Byte budget of one float64 (2^n, rows) array of the certification kernel,
-# which sizes its chunks: 8192 rows up to n = 9, 1024 rows at n = 12.  The
-# kernel holds about three such arrays at once (P_Q, P_L and the residual or
-# ratio), so certification peaks near 100 MiB of arrays at every n <= 12.
+# which sizes its chunks: 8192 rows up to n = 3, 128 rows at n = 9 and 16 at
+# n = 12.  certify and sampled_min_ratio compute every chunk in three
+# buffers of this size (P_Q, P_L and scratch), about 1.5 MiB in all, so the
+# arrays stay in a core's L2 cache and no chunk allocates a fresh one.
+# Budgets from 512 KiB to 1 MiB ran alike; 512 KiB uses the least memory.
 # The row cap keeps small n at 8192-row chunks; larger chunks there only
 # raise peak memory.
-_CERT_CHUNK_BYTES = 32 * 2**20
+_CERT_CHUNK_BYTES = 512 * 2**10
 _CERT_MAX_ROWS = 8192
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -252,26 +254,44 @@ def certification_thetas(seed: int, start: int, count: int, n: int) -> np.ndarra
     return (z >> np.uint64(11)).astype(float) * (math.pi / 2**53)
 
 
-def _kron_rows(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+def _kron_rows(plus: np.ndarray, minus: np.ndarray, out: np.ndarray,
+               spare: np.ndarray) -> np.ndarray:
     """Kronecker product of per-party pairs (plus[j], minus[j]) for every row.
 
     Takes (n, rows) factors and returns the pattern-major (2^n, rows)
-    array, so each step multiplies contiguous runs of ``rows`` doubles.
-    Party 0 is the most significant bit of the pattern index and bit value
-    0 selects the +1 factor, which is the order of
-    :func:`ghzlocal.qcore.all_outcome_patterns`.  Each entry is the product
-    over parties taken left to right, ``((f_0 * f_1) * f_2) ...``.
+    product as a view of the flat buffer ``out``, so each step multiplies
+    contiguous runs of ``rows`` doubles.  The steps alternate between
+    ``out`` and the flat buffer ``spare``, starting in the one that makes
+    the last step land in ``out``; both need ``2^n * rows`` entries and
+    only their prefixes are written.  Party 0 is the most significant bit
+    of the pattern index and bit value 0 selects the +1 factor, which is
+    the order of :func:`ghzlocal.qcore.all_outcome_patterns`.  Each entry
+    is the product over parties taken left to right, ``((f_0 * f_1) * f_2) ...``.
     """
     n, rows = plus.shape
-    out = np.stack((plus[0], minus[0]))
+    src, dst = (out, spare) if n % 2 else (spare, out)
+    product = src[:2 * rows].reshape(2, rows)
+    product[0], product[1] = plus[0], minus[0]
     for j in range(1, n):
-        pair = np.stack((plus[j], minus[j]))
-        out = (out[:, None, :] * pair[None, :, :]).reshape(-1, rows)
-    return out
+        step = dst[:2 * product.size].reshape(-1, 2, rows)
+        np.multiply(product, plus[j], out=step[:, 0])
+        np.multiply(product, minus[j], out=step[:, 1])
+        product = step.reshape(-1, rows)
+        src, dst = dst, src
+    return product
 
 
-def _certification_factors(scenario: GhzScenario, thetas: np.ndarray):
+def _certification_buffers(rows: int, n: int):
+    """Three flat float64 buffers for (2^n, rows) kernel arrays."""
+    return tuple(np.empty(rows * 2**n) for _ in range(3))
+
+
+def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
     """(worst-phase P_Q, P_L) at theta rows (rows, n), each a (2^n, rows) array.
+
+    The two arrays are views of the first two of the three flat
+    :func:`_certification_buffers`; the third is scratch, free again on
+    return.
 
     At the phase extremes cos(sum of phis) = +-1 the quantum probability is
     the perfect square (cos(a) prod p_j +- prod r_j sin(a) prod q_j)^2 with
@@ -292,28 +312,34 @@ def _certification_factors(scenario: GhzScenario, thetas: np.ndarray):
     ``np.prod(..., axis=-1)`` over the dense (rows, 2^n, n) factor array,
     so every entry is bit-identical to that reference.
     """
+    pq_buf, pl_buf, spare = buffers
     parties = np.ascontiguousarray(thetas.T)
     half = 0.5 * parties
-    pq_worst = _kron_rows(np.cos(half), np.sin(half))
-    b = pq_worst[::-1] * math.sin(scenario.alpha)
+    pq_worst = _kron_rows(np.cos(half), np.sin(half), pq_buf, spare)
+    b = spare[:pq_worst.size].reshape(pq_worst.shape)
+    np.multiply(pq_worst[::-1], math.sin(scenario.alpha), out=b)
     pq_worst *= math.cos(scenario.alpha)
     pq_worst -= b
-    del b
     np.square(pq_worst, out=pq_worst)
     terms = _party_terms(cos_theta0(scenario), parties)
-    return pq_worst, _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms))
+    pl = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms), pl_buf, spare)
+    return pq_worst, pl
 
 
 def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
-    """min of P_Q - w * P_L over the factor arrays."""
-    scratch = w * pl
-    np.subtract(pq_worst, scratch, out=scratch)
-    return float(np.min(scratch))
+    """min of P_Q - w * P_L over the factor arrays; overwrites ``pl``."""
+    pl *= w
+    np.subtract(pq_worst, pl, out=pl)
+    return float(np.min(pl))
 
 
-def _min_ratio(pq_worst: np.ndarray, pl: np.ndarray) -> float:
-    """min of P_Q / P_L where P_L is meaningfully positive, else ``+inf``."""
-    ratio = np.full_like(pl, math.inf)
+def _min_ratio(pq_worst: np.ndarray, pl: np.ndarray, spare: np.ndarray) -> float:
+    """min of P_Q / P_L where P_L is meaningfully positive, else ``+inf``.
+
+    The ratio is written into the flat buffer ``spare``.
+    """
+    ratio = spare[:pl.size].reshape(pl.shape)
+    ratio.fill(math.inf)
     np.divide(pq_worst, pl, out=ratio, where=pl > 1e-12)
     return float(np.min(ratio))
 
@@ -342,17 +368,24 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
             raise ValueError(
                 f"patterns must be outcome_sign_matrix({n}), shape {(2**n, n)}"
             )
-    pq_worst, pl = _certification_factors(scenario, thetas)
-    return _min_residual(pq_worst, pl, w), _min_ratio(pq_worst, pl)
+    buffers = _certification_buffers(len(thetas), n)
+    pq_worst, pl = _certification_factors(scenario, thetas, buffers)
+    min_ratio = _min_ratio(pq_worst, pl, buffers[2])
+    return _min_residual(pq_worst, pl, w), min_ratio
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk: as many as fit ``_CERT_CHUNK_BYTES`` per (2^n, rows)
+    array, at most ``_CERT_MAX_ROWS``."""
+    return min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
 
 
 def _certification_rows(n: int, samples: int, seed: int):
     """Theta row chunks of the diagonal grid, then of the sample stream.
 
-    Each chunk holds as many rows as fit ``_CERT_CHUNK_BYTES`` per
-    (2^n, rows) array, at most ``_CERT_MAX_ROWS``.
+    Each chunk holds :func:`_chunk_rows` rows, the last of each part fewer.
     """
-    chunk = min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
+    chunk = _chunk_rows(n)
     grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
     for start in range(0, DIAG_GRID_POINTS, chunk):
         yield np.repeat(grid[start:start + chunk, None], n, axis=1)
@@ -373,8 +406,9 @@ def certify(scenario: GhzScenario, w: float, samples: int = 100_000,
         raise ValueError(f"w must lie in [0, 1], got {w}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    buffers = _certification_buffers(_chunk_rows(scenario.n), scenario.n)
     min_residual = min(
-        _min_residual(*_certification_factors(scenario, thetas), w)
+        _min_residual(*_certification_factors(scenario, thetas, buffers), w)
         for thetas in _certification_rows(scenario.n, samples, seed)
     )
     return DecompositionCertificate(
@@ -393,8 +427,9 @@ def sampled_min_ratio(scenario: GhzScenario, samples: int = 100_000,
     Fallback weight when a claimed w fails certification; by construction
     certify() at this value over the same seed and sample count passes.
     """
+    buffers = _certification_buffers(_chunk_rows(scenario.n), scenario.n)
     min_ratio = min(
-        _min_ratio(*_certification_factors(scenario, thetas))
+        _min_ratio(*_certification_factors(scenario, thetas, buffers), buffers[2])
         for thetas in _certification_rows(scenario.n, samples, seed)
     )
     return min(max(min_ratio, 0.0), 1.0)

@@ -61,6 +61,16 @@ def _dense_residual_extrema(scenario, w, thetas):
     return min_residual, min_ratio
 
 
+def _broadcast_kron_rows(plus, minus):
+    """Allocating reference for the buffered Kronecker kernel, (2^n, rows)."""
+    rows = plus.shape[1]
+    out = np.stack((plus[0], minus[0]))
+    for j in range(1, plus.shape[0]):
+        pair = np.stack((plus[j], minus[j]))
+        out = (out[:, None, :] * pair[None, :, :]).reshape(-1, rows)
+    return out
+
+
 def _golden_section_min(fun, a, b, tol):
     """Scalar golden-section reference for the array refinement.
 
@@ -466,6 +476,40 @@ class TestCertify:
             for w in (0.0, 0.5, 1.0):
                 assert _residual_extrema(sc, w, rows) == _dense_residual_extrema(sc, w, rows)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_buffered_kron_matches_broadcast_reference(self, n):
+        rng = np.random.default_rng(n)
+        for rows in (1, 37):
+            plus, minus = rng.uniform(size=(2, n, rows))
+            out, spare = np.empty(2**n * rows), np.empty(2**n * rows)
+            got = epr2._kron_rows(plus, minus, out, spare)
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, _broadcast_kron_rows(plus, minus))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_buffers_serve_a_full_chunk_then_a_tail(self, n):
+        rng = np.random.default_rng(n)
+        buffers = np.empty(2**n * 37), np.empty(2**n * 37)
+        for rows in (37, 5):
+            plus, minus = rng.uniform(size=(2, n, rows))
+            got = epr2._kron_rows(plus, minus, *buffers)
+            assert np.array_equal(got, _broadcast_kron_rows(plus, minus))
+
+    @pytest.mark.parametrize("n", [3, 9, 12])
+    def test_chunk_budget_leaves_results_unchanged(self, monkeypatch, n):
+        sc = GhzScenario(n, 0.3)
+        w = lower_bound(sc)
+
+        def scans():
+            return (certify(sc, w, samples=64, seed=4),
+                    sampled_min_ratio(sc, samples=64, seed=4))
+
+        default = scans()
+        # 32 MiB per array, and one n = 12 sample row per chunk
+        for budget in (32 * 2**20, 8 * 2**12):
+            monkeypatch.setattr(epr2, "_CERT_CHUNK_BYTES", budget)
+            assert scans() == default
+
     def test_kernel_refuses_other_patterns(self):
         sc = GhzScenario(3, 0.3)
         rows = certification_thetas(0, 0, 4, 3)
@@ -486,6 +530,20 @@ class TestCertify:
             tracemalloc.stop()
         assert not cert.violated
         assert peak < 256 * 2**20
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_certification_arrays_stay_cache_sized(self, n):
+        sc = GhzScenario(n, math.pi / 12)
+        w = lower_bound(sc)
+        for scan in (lambda: certify(sc, w, samples=2048),
+                     lambda: sampled_min_ratio(sc, samples=2048)):
+            tracemalloc.start()
+            try:
+                scan()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
     def test_sample_stream_is_per_index(self):
         whole = certification_thetas(5, 0, 200, 4)
