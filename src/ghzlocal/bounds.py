@@ -11,6 +11,7 @@ normalized so every local model satisfies value <= 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ MABK_TOLERANCE = 1e-6
 
 # Phase offsets tried over one period for the deterministic equatorial start.
 _EQUATORIAL_OFFSETS = 12
+
+# Pattern search schedule: the step starts at _INITIAL_STEP radians and
+# halves until it reaches _FINAL_STEP; each step level runs at most
+# _MAX_SWEEPS sweeps and stops after a sweep that gains less than _GAIN_TOL.
+_INITIAL_STEP = 0.6
+_FINAL_STEP = 1e-6
+_MAX_SWEEPS = 20
+_GAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,17 +133,14 @@ def mabk_operator(setting_pairs) -> np.ndarray:
     return _mabk_recursion([_observable(*s) for pair in pairs for s in pair], np.kron)
 
 
-def _observables(angles: np.ndarray) -> list:
-    """The 2n observables of flat angles [t, p, t', p'] per party, in that order."""
-    return [_observable(angles[i], angles[i + 1]) for i in range(0, angles.size, 2)]
-
-
-def _mabk_recursion(observables, product) -> np.ndarray:
+def _mabk_recursion(observables, product):
     """The recursion of :func:`mabk_operator`, parties joined by ``product``.
 
     ``observables`` holds each party's pair in turn: [A_0, A'_0, A_1, ...].
-    ``np.multiply`` gives the operator's 2x2 corner on ``|0..0>, |1..1>``:
-    the corner of a Kronecker product is the product of the factors' corners.
+    The recursion is multilinear, so it runs unchanged on any one entry of
+    the 2x2 observables joined by ``operator.mul``: the entry of a
+    Kronecker product on ``|0..0>, |1..1>`` is the product of the factors'
+    entries.
     """
     m, m_swapped = observables[0], observables[1]
     for k in range(2, len(observables), 2):
@@ -150,51 +156,51 @@ def _mabk_recursion(observables, product) -> np.ndarray:
 def _mabk_value(support: np.ndarray, angles: np.ndarray) -> float:
     """MABK expectation for flat angles [t, p, t', p'] per party.
 
-    ``support`` is the GHZ state's two nonzero amplitudes, on |0..0>, |1..1>.
+    ``support`` is the GHZ state's two nonzero amplitudes (c, s), on
+    |0..0>, |1..1>, both real.  The operator's 2x2 corner there has
+    diagonal ``(d, (-1)^n d)`` and off-diagonal ``(o, conj o)``, where d is
+    the recursion on the observables' ``cos t`` entries and o on their
+    ``sin t e^{-ip}`` entries, so the value is
+    ``(c^2 + (-1)^n s^2) d + 2 c s Re o``.
     """
-    return _corner_value(support, _observables(angles))
+    c, s = support.real.tolist()
+    thetas, phis = angles[0::2].tolist(), angles[1::2].tolist()
+    diag = _mabk_recursion([math.cos(t) for t in thetas], operator.mul)
+    off = _mabk_recursion(
+        [math.sin(t) * complex(math.cos(p), -math.sin(p)) for t, p in zip(thetas, phis)],
+        operator.mul,
+    )
+    parity = (-1.0) ** (angles.size // 4)
+    return float((c * c + parity * s * s) * diag + 2.0 * c * s * off.real)
 
 
-def _corner_value(support: np.ndarray, observables) -> float:
-    """:func:`_mabk_value` from the flat observables of :func:`_observables`."""
-    corner = _mabk_recursion(observables, np.multiply)
-    return float(np.vdot(support, corner @ support).real)
-
-
-def _coordinate_ascent(support: np.ndarray, angles: np.ndarray,
-                       initial_step: float = 0.6, final_step: float = 1e-6,
-                       gain_tol: float = 1e-12, max_sweeps: int = 20):
+def _coordinate_ascent(support: np.ndarray, angles: np.ndarray) -> float:
     """Gradient-free pattern search: sweep coordinates, shrink the step.
 
-    A step level is abandoned once a full sweep gains less than ``gain_tol``
-    (or after ``max_sweeps``); sub-tolerance improvements are still kept, so
-    flat ridges cannot stall the shrink schedule.
+    Moves ``angles`` in place and returns the best value reached.
+
+    A step level is abandoned once a full sweep gains less than
+    ``_GAIN_TOL`` (or after ``_MAX_SWEEPS``); sub-tolerance improvements
+    are still kept, so flat ridges cannot stall the shrink schedule.
     """
-    observables = _observables(angles)
-    best = _corner_value(support, observables)
-    step = initial_step
-    while step > final_step:
-        for _ in range(max_sweeps):
+    best = _mabk_value(support, angles)
+    step = _INITIAL_STEP
+    while step > _FINAL_STEP:
+        for _ in range(_MAX_SWEEPS):
             gained = False
             for i in range(angles.size):
-                # a probe moves one angle, so only its observable is rebuilt
-                k = i // 2
                 for delta in (step, -step):
                     angles[i] += delta
-                    observables[k] = _observable(angles[2 * k], angles[2 * k + 1])
-                    value = _corner_value(support, observables)
+                    value = _mabk_value(support, angles)
                     if value > best:
-                        gained = gained or value > best + gain_tol
+                        gained = gained or value > best + _GAIN_TOL
                         best = value
                         break
                     angles[i] -= delta
-                else:
-                    # x + d - d need not be x, so rebuild from the restored angle
-                    observables[k] = _observable(angles[2 * k], angles[2 * k + 1])
             if not gained:
                 break
         step *= 0.5
-    return best, angles
+    return best
 
 
 def _equatorial_start(support: np.ndarray, n: int) -> np.ndarray:
@@ -231,14 +237,13 @@ def mabk_quantum_max(scenario: GhzScenario, restarts: int = 8,
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
     support = ghz_state(scenario)[[0, -1]]
-    quantum_max, _ = _coordinate_ascent(support, _equatorial_start(support, scenario.n))
+    quantum_max = _coordinate_ascent(support, _equatorial_start(support, scenario.n))
     for stream in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(stream)
         angles = np.empty(4 * scenario.n)
         angles[0::2] = rng.uniform(0.0, math.pi, 2 * scenario.n)
         angles[1::2] = rng.uniform(0.0, 2.0 * math.pi, 2 * scenario.n)
-        value, _ = _coordinate_ascent(support, angles)
-        quantum_max = max(quantum_max, value)
+        quantum_max = max(quantum_max, _coordinate_ascent(support, angles))
     return MabkReport(
         quantum_max=quantum_max,
         violates=bool(quantum_max > 1.0 + MABK_TOLERANCE),

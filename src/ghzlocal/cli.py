@@ -18,14 +18,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bounds import chen_upper, mabk_implied_upper
 from .epr2 import (
-    _kron_rows,
-    _party_terms,
+    _certification_buffers,
+    _certification_factors,
     certify,
     cos_theta0,
     lower_bound,
@@ -57,16 +57,6 @@ class ScanRow:
     w_upper_chen: float | None
     mabk_implied: str
     certified: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "w_lower": self.w_lower,
-            "w_upper_chen": self.w_upper_chen,
-            "mabk_implied": self.mabk_implied,
-            "certified": self.certified,
-        }
 
 
 def _fmt(x: float) -> str:
@@ -109,7 +99,7 @@ def _rows_csv(rows) -> str:
 
 
 def _rows_json(rows) -> str:
-    return json.dumps([row.as_dict() for row in rows], indent=2) + "\n"
+    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -186,7 +176,7 @@ def _resolve_alpha(args) -> float:
 def cmd_point(args) -> int:
     alpha = _resolve_alpha(args)
     row, code = _scan_row(args.n, alpha, args.samples, args.seed, args.grid_points)
-    _write_out(json.dumps(row.as_dict(), indent=2) + "\n", args.out)
+    _write_out(json.dumps(asdict(row), indent=2) + "\n", args.out)
     return code
 
 
@@ -212,14 +202,7 @@ def cmd_certify(args) -> int:
     alpha = _resolve_alpha(args)
     scenario = GhzScenario(args.n, alpha)
     certificate = certify(scenario, args.w, samples=args.samples, seed=args.seed)
-    payload = {
-        "w": certificate.w,
-        "min_residual": certificate.min_residual,
-        "samples": certificate.samples,
-        "seed": certificate.seed,
-        "violated": certificate.violated,
-    }
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_out(json.dumps(asdict(certificate), indent=2) + "\n", args.out)
     return 3 if certificate.violated else 0
 
 
@@ -256,9 +239,9 @@ def _suite_normalization(quick: bool):
         n = int(rng.integers(2, 7))
         scenario = GhzScenario(n, float(rng.uniform(0.0, math.pi / 4)))
         thetas = rng.uniform(0.0, math.pi, n)
-        terms = _party_terms(cos_theta0(scenario), thetas)[:, None]
-        total = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms),
-                           np.empty(2**n), np.empty(2**n)).sum()
+        _, pl = _certification_factors(scenario, thetas[None, :],
+                                       _certification_buffers(1, n))
+        total = pl.sum()
         worst = max(worst, abs(total - 1.0))
         if n <= 5:
             context = MeasurementContext.from_angles(
@@ -392,7 +375,7 @@ def main(argv=None) -> int:
     if getattr(args, "alpha_steps", None) is not None and args.alpha_steps < 2:
         print("error: --alpha-steps must be at least 2", file=sys.stderr)
         return 2
-    if getattr(args, "samples", 0) is not None and getattr(args, "samples", 0) < 0:
+    if getattr(args, "samples", 0) < 0:
         print("error: --samples must be nonnegative", file=sys.stderr)
         return 2
     try:

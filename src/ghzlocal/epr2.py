@@ -47,6 +47,10 @@ _CERT_MAX_ROWS = 8192
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# lower_bound refines every bracketing grid minimum until it is narrower
+# than this many radians.
+_REFINE_TOL = 1e-10
+
 
 def theta0(scenario: GhzScenario) -> float:
     """The vanishing angle itself, in [pi/2, pi]."""
@@ -201,8 +205,7 @@ def _refine_minima(scenario: GhzScenario, a, b, tol: float) -> np.ndarray:
     return best
 
 
-def lower_bound(scenario: GhzScenario, grid_points: int = 10000,
-                refine_tol: float = 1e-10) -> float:
+def lower_bound(scenario: GhzScenario, grid_points: int = 10000) -> float:
     """Lower bound on the local content: min of the diagonal ratio over [0, pi].
 
     Dense grid evaluation, golden-section refinement around every bracketing
@@ -212,13 +215,11 @@ def lower_bound(scenario: GhzScenario, grid_points: int = 10000,
     """
     if grid_points < 1000:
         raise ValueError(f"grid_points must be at least 1000, got {grid_points}")
-    if refine_tol <= 0.0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     thetas = np.linspace(0.0, math.pi, grid_points)
     f = _diagonal_ratio(scenario, thetas)
     interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
     refined = _refine_minima(scenario, thetas[interior - 1], thetas[interior + 1],
-                             refine_tol)
+                             _REFINE_TOL)
     ends = [ratio_f(scenario, t) for t in (theta0(scenario), 0.0, math.pi)]
     w = float(np.min(np.concatenate((f, refined, ends))))
     return min(max(w, 0.0), 1.0)

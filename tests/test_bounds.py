@@ -10,7 +10,9 @@ from ghzlocal.epr2 import lower_bound
 from ghzlocal.bounds import (
     InequalityConstants,
     MabkReport,
+    _mabk_recursion,
     _mabk_value,
+    _observable,
     chen_upper,
     mabk_implied_upper,
     mabk_operator,
@@ -94,6 +96,14 @@ def chsh_planar_grid_max(alpha: float, step_deg: float = 1.0) -> float:
         value = 0.5 * (fixed + corr(ap, b) - corr(ap, bp))
         best = max(best, float(value.max()))
     return best
+
+
+def _array_corner_value(support, angles):
+    """Reference: the MABK recursion with np.multiply on each party's 2x2
+    observables, which gives the operator's corner on |0..0>, |1..1>."""
+    observables = [_observable(angles[i], angles[i + 1]) for i in range(0, angles.size, 2)]
+    corner = _mabk_recursion(observables, np.multiply)
+    return float(np.vdot(support, corner @ support).real)
 
 
 class TestMabk:
@@ -209,6 +219,24 @@ class TestMabk:
                     pairs = [((t, p), (tp, pp)) for t, p, tp, pp in angles.reshape(n, 4)]
                     dense = np.vdot(state, mabk_operator(pairs) @ state).real
                     assert abs(_mabk_value(state[[0, -1]], angles) - dense) < 1e-13
+
+    def test_scalar_value_matches_array_corner(self):
+        # The dense oracle stops at n = 8; the 2x2 array corner reaches n = 12.
+        rng = np.random.default_rng(11)
+        for n in range(2, 13):
+            for alpha in (0.0, 0.3, math.pi / 4):
+                support = ghz_state(GhzScenario(n, alpha))[[0, -1]]
+                for _ in range(3):
+                    angles = np.empty(4 * n)
+                    angles[0::2] = rng.uniform(0.0, math.pi, 2 * n)
+                    angles[1::2] = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+                    reference = _array_corner_value(support, angles)
+                    assert abs(_mabk_value(support, angles) - reference) < 1e-13
+
+    def test_value_is_python_float(self):
+        support = ghz_state(GhzScenario(3, 0.3))[[0, -1]]
+        angles = np.linspace(0.1, 2.3, 12)
+        assert type(_mabk_value(support, angles)) is float
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_reaches_scarani_gisin_value(self, n):
