@@ -27,7 +27,6 @@ from .epr2 import (
     _certification_buffers,
     _certification_factors,
     certify,
-    cos_theta0,
     lower_bound,
     sampled_min_ratio,
 )
@@ -36,6 +35,7 @@ from .qcore import (
     MeasurementContext,
     OutcomePattern,
     all_outcome_patterns,
+    cos_theta0,
     diagonal_prob,
     ghz_state,
     joint_prob_dense,
@@ -307,7 +307,8 @@ def _add_common(parser, with_grid=True):
                         help="seed of the certification sample stream (default 0)")
     if with_grid:
         parser.add_argument("--grid-points", type=int, default=10_000,
-                            help="theta grid size of the bound minimizer (default 10000)")
+                            help="theta grid size of the bound minimizer, 1000 to "
+                                 "10000000 (default 10000)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write output to FILE instead of standard output")
 

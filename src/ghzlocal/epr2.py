@@ -47,9 +47,12 @@ _CERT_MAX_ROWS = 8192
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# lower_bound refines every bracketing grid minimum until it is narrower
-# than this many radians.
+# lower_bound refines the grid minimum's bracket until it is narrower than
+# this many radians.
 _REFINE_TOL = 1e-10
+
+# Largest lower_bound grid; its arrays take about 60 bytes per point.
+_MAX_GRID_POINTS = 10**7
 
 
 def theta0(scenario: GhzScenario) -> float:
@@ -67,17 +70,11 @@ class LocalModel:
     """
 
     scenario: GhzScenario
-    cos_theta0: float | None = None
 
-    def __post_init__(self):
-        expected = cos_theta0(self.scenario)
-        if self.cos_theta0 is None:
-            object.__setattr__(self, "cos_theta0", expected)
-        elif abs(self.cos_theta0 - expected) > 1e-15:
-            raise ValueError(
-                f"cos_theta0 {self.cos_theta0!r} does not reproduce the "
-                f"scenario value {expected!r}"
-            )
+    @property
+    def cos_theta0(self) -> float:
+        """cos of the scenario's vanishing angle."""
+        return cos_theta0(self.scenario)
 
 
 def _party_terms(c0: float, thetas):
@@ -179,49 +176,45 @@ def _ratio_limit_at_theta0(scenario: GhzScenario) -> float:
     return math.inf
 
 
-def _refine_minima(scenario: GhzScenario, a, b, tol: float) -> np.ndarray:
-    """Golden-section minimum of the diagonal ratio on every bracket [a_i, b_i].
+def _refine_minimum(scenario: GhzScenario, a: float, b: float) -> float:
+    """Golden-section minimum of the diagonal ratio on the bracket [a, b].
 
-    One vectorized ratio evaluation per step for all brackets; each follows
-    the scalar golden-section sequence and leaves once narrower than ``tol``.
-    Returns the smallest ratio evaluated in each bracket.
+    Steps until the bracket is narrower than ``_REFINE_TOL``; returns the
+    smallest ratio evaluated.
     """
-    c = b - (b - a) * _GOLDEN
-    d = a + (b - a) * _GOLDEN
+    c, d = b - (b - a) * _GOLDEN, a + (b - a) * _GOLDEN
     fc, fd = _diagonal_ratio(scenario, c), _diagonal_ratio(scenario, d)
-    best = np.minimum(fc, fd)
-    live, keep = np.arange(best.size), (b - a) > tol
-    while keep.any():
-        live, a, b, c, d, fc, fd = (x[keep] for x in (live, a, b, c, d, fc, fd))
-        left = fc < fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        probe = np.where(left, b - (b - a) * _GOLDEN, a + (b - a) * _GOLDEN)
-        fprobe = _diagonal_ratio(scenario, probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fprobe, fd), np.where(left, fc, fprobe)
-        best[live] = np.minimum(best[live], fprobe)
-        keep = (b - a) > tol
-    return best
+    best = min(fc, fd)
+    while (b - a) > _REFINE_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * _GOLDEN
+            fc = _diagonal_ratio(scenario, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * _GOLDEN
+            fd = _diagonal_ratio(scenario, d)
+        best = min(best, fc, fd)
+    return float(best)
 
 
 def lower_bound(scenario: GhzScenario, grid_points: int = 10000) -> float:
     """Lower bound on the local content: min of the diagonal ratio over [0, pi].
 
-    Dense grid evaluation, golden-section refinement around every bracketing
-    local minimum, plus the values at the common-zero angle and at both
-    ends.  Gives ``1 - sin(2a)`` for n = 2, 1 for product states, 0 for
-    maximal entanglement.
+    Dense grid evaluation (both ends included), golden-section refinement
+    of the grid minimum's bracket, plus one probe at the common-zero angle
+    ``theta0``.  Gives ``1 - sin(2a)`` for n = 2, 1 for product states, 0
+    for maximal entanglement.  ``grid_points`` must lie in [1000, 10**7].
     """
-    if grid_points < 1000:
-        raise ValueError(f"grid_points must be at least 1000, got {grid_points}")
+    if not 1000 <= grid_points <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points must lie in [1000, {_MAX_GRID_POINTS}], got {grid_points}"
+        )
     thetas = np.linspace(0.0, math.pi, grid_points)
     f = _diagonal_ratio(scenario, thetas)
-    interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
-    refined = _refine_minima(scenario, thetas[interior - 1], thetas[interior + 1],
-                             _REFINE_TOL)
-    ends = [ratio_f(scenario, t) for t in (theta0(scenario), 0.0, math.pi)]
-    w = float(np.min(np.concatenate((f, refined, ends))))
+    i = min(max(int(np.argmin(f)), 1), grid_points - 2)
+    refined = _refine_minimum(scenario, float(thetas[i - 1]), float(thetas[i + 1]))
+    w = min(float(f.min()), refined, ratio_f(scenario, theta0(scenario)))
     return min(max(w, 0.0), 1.0)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -297,6 +298,20 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "party count" in err
+
+    def test_huge_grid_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "point", "--n", "3", "--alpha", "0.3",
+                "--grid-points", "10000001",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == "" and "10000000" in err
+        assert peak < 8 * 2**20  # the grid alone would take 80 MB
 
     def test_bad_format(self, capsys):
         code, _, _ = run_cli(

@@ -22,7 +22,7 @@ from ghzlocal.epr2 import (
     _GOLDEN,
     _diagonal_ratio,
     _party_terms,
-    _refine_minima,
+    _refine_minimum,
     _residual_extrema,
     certification_thetas,
     certify,
@@ -71,38 +71,45 @@ def _broadcast_kron_rows(plus, minus):
     return out
 
 
-def _golden_section_min(fun, a, b, tol):
-    """Scalar golden-section reference for the array refinement.
+def _refine_minima(scenario, a, b, tol):
+    """Golden-section minimum of the diagonal ratio on every bracket [a_i, b_i].
 
-    Returns the smallest of the values evaluated on [a, b].
+    The array refinement ``lower_bound`` used to run on every bracketing
+    grid minimum, kept as a reference: one vectorized ratio evaluation per
+    step for all brackets, each leaving once narrower than ``tol``.  numpy
+    rounds ``x ** k`` on a float64 scalar differently from the same power
+    on an array, so this reference also checks the scalar refinement's
+    arithmetic against the array evaluator's.
     """
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
-    fc, fd = fun(c), fun(d)
-    best = min(fc, fd)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = fun(d)
-        best = min(best, fc, fd)
+    fc, fd = _diagonal_ratio(scenario, c), _diagonal_ratio(scenario, d)
+    best = np.minimum(fc, fd)
+    live, keep = np.arange(best.size), (b - a) > tol
+    while keep.any():
+        live, a, b, c, d, fc, fd = (x[keep] for x in (live, a, b, c, d, fc, fd))
+        left = fc < fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        probe = np.where(left, b - (b - a) * _GOLDEN, a + (b - a) * _GOLDEN)
+        fprobe = _diagonal_ratio(scenario, probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fprobe, fd), np.where(left, fc, fprobe)
+        best[live] = np.minimum(best[live], fprobe)
+        keep = (b - a) > tol
     return best
 
 
-def _one_point_ratio(scenario):
-    """The diagonal ratio at one angle, through the array evaluator.
-
-    numpy rounds ``x ** k`` on a float64 scalar differently from the same
-    power on an array, so :func:`ratio_f` and the array evaluator differ by
-    ulps; on flat stretches of the ratio that is enough to send a
-    golden-section step the other way.  Replaying one-element arrays keeps
-    the reference on the refinement's own arithmetic.
-    """
-    return lambda t: float(_diagonal_ratio(scenario, np.array([t]))[0])
+def _multi_bracket_lower_bound(scenario, grid_points=10000):
+    """Reference lower bound: the grid, every interior bracket, three end probes."""
+    thetas = np.linspace(0.0, math.pi, grid_points)
+    f = _diagonal_ratio(scenario, thetas)
+    interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
+    refined = _refine_minima(scenario, thetas[interior - 1], thetas[interior + 1],
+                             1e-10)
+    ends = [ratio_f(scenario, t) for t in (theta0(scenario), 0.0, math.pi)]
+    w = float(np.min(np.concatenate((f, refined, ends))))
+    return min(max(w, 0.0), 1.0)
 
 
 class TestTheta0:
@@ -140,12 +147,14 @@ class TestTheta0:
 
 class TestLocalModel:
     def test_cos_theta0_computed_and_validated(self):
+        # The scenario is the one source: no other value can be passed or set.
         sc = GhzScenario(3, 0.3)
         model = LocalModel(sc)
-        assert abs(model.cos_theta0 - cos_theta0(sc)) == 0.0
-        LocalModel(sc, cos_theta0(sc))  # consistent value accepted
-        with pytest.raises(ValueError):
-            LocalModel(sc, cos_theta0(sc) + 1e-9)
+        assert model.cos_theta0 == cos_theta0(sc)
+        with pytest.raises(TypeError):
+            LocalModel(sc, cos_theta0(sc))
+        with pytest.raises(AttributeError):
+            model.cos_theta0 = 0.0
 
     def test_endpoints(self):
         assert LocalModel(GhzScenario(4, 0.0)).cos_theta0 == -1.0
@@ -315,34 +324,58 @@ class TestLowerBound:
                 assert smaller < larger
 
     def test_array_refinement_matches_scalar_golden_section(self):
+        # The grid minimum's bracket, refined on scalars, against the array
+        # refinement lower_bound used to run on it.
         thetas = np.linspace(0.0, math.pi, 10000)
         for n in range(2, 13):
             for alpha in (0.0, 0.1, 0.3, math.pi / 4):
                 sc = GhzScenario(n, alpha)
-                f = _diagonal_ratio(sc, thetas)
-                interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
-                # flat stretches give thousands of brackets: refine them all,
-                # replay an even subset through the scalar reference
-                got = _refine_minima(sc, thetas[interior - 1], thetas[interior + 1],
-                                     1e-10)
-                picked = range(0, interior.size, max(1, interior.size // 24))
-                for k in picked:
-                    i = interior[k]
-                    ref = _golden_section_min(_one_point_ratio(sc), thetas[i - 1],
-                                              thetas[i + 1], 1e-10)
-                    assert abs(got[k] - ref) <= 1e-15, (n, alpha, i)
+                i = min(max(int(np.argmin(_diagonal_ratio(sc, thetas))), 1), 9998)
+                a, b = float(thetas[i - 1]), float(thetas[i + 1])
+                got = _refine_minimum(sc, a, b)
+                ref = _refine_minima(sc, np.array([a]), np.array([b]), 1e-10)[0]
+                assert got == ref or abs(got - ref) <= 1e-15 * ref, (n, alpha, i)
 
     def test_array_refinement_brackets_of_mixed_width(self):
-        # Wider brackets need more steps than narrow ones, so brackets leave
-        # the array pass at different steps.
+        # Wider brackets need more steps than narrow ones; each one refined
+        # alone matches the array refinement of all of them together.
         sc = GhzScenario(4, 0.2)
         a = np.array([0.1, 1.0, 0.5, 2.0, 1.9])
         b = np.array([0.2, 1.0004, 2.5, 2.1, 1.90001])
-        got = _refine_minima(sc, a, b, 1e-10)
+        together = _refine_minima(sc, a, b, 1e-10)
         for k in range(a.size):
-            ref = _golden_section_min(_one_point_ratio(sc), a[k], b[k], 1e-10)
-            assert got[k] == ref or abs(got[k] - ref) <= 1e-15
-        assert math.isinf(got[3])  # beyond theta0 the ratio is +inf
+            got = _refine_minimum(sc, float(a[k]), float(b[k]))
+            assert got == together[k] or abs(got - together[k]) <= 1e-15 * got
+        assert math.isinf(_refine_minimum(sc, 2.0, 2.1))  # beyond theta0: +inf
+
+    def test_matches_multi_bracket_reference(self):
+        for n in range(2, 13):
+            for alpha in np.linspace(0.0, math.pi / 4, 11):
+                sc = GhzScenario(n, float(alpha))
+                got, want = lower_bound(sc), _multi_bracket_lower_bound(sc)
+                assert got == want or abs(got - want) <= 1e-15 * want, (n, alpha)
+                assert format(got, ".9g") == format(want, ".9g"), (n, alpha)
+
+    def test_default_grid_has_one_interior_minimum(self):
+        # For n >= 3 and alpha > 0 the grid minimum is the only bracket, so
+        # refining it alone loses nothing.
+        thetas = np.linspace(0.0, math.pi, 10000)
+        for n in range(3, 13):
+            for alpha in np.linspace(0.0, math.pi / 4, 102)[1:]:
+                f = _diagonal_ratio(GhzScenario(n, float(alpha)), thetas)
+                interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
+                assert interior.tolist() == [int(np.argmin(f))], (n, alpha)
+
+    @pytest.mark.parametrize("n, alpha", [(2, 0.3), (5, 0.0)])
+    def test_evaluates_one_grid_and_one_bracket(self, n, alpha, monkeypatch):
+        points = []
+        original = epr2._diagonal_ratio
+        monkeypatch.setattr(
+            epr2, "_diagonal_ratio",
+            lambda sc, t: points.append(np.size(t)) or original(sc, t),
+        )
+        lower_bound(GhzScenario(n, alpha), grid_points=10000)
+        assert sum(points) <= 10000 + 100
 
     def test_ratio_agrees_with_scalar_ratio(self):
         cases = ((2, math.pi / 6), (3, math.pi / 12), (5, 0.0), (7, math.pi / 4))
@@ -370,6 +403,16 @@ class TestLowerBound:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             lower_bound(GhzScenario(2, 0.1), grid_points=500)
+
+    def test_rejects_huge_grid_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="10000000"):
+                lower_bound(GhzScenario(2, 0.1), grid_points=10**7 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCertify:
