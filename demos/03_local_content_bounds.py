@@ -4,14 +4,13 @@
 Sweeps the state angle for several party counts: the certified lower bound
 from the factorized local model (exactly 1 - sin(2a) for two parties, and
 decreasing fast with the party count), against the closed-form upper bound
-available for three or more parties.  Writes the sweep as an SVG chart.
+available for three or more parties.  Writes the sweep as an SVG chart
+through `ghzlocal scan --format svg`, which certifies each row.
 """
 
 import math
 
-from ghzlocal import GhzScenario, chen_upper, lower_bound
-from ghzlocal.cli import ScanRow, _rows_svg
-from ghzlocal.bounds import mabk_implied_upper
+from ghzlocal import GhzScenario, chen_upper, cli, lower_bound
 
 steps = 16
 ns = (2, 3, 4, 5)
@@ -19,19 +18,12 @@ alphas = [k * (math.pi / 4) / (steps - 1) for k in range(steps)]
 
 print(f"{'alpha':>8} | " + " | ".join(f"w<({n})   w>({n})" for n in ns))
 print("-" * (10 + 19 * len(ns)))
-rows = []
 for alpha in alphas:
     cells = []
     for n in ns:
         sc = GhzScenario(n, alpha)
         lo = lower_bound(sc)
         hi = chen_upper(sc) if n >= 3 else None
-        implied = mabk_implied_upper(sc)
-        rows.append(ScanRow(
-            n=n, alpha=alpha, w_lower=lo, w_upper_chen=hi,
-            mabk_implied={0.0: "zero", 1.0: "one", None: "unknown"}[implied],
-            certified=True,
-        ))
         cells.append(f"{lo:.4f}  " + (f"{hi:.4f}" if hi is not None else "  --  "))
     print(f"{alpha:8.4f} | " + " | ".join(cells))
 
@@ -46,6 +38,10 @@ for n in (3, 4, 6, 8, 12):
     print(f"  n={n:2d}: {chen_upper(GhzScenario(n, math.pi / 4)):.6f}")
 
 out = "local_content_sweep.svg"
-with open(out, "w") as handle:
-    handle.write(_rows_svg(rows, ns))
+code = cli.main([
+    "scan", "--n", ",".join(map(str, ns)), "--alpha-steps", str(steps),
+    "--format", "svg", "--out", out, "--samples", "2000",
+])
+if code != 0:
+    raise SystemExit(f"ghzlocal scan exited with code {code}")
 print(f"\nwrote {out}")

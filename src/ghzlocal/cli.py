@@ -23,13 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import chen_upper, mabk_implied_upper
-from .epr2 import (
-    _certification_buffers,
-    _certification_factors,
-    certify,
-    lower_bound,
-    sampled_min_ratio,
-)
+from .epr2 import LocalModel, certify, local_prob, lower_bound, sampled_min_ratio
 from .qcore import (
     GhzScenario,
     MeasurementContext,
@@ -210,21 +204,26 @@ def cmd_certify(args) -> int:
 # selftest suites
 
 
-def _suite_oracle_equivalence(quick: bool, phase_sign: float):
-    """Closed form vs dense state-vector route on random configurations."""
+def _suite_oracle_equivalence(quick: bool, phase_shift: float):
+    """Closed form vs dense state-vector route on random configurations.
+
+    ``phase_shift`` is added to party 0's phase in the closed-form call
+    only; pi flips the interference term, a negative control.
+    """
     rng = np.random.default_rng(2024)
     configs = 150 if quick else 1000
     worst = 0.0
     for _ in range(configs):
         n = int(rng.integers(2, 7))
         scenario = GhzScenario(n, float(rng.uniform(0.0, math.pi / 4)))
-        context = MeasurementContext.from_angles(
-            rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n)
-        )
+        thetas = rng.uniform(0.0, math.pi, n)
+        phis = rng.uniform(0.0, 2.0 * math.pi, n)
         pattern = OutcomePattern(tuple(int(s) for s in rng.choice((-1, 1), n)))
+        context = MeasurementContext.from_angles(thetas, phis)
         dense = joint_prob_dense(ghz_state(scenario), context, pattern)
+        phis[0] += phase_shift
         closed = joint_prob_ghz(
-            scenario, context, pattern, phase_factor_sign=phase_sign
+            scenario, MeasurementContext.from_angles(thetas, phis), pattern
         )
         worst = max(worst, abs(dense - closed))
     return worst <= 1e-10, f"max |closed - dense| = {worst:.3e} over {configs} configs"
@@ -239,9 +238,8 @@ def _suite_normalization(quick: bool):
         n = int(rng.integers(2, 7))
         scenario = GhzScenario(n, float(rng.uniform(0.0, math.pi / 4)))
         thetas = rng.uniform(0.0, math.pi, n)
-        _, pl = _certification_factors(scenario, thetas[None, :],
-                                       _certification_buffers(1, n))
-        total = pl.sum()
+        model = LocalModel(scenario)
+        total = sum(local_prob(model, thetas, p) for p in all_outcome_patterns(n))
         worst = max(worst, abs(total - 1.0))
         if n <= 5:
             context = MeasurementContext.from_angles(
@@ -281,9 +279,9 @@ def _suite_three_party_diagonal(quick: bool):
 
 
 def cmd_selftest(args) -> int:
-    phase_sign = -1.0 if args.flip_phase_sign else 1.0
+    phase_shift = math.pi if args.flip_phase_sign else 0.0
     suites = [
-        ("oracle-equivalence", lambda: _suite_oracle_equivalence(args.quick, phase_sign)),
+        ("oracle-equivalence", lambda: _suite_oracle_equivalence(args.quick, phase_shift)),
         ("normalization", lambda: _suite_normalization(args.quick)),
         ("two-party-identity", lambda: _suite_identity_two_party(args.quick)),
         ("three-party-diagonal", lambda: _suite_three_party_diagonal(args.quick)),

@@ -24,6 +24,7 @@ from .qcore import (
     cos_theta0,
     diagonal_prob,
     joint_prob_ghz,
+    outcome_sign_matrix,
 )
 
 # A certificate is violated when the worst observed residual P_Q - w*P_L
@@ -356,12 +357,10 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
     still evaluated at all 2^n patterns.
     """
     n = scenario.n
-    if patterns is not None:
-        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        if np.shape(patterns) != (2**n, n) or not np.array_equal(patterns, 1 - 2 * bits):
-            raise ValueError(
-                f"patterns must be outcome_sign_matrix({n}), shape {(2**n, n)}"
-            )
+    if patterns is not None and not np.array_equal(patterns, outcome_sign_matrix(n)):
+        raise ValueError(
+            f"patterns must be outcome_sign_matrix({n}), shape {(2**n, n)}"
+        )
     buffers = _certification_buffers(len(thetas), n)
     pq_worst, pl = _certification_factors(scenario, thetas, buffers)
     min_ratio = _min_ratio(pq_worst, pl, buffers[2])

@@ -29,19 +29,14 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# Sign of the cos(sum of phis) factor multiplying the interference term of the
-# closed form.  Not derivable from the fixed-phase special case alone; frozen
-# once by matching the dense route (see tests and the CLI selftest, which can
-# flip it as a negative control).
-PHASE_FACTOR_SIGN = 1.0
-
 
 @dataclass(frozen=True)
 class GhzScenario:
     """Party count and mixing angle of the state cos(a)|0..0> + sin(a)|1..1>.
 
     ``alpha = 0`` is a product state, ``alpha = pi/4`` the maximally
-    entangled member of the family.
+    entangled member of the family; an alpha at most 1e-15 above pi/4 is
+    snapped onto it.
     """
 
     n: int
@@ -52,6 +47,8 @@ class GhzScenario:
             raise ValueError(f"party count must be in [2, {MAX_PARTIES}], got {self.n}")
         if not (0.0 <= self.alpha <= math.pi / 4 + 1e-15):
             raise ValueError(f"alpha must lie in [0, pi/4], got {self.alpha}")
+        if self.alpha > math.pi / 4:
+            object.__setattr__(self, "alpha", math.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -180,14 +177,13 @@ def joint_prob_dense(state: np.ndarray, context: MeasurementContext,
 
 
 def joint_prob_ghz(scenario: GhzScenario, context: MeasurementContext,
-                   outcomes: OutcomePattern, *,
-                   phase_factor_sign: float = PHASE_FACTOR_SIGN) -> float:
+                   outcomes: OutcomePattern) -> float:
     """Closed-form P(r|A) for the GHZ state, any phases.
 
     Agrees with :func:`joint_prob_dense` on the GHZ state to better than
-    1e-10 for every input.  The phases enter only through their sum.  The
-    ``phase_factor_sign`` keyword exists for the selftest negative control
-    and must be left at its default otherwise.
+    1e-10 for every input.  The phases enter only through the factor
+    cos(sum of phis) on the interference term, so adding pi to one party's
+    phase flips exactly that term's sign.
     """
     n = scenario.n
     if len(context) != n or len(outcomes) != n:
@@ -203,7 +199,7 @@ def joint_prob_ghz(scenario: GhzScenario, context: MeasurementContext,
     sym = scale * (c2 * np.prod(1.0 + ru) + s2 * np.prod(1.0 - ru))
     cross = scale * math.sin(2.0 * alpha) * np.prod(signs) * np.prod(np.sin(thetas))
     phi_sum = float(np.sum(context.phis))
-    return float(sym + phase_factor_sign * math.cos(phi_sum) * cross)
+    return float(sym + math.cos(phi_sum) * cross)
 
 
 def diagonal_prob(scenario: GhzScenario, theta: float) -> float:

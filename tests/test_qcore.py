@@ -15,8 +15,10 @@ from ghzlocal.qcore import (
     ghz_state,
     joint_prob_dense,
     joint_prob_ghz,
+    cos_theta0,
     projector,
 )
+from ghzlocal.bounds import mabk_implied_upper
 from ghzlocal.epr2 import theta0
 
 
@@ -42,6 +44,19 @@ class TestDomainTypes:
             GhzScenario(3, -0.01)
         with pytest.raises(ValueError):
             GhzScenario(3, math.pi / 4 + 0.01)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_scenario_snaps_alpha_just_above_pi_over_4(self, n):
+        above = [math.nextafter(math.pi / 4, 1.0)]
+        while math.nextafter(above[-1], 1.0) <= math.pi / 4 + 1e-15:
+            above.append(math.nextafter(above[-1], 1.0))
+        assert len(above) == 9
+        for alpha in above:
+            sc = GhzScenario(n, alpha)
+            assert sc == GhzScenario(n, math.pi / 4)
+            assert cos_theta0(sc) <= 0.0
+            assert math.pi / 2 <= theta0(sc) <= math.pi
+            assert mabk_implied_upper(sc) == 0.0
 
     def test_direction_theta_range_and_phi_mod(self):
         with pytest.raises(ValueError):
@@ -232,6 +247,21 @@ class TestClosedForm:
             assert abs(
                 joint_prob_ghz(sc, ctx, pat) - joint_prob_ghz(sc, shifted, pat)
             ) < 1e-12
+
+    def test_pi_on_one_phase_flips_the_interference_term(self):
+        # cos(phi + pi) = -cos(phi): the shifted and unshifted values average
+        # to the interference-free value at phase sum pi/2.
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            sc, ctx, pat = random_config(rng)
+            phis = ctx.phis.copy()
+            phis[0] += math.pi
+            shifted = MeasurementContext.from_angles(ctx.thetas, phis)
+            quarter = MeasurementContext.from_angles(
+                ctx.thetas, [math.pi / 2] + [0.0] * (sc.n - 1)
+            )
+            total = joint_prob_ghz(sc, shifted, pat) + joint_prob_ghz(sc, ctx, pat)
+            assert abs(total - 2.0 * joint_prob_ghz(sc, quarter, pat)) < 1e-12
 
     def test_outcome_flip_equals_theta_reflection(self):
         # Flipping outcomes on a subset S equals reflecting those thetas and
