@@ -20,7 +20,6 @@ from .qcore import (
     GhzScenario,
     MeasurementContext,
     OutcomePattern,
-    _diagonal_amplitude,
     cos_theta0,
     diagonal_prob,
     joint_prob_ghz,
@@ -94,7 +93,7 @@ def local_prob(model: LocalModel, thetas, outcomes: OutcomePattern) -> float:
         raise ValueError(
             f"expected {n} angles and outcomes, got {thetas.shape} and {len(outcomes)}"
         )
-    if np.any(thetas < 0.0) or np.any(thetas > math.pi):
+    if not (0.0 <= thetas.min() and thetas.max() <= math.pi):
         raise ValueError("angles must lie in [0, pi]")
     terms = _party_terms(model.cos_theta0, thetas)
     return float(np.prod(0.5 * (1.0 + outcomes.signs() * terms)))
@@ -106,8 +105,8 @@ def _diagonal_local_prob(scenario: GhzScenario, theta):
     In the unsaturated region the per-party factor (1 + cos t / cos t0)/2 is
     evaluated as sin((t0+t)/2) sin((t0-t)/2) / |cos t0|, which avoids the
     catastrophic cancellation of the direct difference near t0 and near pi.
-    Like ``qcore._diagonal_amplitude``, a deliberate duplicate: the ratio
-    divides by P_L at its zero, where :func:`_party_terms` loses all digits.
+    Like :func:`ghzlocal.qcore.diagonal_prob`, a deliberate duplicate: the
+    ratio divides by P_L at its zero, where :func:`_party_terms` loses all digits.
     """
     theta = np.asarray(theta, dtype=float)
     c0 = cos_theta0(scenario)
@@ -125,10 +124,10 @@ def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
     """P_Q / P_L along the diagonal, all outcomes +1 (vectorized over thetas).
 
     ``+inf`` where P_L vanishes; within 1e-12 of the vanishing angle (when
-    ``cos theta0 < 0``) the value of :func:`_ratio_limit_at_theta0`.
+    ``cos theta0 < 0``) the exact limit :func:`_ratio_limit_at_theta0`.
     """
     thetas = np.asarray(thetas, dtype=float)
-    pq = _diagonal_amplitude(scenario, thetas) ** 2
+    pq = diagonal_prob(scenario, thetas)
     pl = _diagonal_local_prob(scenario, thetas)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(pl > 0.0, pq / pl, math.inf)
@@ -143,37 +142,26 @@ def ratio_f(scenario: GhzScenario, theta: float) -> float:
 
     Returns ``+inf`` where the local model vanishes but P_Q does not (the
     whole region beyond the vanishing angle).  At the vanishing angle itself
-    both have zeros; the value is the stable directional limit when one
-    exists (n = 2, where both zeros are quadratic) and ``+inf`` otherwise.
+    both vanish, and the value is the ratio's exact limit there:
+    ``1 - sin 2a`` for n = 2, ``+inf`` for n >= 3, 1 for a product state.
+    ``theta`` must lie in [0, pi].
     """
-    if not (0.0 <= theta <= math.pi):
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
     return float(_diagonal_ratio(scenario, theta))
 
 
 def _ratio_limit_at_theta0(scenario: GhzScenario) -> float:
-    """Directional limit of the ratio at the common zero of P_Q and P_L.
+    """Exact limit of the diagonal ratio at theta0, the common zero of P_Q and P_L.
 
-    Both zeros are quadratic for n = 2, so offset evaluation converges
-    quadratically; a tenfold-smaller offset cross-checks stability.  A value
-    still growing at the smaller offset (denominator zero of higher order,
-    n >= 3) is reported as +inf.
+    A product state has P_Q = P_L on the whole diagonal, so the limit is 1.
+    At n = 2 the ratio is constant on the band ``(pi - theta0, theta0)``,
+    so the limit is its value at the band's centre pi/2, where P_L = 1/4:
+    ``4 P_Q(pi/2) = 1 - sin 2a``.  For n >= 3 P_L vanishes to order n and
+    P_Q only to order 2, so the ratio diverges.
     """
-    t0 = theta0(scenario)
-    estimates = []
-    for delta in (1e-5, 1e-6):
-        vals = []
-        for t in (t0 - delta, t0 + delta):
-            if not (0.0 <= t <= math.pi):
-                continue
-            pl = float(_diagonal_local_prob(scenario, t))
-            if pl > 0.0:
-                vals.append(diagonal_prob(scenario, t) / pl)
-        if not vals:
-            return math.inf
-        estimates.append(sum(vals) / len(vals))
-    if abs(estimates[1] - estimates[0]) <= 1e-6 * max(1.0, abs(estimates[1])):
-        return estimates[1]
+    if scenario.alpha == 0.0:
+        return 1.0
+    if scenario.n == 2:
+        return 4.0 * diagonal_prob(scenario, math.pi / 2)
     return math.inf
 
 
@@ -420,6 +408,8 @@ def sampled_min_ratio(scenario: GhzScenario, samples: int = 100_000,
     Fallback weight when a claimed w fails certification; by construction
     certify() at this value over the same seed and sample count passes.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     buffers = _certification_buffers(_chunk_rows(scenario.n), scenario.n)
     min_ratio = min(
         _min_ratio(*_certification_factors(scenario, thetas, buffers), buffers[2])

@@ -202,16 +202,20 @@ def joint_prob_ghz(scenario: GhzScenario, context: MeasurementContext,
     return float(sym + math.cos(phi_sum) * cross)
 
 
-def diagonal_prob(scenario: GhzScenario, theta: float) -> float:
+def diagonal_prob(scenario: GhzScenario, theta):
     """P_Q with every party at polar angle theta, all outcomes +1, phase sum pi.
 
     Equals ``[cos(a) cos(t/2)^n - sin(a) sin(t/2)^n]^2``, the restriction of
     the closed form to the diagonal; manifestly nonnegative, with a double
-    zero exactly where the bracket changes sign.
+    zero exactly where the bracket changes sign.  ``theta`` may be a float
+    or an array of angles, all in [0, pi]; the result is a float or an
+    array of the same shape.
     """
-    if not (0.0 <= theta <= math.pi):
+    t = np.asarray(theta, dtype=float)
+    if not (0.0 <= t.min() and t.max() <= math.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return float(_diagonal_amplitude(scenario, theta) ** 2)
+    pq = _diagonal_amplitude(scenario, t) ** 2
+    return float(pq) if t.ndim == 0 else pq
 
 
 def cos_theta0(scenario: GhzScenario) -> float:

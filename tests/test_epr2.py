@@ -247,6 +247,11 @@ class TestLocalModel:
         with pytest.raises(ValueError):
             local_prob(model, [0.1, -0.2], OutcomePattern((1, 1)))
 
+    def test_rejects_nan_angle(self):
+        model = LocalModel(GhzScenario(3, 0.3))
+        with pytest.raises(ValueError, match="angles must lie"):
+            local_prob(model, [math.nan, 0.1, 0.2], OutcomePattern.all_plus(3))
+
 
 class TestRatio:
     def test_balanced_at_right_angle(self):
@@ -293,6 +298,23 @@ class TestRatio:
         for theta in np.linspace(0.0, math.pi - 1e-3, 51):
             assert abs(ratio_f(sc, float(theta)) - 1.0) < 1e-10
         assert abs(ratio_f(sc, math.pi) - 1.0) < 1e-6
+
+    # The computed theta0 carries about 1e-16 of absolute error, so the limit
+    # keeps about 1e-16 / offset of relative precision; at offset 1e-12 the
+    # reference itself is 6e-5 from the exact 1 - sin 2a of the float alpha.
+    @pytest.mark.parametrize("offset, rtol", [(1e-9, 1e-6), (1e-12, 1e-3)])
+    def test_exact_limit_near_maximal_entanglement(self, offset, rtol):
+        alpha = math.pi / 4 - offset
+        sc = GhzScenario(2, alpha)
+        reference = 2.0 * math.sin(math.pi / 4 - alpha) ** 2
+        assert abs(ratio_f(sc, theta0(sc)) - reference) <= rtol * reference
+        sc3 = GhzScenario(3, alpha)
+        assert math.isinf(ratio_f(sc3, theta0(sc3)))
+
+    def test_rejects_theta_out_of_range(self):
+        for theta in (-0.1, math.pi + 1e-9, math.nan):
+            with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+                ratio_f(GhzScenario(3, 0.3), theta)
 
 
 class TestLowerBound:
@@ -399,6 +421,18 @@ class TestLowerBound:
         expected = 1.0 - math.sin(2.0 * alpha)
         assert abs(lower_bound(GhzScenario(n, alpha)) - expected) < 1e-9
         assert len(calls) <= 3
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_takes_p_q_from_diagonal_prob(self, n, alpha, monkeypatch):
+        # The traced benchmark's qcore span comes from this call.
+        calls = []
+        original = epr2.diagonal_prob
+        monkeypatch.setattr(
+            epr2, "diagonal_prob", lambda sc, t: calls.append(t) or original(sc, t)
+        )
+        lower_bound(GhzScenario(n, alpha))
+        assert calls
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -602,6 +636,10 @@ class TestCertify:
             certify(GhzScenario(2, 0.1), 1.5)
         with pytest.raises(ValueError):
             certify(GhzScenario(2, 0.1), -0.1)
+
+    def test_sampled_min_ratio_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            sampled_min_ratio(GhzScenario(3, 0.3), samples=-5)
 
     def test_sampled_min_ratio_certifiable(self):
         sc = GhzScenario(3, 0.3)

@@ -350,3 +350,20 @@ class TestDiagonal:
     def test_rejects_theta_out_of_range(self):
         with pytest.raises(ValueError):
             diagonal_prob(GhzScenario(2, 0.1), -0.2)
+
+    def test_array_matches_scalar_calls(self):
+        # Not ==: scalar and array x ** k may round differently.
+        grid = np.linspace(0.0, math.pi, 301)
+        for n, alpha in ((2, 0.3), (3, math.pi / 12), (8, 0.5), (12, math.pi / 4)):
+            sc = GhzScenario(n, alpha)
+            got = diagonal_prob(sc, grid)
+            assert isinstance(got, np.ndarray) and got.shape == grid.shape
+            want = [diagonal_prob(sc, float(t)) for t in grid]
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        assert isinstance(diagonal_prob(GhzScenario(2, 0.3), 0.5), float)
+
+    def test_array_rejects_nan_and_out_of_range(self):
+        sc = GhzScenario(3, 0.3)
+        for bad in (math.nan, -1e-12, math.pi + 1e-9):
+            with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+                diagonal_prob(sc, np.array([0.1, bad, 0.2]))
