@@ -17,6 +17,7 @@ from ghzlocal import (
     OutcomePattern,
     all_outcome_patterns,
     certify,
+    joint_prob_ghz,
     lower_bound,
     nonlocal_prob,
     sampled_min_ratio,
@@ -57,7 +58,5 @@ print(f"all nonnegative: {all(v >= -1e-12 for v in values)}, "
 
 print("\n== Weight zero degenerates to the quantum distribution ==")
 pat = OutcomePattern((1, -1, 1))
-from ghzlocal import joint_prob_ghz
-
 print(f"nonlocal_prob(w=0) - P_Q = "
       f"{nonlocal_prob(sc, 0.0, ctx, pat) - joint_prob_ghz(sc, ctx, pat):.1e}")

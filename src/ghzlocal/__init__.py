@@ -16,6 +16,7 @@ from .qcore import (
     joint_prob_dense,
     joint_prob_ghz,
     projector,
+    theta0,
 )
 from .epr2 import (
     DecompositionCertificate,
@@ -26,7 +27,6 @@ from .epr2 import (
     nonlocal_prob,
     ratio_f,
     sampled_min_ratio,
-    theta0,
 )
 from .bounds import (
     InequalityConstants,

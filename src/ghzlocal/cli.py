@@ -58,23 +58,22 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def _scan_row(n: int, alpha: float, samples: int, seed: int, grid_points: int):
+def _scan_row(scenario: GhzScenario, samples: int, seed: int, grid_points: int):
     """Build one row; returns (row, exit_code).
 
     The lower bound is certified at the requested sample count; if that
     fails, the weight is lowered to the largest sample-certified ratio, the
     row is flagged (certified=false) and the exit code is 3.
     """
-    scenario = GhzScenario(n, alpha)
     w = lower_bound(scenario, grid_points=grid_points)
     fell_back = certify(scenario, w, samples=samples, seed=seed).violated
     if fell_back:
         w = sampled_min_ratio(scenario, samples=samples, seed=seed)
     row = ScanRow(
-        n=n,
-        alpha=alpha,
+        n=scenario.n,
+        alpha=scenario.alpha,
         w_lower=w,
-        w_upper_chen=chen_upper(scenario) if n >= 3 else None,
+        w_upper_chen=chen_upper(scenario) if scenario.n >= 3 else None,
         mabk_implied=_IMPLIED_NAMES[mabk_implied_upper(scenario)],
         certified=not fell_back,
     )
@@ -90,10 +89,6 @@ def _rows_csv(rows) -> str:
             f"{row.mabk_implied},{'true' if row.certified else 'false'}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _rows_json(rows) -> str:
-    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -168,8 +163,8 @@ def _resolve_alpha(args) -> float:
 
 
 def cmd_point(args) -> int:
-    alpha = _resolve_alpha(args)
-    row, code = _scan_row(args.n, alpha, args.samples, args.seed, args.grid_points)
+    scenario = GhzScenario(args.n, _resolve_alpha(args))
+    row, code = _scan_row(scenario, args.samples, args.seed, args.grid_points)
     _write_out(json.dumps(asdict(row), indent=2) + "\n", args.out)
     return code
 
@@ -177,15 +172,16 @@ def cmd_point(args) -> int:
 def cmd_scan(args) -> int:
     n_list = args.n
     alphas = np.linspace(0.0, math.pi / 4, args.alpha_steps)
+    # Every scenario is validated before any row is computed.
+    scenarios = [GhzScenario(n, float(alpha)) for n in n_list for alpha in alphas]
     rows, codes = zip(*(
-        _scan_row(n, float(alpha), args.samples, args.seed, args.grid_points)
-        for n in n_list
-        for alpha in alphas
+        _scan_row(scenario, args.samples, args.seed, args.grid_points)
+        for scenario in scenarios
     ))
     if args.format == "csv":
         text = _rows_csv(rows)
     elif args.format == "json":
-        text = _rows_json(rows)
+        text = json.dumps([asdict(row) for row in rows], indent=2) + "\n"
     else:
         text = _rows_svg(rows, n_list)
     _write_out(text, args.out)
@@ -193,8 +189,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    alpha = _resolve_alpha(args)
-    scenario = GhzScenario(args.n, alpha)
+    scenario = GhzScenario(args.n, _resolve_alpha(args))
     certificate = certify(scenario, args.w, samples=args.samples, seed=args.seed)
     _write_out(json.dumps(asdict(certificate), indent=2) + "\n", args.out)
     return 3 if certificate.violated else 0

@@ -24,6 +24,7 @@ from .qcore import (
     diagonal_prob,
     joint_prob_ghz,
     outcome_sign_matrix,
+    theta0,
 )
 
 # A certificate is violated when the worst observed residual P_Q - w*P_L
@@ -55,18 +56,12 @@ _REFINE_TOL = 1e-10
 _MAX_GRID_POINTS = 10**7
 
 
-def theta0(scenario: GhzScenario) -> float:
-    """The vanishing angle itself, in [pi/2, pi]."""
-    return math.acos(cos_theta0(scenario))
-
-
 @dataclass(frozen=True)
 class LocalModel:
     """Factorized outcome distribution pinned to vanish at the diagonal zero.
 
-    Per party: ``[1 + r * sgn(cos t) * min(1, |cos t / cos t0|)] / 2``, with
-    ``sgn(0) = 0`` and, when ``cos t0 = 0`` (maximal entanglement), the ratio
-    treated as its limit so the min is 1 for any ``cos t != 0``.
+    Per party: ``[1 + r * sgn(cos t) * min(1, |cos t / cos t0|)] / 2``, which
+    is ``[1 + r * sgn(cos t)] / 2`` at maximal entanglement (cos t0 = 0).
     """
 
     scenario: GhzScenario
@@ -78,11 +73,13 @@ class LocalModel:
 
 
 def _party_terms(c0: float, thetas):
-    """Per-party signed terms r-independent part: sgn(cos t)*min(1,|cos t/c0|)."""
-    u = np.cos(np.asarray(thetas, dtype=float))
-    if c0 == 0.0:
-        return np.sign(u)
-    return np.sign(u) * np.minimum(1.0, np.abs(u) / abs(c0))
+    """Per-party signed terms r-independent part: sgn(cos t)*min(1,|cos t/c0|).
+
+    ``cos t / |c0|`` clipped to [-1, 1], the same bit for bit; at c0 = 0, +-inf
+    clips to sgn(cos t), as no float angle in [0, pi] has cos t = 0 (6.1e-17 at pi/2).
+    """
+    with np.errstate(divide="ignore"):
+        return np.clip(np.cos(thetas) / abs(c0), -1.0, 1.0)
 
 
 def local_prob(model: LocalModel, thetas, outcomes: OutcomePattern) -> float:
@@ -107,16 +104,16 @@ def _diagonal_local_prob(scenario: GhzScenario, theta):
     catastrophic cancellation of the direct difference near t0 and near pi.
     Like :func:`ghzlocal.qcore.diagonal_prob`, a deliberate duplicate: the
     ratio divides by P_L at its zero, where :func:`_party_terms` loses all digits.
+
+    At cos t0 = 0 the band ``(pi - t0, t0)`` is empty: the division by zero is
+    masked, and pi/2, on both of its edges, maps to 1.
     """
     theta = np.asarray(theta, dtype=float)
-    c0 = cos_theta0(scenario)
-    if c0 == 0.0:
-        factor = 0.5 * (1.0 + np.sign(np.cos(theta)))
-    else:
-        t0 = math.acos(c0)
-        factor = np.sin(0.5 * (t0 + theta)) * np.sin(0.5 * (t0 - theta)) / (-c0)
-        factor = np.where(theta <= math.pi - t0, 1.0, factor)
-        factor = np.where(theta >= t0, 0.0, factor)
+    t0 = theta0(scenario)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.sin(0.5 * (t0 + theta)) * np.sin(0.5 * (t0 - theta))
+        factor /= -cos_theta0(scenario)
+    factor = np.where(theta <= math.pi - t0, 1.0, np.where(theta >= t0, 0.0, factor))
     return factor**scenario.n
 
 
@@ -125,10 +122,11 @@ def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
 
     ``+inf`` where P_L vanishes; within 1e-12 of the vanishing angle (when
     ``cos theta0 < 0``) the exact limit :func:`_ratio_limit_at_theta0`.
+    A product state's P_L is its P_Q, so there the ratio is exactly 1 where P_Q > 0.
     """
     thetas = np.asarray(thetas, dtype=float)
-    pq = diagonal_prob(scenario, thetas)
-    pl = _diagonal_local_prob(scenario, thetas)
+    pq = np.asarray(diagonal_prob(scenario, thetas))
+    pl = pq if scenario.alpha == 0.0 else _diagonal_local_prob(scenario, thetas)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(pl > 0.0, pq / pl, math.inf)
     at_zero = np.abs(thetas - theta0(scenario)) <= 1e-12

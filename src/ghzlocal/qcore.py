@@ -212,7 +212,7 @@ def diagonal_prob(scenario: GhzScenario, theta):
     array of the same shape.
     """
     t = np.asarray(theta, dtype=float)
-    if not (0.0 <= t.min() and t.max() <= math.pi):
+    if not ((0.0 <= t) & (t <= math.pi)).all():
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     pq = _diagonal_amplitude(scenario, t) ** 2
     return float(pq) if t.ndim == 0 else pq
@@ -221,11 +221,18 @@ def diagonal_prob(scenario: GhzScenario, theta):
 def cos_theta0(scenario: GhzScenario) -> float:
     """cos of the diagonal angle where P_Q (all outcomes +1) vanishes.
 
-    ``-(1 - tan(a)^(2/n)) / (1 + tan(a)^(2/n))``; equals -1 for a product
-    state and 0 for the maximally entangled state.
+    ``-(1 - tan(a)^(2/n)) / (1 + tan(a)^(2/n))``; exactly -1 for a product
+    state, and exactly 0 at maximal entanglement although tan(pi/4) < 1.
     """
+    if scenario.alpha == math.pi / 4:
+        return 0.0
     t = math.tan(scenario.alpha) ** (2.0 / scenario.n)
     return -(1.0 - t) / (1.0 + t)
+
+
+def theta0(scenario: GhzScenario) -> float:
+    """The vanishing angle itself, in [pi/2, pi]; ``math.pi / 2`` at alpha = pi/4."""
+    return math.acos(cos_theta0(scenario))
 
 
 def _diagonal_amplitude(scenario: GhzScenario, theta):
@@ -242,7 +249,7 @@ def _diagonal_amplitude(scenario: GhzScenario, theta):
     """
     n = scenario.n
     half = 0.5 * np.asarray(theta, dtype=float)
-    half0 = 0.5 * math.acos(cos_theta0(scenario))
+    half0 = 0.5 * theta0(scenario)
     x = np.cos(half) * math.sin(half0)
     y = math.cos(half0) * np.sin(half)
     geo = sum(x**k * y ** (n - 1 - k) for k in range(n))

@@ -203,6 +203,15 @@ class TestScan:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_checks_every_n_before_computing(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "certify", lambda *args, **kw: calls.append(args))
+        code, out, err = run_cli(capsys, "scan", "--n", "8,13", "--alpha-steps", "11")
+        assert code == 2
+        assert out == ""
+        assert "party count must be in [2, 12], got 13" in err
+        assert calls == []
+
     def test_rejects_bad_steps(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--n", "2", "--alpha-steps", "1")
         assert code == 2

@@ -17,9 +17,11 @@ from ghzlocal.qcore import (
 from ghzlocal import epr2
 from ghzlocal.epr2 import (
     CERT_TOLERANCE,
+    DIAG_GRID_POINTS,
     DecompositionCertificate,
     LocalModel,
     _GOLDEN,
+    _diagonal_local_prob,
     _diagonal_ratio,
     _party_terms,
     _refine_minimum,
@@ -110,6 +112,34 @@ def _multi_bracket_lower_bound(scenario, grid_points=10000):
     ends = [ratio_f(scenario, t) for t in (theta0(scenario), 0.0, math.pi)]
     w = float(np.min(np.concatenate((f, refined, ends))))
     return min(max(w, 0.0), 1.0)
+
+
+def _branch_party_terms(c0, thetas):
+    """Reference per-party terms with a separate branch for c0 = 0."""
+    u = np.cos(np.asarray(thetas, dtype=float))
+    if c0 == 0.0:
+        return np.sign(u)
+    return np.sign(u) * np.minimum(1.0, np.abs(u) / abs(c0))
+
+
+def _branch_diagonal_local_prob(scenario, theta):
+    """Reference diagonal P_L with a separate branch for c0 = 0."""
+    theta = np.asarray(theta, dtype=float)
+    c0 = cos_theta0(scenario)
+    if c0 == 0.0:
+        factor = 0.5 * (1.0 + np.sign(np.cos(theta)))
+    else:
+        t0 = math.acos(c0)
+        factor = np.sin(0.5 * (t0 + theta)) * np.sin(0.5 * (t0 - theta)) / (-c0)
+        factor = np.where(theta <= math.pi - t0, 1.0, factor)
+        factor = np.where(theta >= t0, 0.0, factor)
+    return factor**scenario.n
+
+
+# Every alpha of a 51-point scan, plus two off its grid; pi/4 is the last.
+_REFERENCE_ALPHAS = [
+    float(a) for a in np.linspace(0.0, math.pi / 4, 51)
+] + [0.3, math.pi / 4 - 1e-9]
 
 
 class TestTheta0:
@@ -253,9 +283,41 @@ class TestLocalModel:
             local_prob(model, [math.nan, 0.1, 0.2], OutcomePattern.all_plus(3))
 
 
+class TestOneFormulaAtEveryAngle:
+    """The local model has no separate branch for maximal entanglement."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_party_terms_match_branch_form(self, n):
+        ends = [0.0, math.pi / 2, math.pi]
+        grid = np.concatenate((np.linspace(0.0, math.pi, DIAG_GRID_POINTS), ends))
+        sampled = certification_thetas(0, 0, 4096, n)
+        for alpha in _REFERENCE_ALPHAS:
+            c0 = cos_theta0(GhzScenario(n, alpha))
+            for thetas in (grid, sampled):
+                got, want = _party_terms(c0, thetas), _branch_party_terms(c0, thetas)
+                assert np.array_equal(got, want), (n, alpha)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (n, alpha)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_diagonal_local_prob_matches_branch_form(self, n):
+        grid = np.append(np.linspace(0.0, math.pi, 4001), math.pi / 2)
+        for alpha in _REFERENCE_ALPHAS:
+            sc = GhzScenario(n, alpha)
+            got = _diagonal_local_prob(sc, grid)
+            assert np.array_equal(got, _branch_diagonal_local_prob(sc, grid)), alpha
+            assert _diagonal_local_prob(sc, math.pi / 2) == got[-1]
+
+    def test_maximal_entanglement_is_deterministic(self):
+        sc = GhzScenario(3, math.pi / 4)
+        assert np.array_equal(_party_terms(0.0, [0.0, 1.5, math.pi / 2, 1.6]),
+                              [1.0, 1.0, 1.0, -1.0])
+        assert np.array_equal(_diagonal_local_prob(sc, [1.5, math.pi / 2, 1.6]),
+                              [1.0, 1.0, 0.0])
+
+
 class TestRatio:
     def test_balanced_at_right_angle(self):
-        # P_Q = 0 and P_L = 1/4 under the sgn(0) = 0 convention
+        # P_Q = 0 and P_L = 1, since the float cos(pi/2) is 6.1e-17 > 0
         assert ratio_f(GhzScenario(2, math.pi / 4), math.pi / 2) < 1e-12
 
     def test_at_zero_angle(self):
@@ -330,6 +392,11 @@ class TestLowerBound:
         for n in (2, 3, 4, 5):
             assert lower_bound(GhzScenario(n, 0.0)) >= 1.0 - 1e-6
             assert lower_bound(GhzScenario(n, math.pi / 4)) <= 1e-6
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_exact_at_both_ends(self, n):
+        assert lower_bound(GhzScenario(n, 0.0)) == 1.0
+        assert lower_bound(GhzScenario(n, math.pi / 4)) == 0.0
 
     def test_monotone_in_alpha(self):
         grid = np.linspace(0.0, math.pi / 4, 20)

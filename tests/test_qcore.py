@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import ghzlocal
+from ghzlocal import epr2
 from ghzlocal.qcore import (
     BlochDirection,
     GhzScenario,
@@ -17,9 +19,9 @@ from ghzlocal.qcore import (
     joint_prob_ghz,
     cos_theta0,
     projector,
+    theta0,
 )
 from ghzlocal.bounds import mabk_implied_upper
-from ghzlocal.epr2 import theta0
 
 
 def random_config(rng, n=None):
@@ -362,8 +364,26 @@ class TestDiagonal:
             assert np.allclose(got, want, rtol=1e-15, atol=0.0)
         assert isinstance(diagonal_prob(GhzScenario(2, 0.3), 0.5), float)
 
+    def test_empty_array_gives_empty_array(self):
+        got = diagonal_prob(GhzScenario(3, 0.3), np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     def test_array_rejects_nan_and_out_of_range(self):
         sc = GhzScenario(3, 0.3)
         for bad in (math.nan, -1e-12, math.pi + 1e-9):
             with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
                 diagonal_prob(sc, np.array([0.1, bad, 0.2]))
+
+
+class TestVanishingAngle:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_exact_at_maximal_entanglement(self, n):
+        # The float tan(pi/4) is 1 - 1.1e-16; the formula alone gives
+        # -5.6e-17 at n = 2 and 3.
+        sc = GhzScenario(n, math.pi / 4)
+        assert cos_theta0(sc) == 0.0
+        assert theta0(sc) == math.pi / 2
+
+    def test_one_function_behind_every_public_name(self):
+        assert ghzlocal.theta0 is theta0
+        assert epr2.theta0 is theta0
