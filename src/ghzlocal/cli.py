@@ -58,26 +58,29 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def _scan_row(scenario: GhzScenario, samples: int, seed: int, grid_points: int):
-    """Build one row; returns (row, exit_code).
+def _scan_rows(scenarios, samples: int, seed: int, grid_points: int) -> list[ScanRow]:
+    """Build the rows of scenarios that share one n.
 
-    The lower bound is certified at the requested sample count; if that
-    fails, the weight is lowered to the largest sample-certified ratio, the
-    row is flagged (certified=false) and the exit code is 3.
+    Each lower bound is certified at the requested sample count, all of
+    them in one :func:`certify` call; a row whose bound fails has its weight
+    lowered to the largest sample-certified ratio and is flagged
+    (certified=false), which makes the command's exit code 3.
     """
-    w = lower_bound(scenario, grid_points=grid_points)
-    fell_back = certify(scenario, w, samples=samples, seed=seed).violated
-    if fell_back:
-        w = sampled_min_ratio(scenario, samples=samples, seed=seed)
-    row = ScanRow(
-        n=scenario.n,
-        alpha=scenario.alpha,
-        w_lower=w,
-        w_upper_chen=chen_upper(scenario) if scenario.n >= 3 else None,
-        mabk_implied=_IMPLIED_NAMES[mabk_implied_upper(scenario)],
-        certified=not fell_back,
-    )
-    return row, (3 if fell_back else 0)
+    ws = [lower_bound(scenario, grid_points=grid_points) for scenario in scenarios]
+    certificates = certify(scenarios, ws, samples=samples, seed=seed)
+    rows = []
+    for scenario, w, certificate in zip(scenarios, ws, certificates):
+        if certificate.violated:
+            w = sampled_min_ratio(scenario, samples=samples, seed=seed)
+        rows.append(ScanRow(
+            n=scenario.n,
+            alpha=scenario.alpha,
+            w_lower=w,
+            w_upper_chen=chen_upper(scenario) if scenario.n >= 3 else None,
+            mabk_implied=_IMPLIED_NAMES[mabk_implied_upper(scenario)],
+            certified=not certificate.violated,
+        ))
+    return rows
 
 
 def _rows_csv(rows) -> str:
@@ -164,20 +167,19 @@ def _resolve_alpha(args) -> float:
 
 def cmd_point(args) -> int:
     scenario = GhzScenario(args.n, _resolve_alpha(args))
-    row, code = _scan_row(scenario, args.samples, args.seed, args.grid_points)
+    (row,) = _scan_rows([scenario], args.samples, args.seed, args.grid_points)
     _write_out(json.dumps(asdict(row), indent=2) + "\n", args.out)
-    return code
+    return 0 if row.certified else 3
 
 
 def cmd_scan(args) -> int:
     n_list = args.n
     alphas = np.linspace(0.0, math.pi / 4, args.alpha_steps)
-    # Every scenario is validated before any row is computed.
-    scenarios = [GhzScenario(n, float(alpha)) for n in n_list for alpha in alphas]
-    rows, codes = zip(*(
-        _scan_row(scenario, args.samples, args.seed, args.grid_points)
-        for scenario in scenarios
-    ))
+    # Every scenario is validated before any row is computed.  Each entry
+    # of n_list, repeated ones included, is one group certified in one pass.
+    groups = [[GhzScenario(n, float(alpha)) for alpha in alphas] for n in n_list]
+    rows = [row for scenarios in groups
+            for row in _scan_rows(scenarios, args.samples, args.seed, args.grid_points)]
     if args.format == "csv":
         text = _rows_csv(rows)
     elif args.format == "json":
@@ -185,7 +187,7 @@ def cmd_scan(args) -> int:
     else:
         text = _rows_svg(rows, n_list)
     _write_out(text, args.out)
-    return max(codes)
+    return 0 if all(row.certified for row in rows) else 3
 
 
 def cmd_certify(args) -> int:

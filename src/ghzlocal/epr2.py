@@ -12,6 +12,7 @@ deterministic diagonal grid plus seeded random settings.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,10 @@ DIAG_GRID_POINTS = 2001
 # Byte budget of one float64 (2^n, rows) array of the certification kernel,
 # which sizes its chunks: 8192 rows up to n = 3, 128 rows at n = 9 and 16 at
 # n = 12.  certify and sampled_min_ratio compute every chunk in three
-# buffers of this size (P_Q, P_L and scratch), about 1.5 MiB in all, so the
-# arrays stay in a core's L2 cache and no chunk allocates a fresh one.
+# buffers of this size (the alpha-free Kronecker product K, overwritten by
+# P_Q; P_L; scratch), about 1.5 MiB in all, and a certify over several
+# scenarios in a fourth (P_Q while K is kept), 2 MiB, so the arrays stay
+# in a core's L2 cache and no chunk allocates a fresh one.
 # Budgets from 512 KiB to 1 MiB ran alike; 512 KiB uses the least memory.
 # The row cap keeps small n at 8192-row chunks; larger chunks there only
 # raise peak memory.
@@ -72,14 +75,15 @@ class LocalModel:
         return cos_theta0(self.scenario)
 
 
-def _party_terms(c0: float, thetas):
+def _party_terms(c0: float, cos_thetas):
     """Per-party signed terms r-independent part: sgn(cos t)*min(1,|cos t/c0|).
 
-    ``cos t / |c0|`` clipped to [-1, 1], the same bit for bit; at c0 = 0, +-inf
-    clips to sgn(cos t), as no float angle in [0, pi] has cos t = 0 (6.1e-17 at pi/2).
+    Takes the cosines ``cos t`` of the angles.  ``cos t / |c0|`` clipped to
+    [-1, 1], the same bit for bit; at c0 = 0, +-inf clips to sgn(cos t), as
+    no float angle in [0, pi] has cos t = 0 (6.1e-17 at pi/2).
     """
     with np.errstate(divide="ignore"):
-        return np.clip(np.cos(thetas) / abs(c0), -1.0, 1.0)
+        return np.clip(np.divide(cos_thetas, abs(c0)), -1.0, 1.0)
 
 
 def local_prob(model: LocalModel, thetas, outcomes: OutcomePattern) -> float:
@@ -92,7 +96,7 @@ def local_prob(model: LocalModel, thetas, outcomes: OutcomePattern) -> float:
         )
     if not (0.0 <= thetas.min() and thetas.max() <= math.pi):
         raise ValueError("angles must lie in [0, pi]")
-    terms = _party_terms(model.cos_theta0, thetas)
+    terms = _party_terms(model.cos_theta0, np.cos(thetas))
     return float(np.prod(0.5 * (1.0 + outcomes.signs() * terms)))
 
 
@@ -262,49 +266,73 @@ def _kron_rows(plus: np.ndarray, minus: np.ndarray, out: np.ndarray,
     return product
 
 
-def _certification_buffers(rows: int, n: int):
-    """Three flat float64 buffers for (2^n, rows) kernel arrays."""
-    return tuple(np.empty(rows * 2**n) for _ in range(3))
+def _certification_buffers(rows: int, n: int, scenarios: int = 1):
+    """Flat float64 buffers for (2^n, rows) kernel arrays.
+
+    K (then the last scenario's P_Q), P_L and scratch, plus, for two or more
+    scenarios, the P_Q of every scenario but the last.
+    """
+    return tuple(np.empty(rows * 2**n) for _ in range(3 if scenarios == 1 else 4))
 
 
-def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
-    """(worst-phase P_Q, P_L) at theta rows (rows, n), each a (2^n, rows) array.
+def _alpha_free_factors(thetas: np.ndarray, buffers):
+    """(K, cos theta) at theta rows (rows, n): the kernel's part that no alpha changes.
 
-    The two arrays are views of the first two of the three flat
-    :func:`_certification_buffers`; the third is scratch, free again on
-    return.
+    ``K = kron_j (cos h_j, sin h_j)`` with h = theta / 2 is a (2^n, rows)
+    view of the first :func:`_certification_buffers` buffer, ``cos theta``
+    an (n, rows) array; the third buffer is scratch, free again on return.
+    """
+    k_buf, _, spare = buffers[:3]
+    parties = np.ascontiguousarray(thetas.T)
+    half = 0.5 * parties
+    return _kron_rows(np.cos(half), np.sin(half), k_buf, spare), np.cos(parties)
+
+
+def _alpha_factors(scenario: GhzScenario, k: np.ndarray, cos_parties: np.ndarray,
+                   buffers, consume_k: bool):
+    """(worst-phase P_Q, P_L) of one scenario from :func:`_alpha_free_factors`.
+
+    Each is a (2^n, rows) view of one of the flat
+    :func:`_certification_buffers`: P_L of the second; P_Q, with
+    ``consume_k``, of ``K``'s own first, overwriting ``K`` in place, else of
+    the fourth, leaving ``K`` as it was.  The last (or only) scenario of a
+    chunk consumes ``K``, so a single certificate runs on three buffers and
+    copies nothing.  The third buffer is scratch, free again on return.
 
     At the phase extremes cos(sum of phis) = +-1 the quantum probability is
     the perfect square (cos(a) prod p_j +- prod r_j sin(a) prod q_j)^2 with
     p_j, q_j the half-angle cosine/sine picked by each outcome sign, so the
     worse of the two is (A - B)^2, nonnegative by construction.
 
-    With h = theta / 2 and t_j the :func:`_party_terms`, all three factors
-    are Kronecker products of per-party pairs (+1 factor, -1 factor), built
-    by :func:`_kron_rows` in the pattern order of ``all_outcome_patterns``:
+    With t_j the :func:`_party_terms`, all three factors are Kronecker
+    products of per-party pairs (+1 factor, -1 factor) in the pattern order
+    of ``all_outcome_patterns``:
 
-    * ``A = cos(a) * kron_j (cos h_j, sin h_j)``
-    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``, A's product with its
+    * ``A = cos(a) * K``
+    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``, ``sin(a) * K`` with its
       patterns reversed (pattern ``2^n - 1 - c`` complements every bit)
-    * ``P_L = kron_j ((1 + t_j) / 2, (1 - t_j) / 2)``
+    * ``P_L = kron_j ((1 + t_j) / 2, (1 - t_j) / 2)``, built by :func:`_kron_rows`
 
     Each product is taken over parties left to right and the cos(a) /
     sin(a) scale is applied last.  That is the multiplication order of
     ``np.prod(..., axis=-1)`` over the dense (rows, 2^n, n) factor array,
     so every entry is bit-identical to that reference.
     """
-    pq_buf, pl_buf, spare = buffers
-    parties = np.ascontiguousarray(thetas.T)
-    half = 0.5 * parties
-    pq_worst = _kron_rows(np.cos(half), np.sin(half), pq_buf, spare)
-    b = spare[:pq_worst.size].reshape(pq_worst.shape)
-    np.multiply(pq_worst[::-1], math.sin(scenario.alpha), out=b)
-    pq_worst *= math.cos(scenario.alpha)
+    pl_buf, spare = buffers[1:3]
+    pq_worst = k if consume_k else buffers[3][:k.size].reshape(k.shape)
+    b = spare[:k.size].reshape(k.shape)
+    np.multiply(k[::-1], math.sin(scenario.alpha), out=b)
+    np.multiply(k, math.cos(scenario.alpha), out=pq_worst)
     pq_worst -= b
     np.square(pq_worst, out=pq_worst)
-    terms = _party_terms(cos_theta0(scenario), parties)
+    terms = _party_terms(cos_theta0(scenario), cos_parties)
     pl = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms), pl_buf, spare)
     return pq_worst, pl
+
+
+def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
+    """(worst-phase P_Q, P_L) at theta rows (rows, n): both halves in turn."""
+    return _alpha_factors(scenario, *_alpha_free_factors(thetas, buffers), buffers, True)
 
 
 def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
@@ -372,31 +400,65 @@ def _certification_rows(n: int, samples: int, seed: int):
         yield certification_thetas(seed, start, min(chunk, samples - start), n)
 
 
-def certify(scenario: GhzScenario, w: float, samples: int = 100_000,
-            seed: int = 0) -> DecompositionCertificate:
+def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
+    """min of P_Q - w * P_L for each (scenario, w), in one pass over the rows.
+
+    The scenarios share one n.  The pass is chunk-major and scenario-minor:
+    each chunk's :func:`_alpha_free_factors` are computed once, then every
+    scenario runs the same operations, in the same order, as it would
+    alone, so each value is bit-identical to a batch of one.
+    """
+    n, last = scenarios[0].n, len(scenarios) - 1
+    buffers = _certification_buffers(_chunk_rows(n), n, len(scenarios))
+    residuals = [math.inf] * len(scenarios)
+    for thetas in _certification_rows(n, samples, seed):
+        shared = _alpha_free_factors(thetas, buffers)
+        for i, (scenario, w) in enumerate(zip(scenarios, ws)):
+            factors = _alpha_factors(scenario, *shared, buffers, i == last)
+            residuals[i] = min(residuals[i], _min_residual(*factors, w))
+    return residuals
+
+
+def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[float],
+            samples: int = 100_000,
+            seed: int = 0) -> DecompositionCertificate | list[DecompositionCertificate]:
     """Check P_Q - w * P_L >= 0 over the diagonal grid and seeded random settings.
 
     Every random setting draws independent per-party polar angles; all 2^n
     outcome patterns and both extreme phase sums (cos = +-1) are evaluated at
     each setting.  Identical seed and sample count give an identical
     certificate regardless of evaluation chunking.
+
+    Given equal-length sequences of scenarios that share one party count
+    and of weights, certifies every pair in one pass over the settings and
+    returns a list of :class:`DecompositionCertificate`, each equal to the
+    matching single call; an empty pair of sequences gives ``[]``.  Every
+    weight is checked before anything is computed.
     """
-    if not (0.0 <= w <= 1.0):
-        raise ValueError(f"w must lie in [0, 1], got {w}")
+    batch = not isinstance(scenario, GhzScenario)
+    scenarios, ws = (list(scenario), list(w)) if batch else ([scenario], [w])
+    if len(scenarios) != len(ws):
+        raise ValueError(f"got {len(scenarios)} scenarios and {len(ws)} weights")
+    for weight in ws:
+        if not (0.0 <= weight <= 1.0):
+            raise ValueError(f"w must lie in [0, 1], got {weight}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    buffers = _certification_buffers(_chunk_rows(scenario.n), scenario.n)
-    min_residual = min(
-        _min_residual(*_certification_factors(scenario, thetas, buffers), w)
-        for thetas in _certification_rows(scenario.n, samples, seed)
-    )
-    return DecompositionCertificate(
-        w=w,
-        min_residual=min_residual,
-        samples=samples,
-        seed=seed,
-        violated=bool(min_residual < -CERT_TOLERANCE),
-    )
+    party_counts = sorted({sc.n for sc in scenarios})
+    if len(party_counts) > 1:
+        raise ValueError(f"scenarios must share one party count, got {party_counts}")
+    residuals = _min_residuals(scenarios, ws, samples, seed) if scenarios else []
+    certificates = [
+        DecompositionCertificate(
+            w=weight,
+            min_residual=min_residual,
+            samples=samples,
+            seed=seed,
+            violated=bool(min_residual < -CERT_TOLERANCE),
+        )
+        for weight, min_residual in zip(ws, residuals)
+    ]
+    return certificates if batch else certificates[0]
 
 
 def sampled_min_ratio(scenario: GhzScenario, samples: int = 100_000,

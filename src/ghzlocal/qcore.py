@@ -18,6 +18,7 @@ float-rounding noise at the 1e-16 level.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -36,13 +37,18 @@ class GhzScenario:
 
     ``alpha = 0`` is a product state, ``alpha = pi/4`` the maximally
     entangled member of the family; an alpha at most 1e-15 above pi/4 is
-    snapped onto it.
+    snapped onto it.  ``n`` must be an integer (numpy integers included) and
+    is stored as a plain int.
     """
 
     n: int
     alpha: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"party count must be an integer, got {self.n!r}") from None
         if not (2 <= self.n <= MAX_PARTIES):
             raise ValueError(f"party count must be in [2, {MAX_PARTIES}], got {self.n}")
         if not (0.0 <= self.alpha <= math.pi / 4 + 1e-15):

@@ -14,6 +14,7 @@ lines.  Two criteria check closed forms rather than fixed targets:
 """
 
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -30,6 +31,9 @@ from ghzlocal.qcore import (
 )
 from ghzlocal.epr2 import certify, lower_bound
 from ghzlocal.bounds import chen_upper, mabk_quantum_max
+
+# Criterion 9's scan as an earlier version of the package printed it.
+SCAN_REFERENCE = pathlib.Path(__file__).parent / "data" / "scan_n2-5_steps51_seed7.csv"
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -237,9 +241,12 @@ def test_criterion_9_scan_determinism(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     first, second = paths[0].read_bytes(), paths[1].read_bytes()
     rows = first.decode().splitlines()
-    ok = first == second and len(rows) == 205
+    pinned = first == SCAN_REFERENCE.read_bytes()
+    ok = first == second and pinned and len(rows) == 205
     report(9, ok, f"two scan runs: {len(first)} bytes each, identical = "
-                  f"{first == second}, {len(rows) - 1} data rows, in {elapsed:.0f}s")
+                  f"{first == second}, equal to {SCAN_REFERENCE.name} = {pinned}, "
+                  f"{len(rows) - 1} data rows, in {elapsed:.0f}s")
     assert first == second
+    assert pinned
     assert len(rows) == 205
     assert rows[0] == "n,alpha,w_lower,w_upper_chen,mabk_implied,certified"

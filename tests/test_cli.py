@@ -16,6 +16,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, *names):
+    """Wrap each named ``cli`` function with a call counter; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name))
+    return calls
+
+
 class TestPoint:
     def test_two_party_anchor(self, capsys):
         code, out, _ = run_cli(
@@ -83,20 +101,8 @@ class TestPoint:
     def test_fallback_runs_one_certify_and_one_ratio_scan(self, capsys, monkeypatch):
         # The fallen-back row is flagged whatever a second verdict would
         # say, so the fallback weight is not certified again.
-        calls = {"certify": 0, "sampled_min_ratio": 0}
-
-        def counted(name):
-            original = getattr(cli, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
         monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
+        calls = count_calls(monkeypatch, "certify", "sampled_min_ratio")
         code, out, _ = run_cli(
             capsys, "point", "--n", "3", "--alpha", "0.3", "--samples", "2000",
         )
@@ -139,6 +145,42 @@ class TestScan:
         # alpha = 0 certifies 0.9 (P_L = P_Q); alpha = pi/4 falls back
         assert [r[5] for r in rows] == ["true", "false"]
         assert float(rows[1][2]) < 0.9
+
+    def test_one_certify_per_n_entry(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "certify", "sampled_min_ratio")
+        code, _, _ = run_cli(
+            capsys, "scan", "--n", "2,3,2", "--alpha-steps", "4",
+            "--samples", "2000",
+        )
+        assert code == 0
+        assert calls == {"certify": 3, "sampled_min_ratio": 0}
+
+    def test_ratio_scan_only_on_rows_that_fell_back(self, capsys, monkeypatch):
+        # 0.9 certifies at alpha = 0 only (P_L = P_Q there), so two of the
+        # three rows of each n fall back.
+        monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
+        calls = count_calls(monkeypatch, "certify", "sampled_min_ratio")
+        code, out, _ = run_cli(
+            capsys, "scan", "--n", "2,3", "--alpha-steps", "3",
+            "--samples", "2000",
+        )
+        assert code == 3
+        assert [line.split(",")[5] for line in out.splitlines()[1:]] == [
+            "true", "false", "false"] * 2
+        assert calls == {"certify": 2, "sampled_min_ratio": 4}
+
+    def test_repeated_n_rows_follow_the_given_order(self, capsys):
+        def data_rows(n_list):
+            code, out, _ = run_cli(
+                capsys, "scan", "--n", n_list, "--alpha-steps", "3",
+                "--samples", "2000",
+            )
+            assert code == 0
+            return out.splitlines()[1:]
+
+        together = data_rows("3,2,3")
+        assert together == data_rows("3") + data_rows("2") + data_rows("3")
+        assert [row.split(",")[0] for row in together] == ["3"] * 3 + ["2"] * 3 + ["3"] * 3
 
     def test_csv_formatting(self, capsys):
         code, out, _ = run_cli(

@@ -52,7 +52,7 @@ def _dense_residual_extrema(scenario, w, thetas):
     a = math.cos(scenario.alpha) * np.prod(p, axis=-1)
     b = math.sin(scenario.alpha) * np.prod(q, axis=-1)
     pq_worst = (a - b) ** 2
-    terms = _party_terms(cos_theta0(scenario), thetas)
+    terms = _party_terms(cos_theta0(scenario), np.cos(thetas))
     pl = np.prod(0.5 * (1.0 + patterns[None, :, :] * terms[:, None, :]), axis=-1)
     min_residual = float(np.min(pq_worst - w * pl))
     positive = pl > 1e-12
@@ -294,7 +294,7 @@ class TestOneFormulaAtEveryAngle:
         for alpha in _REFERENCE_ALPHAS:
             c0 = cos_theta0(GhzScenario(n, alpha))
             for thetas in (grid, sampled):
-                got, want = _party_terms(c0, thetas), _branch_party_terms(c0, thetas)
+                got, want = _party_terms(c0, np.cos(thetas)), _branch_party_terms(c0, thetas)
                 assert np.array_equal(got, want), (n, alpha)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (n, alpha)
 
@@ -309,7 +309,7 @@ class TestOneFormulaAtEveryAngle:
 
     def test_maximal_entanglement_is_deterministic(self):
         sc = GhzScenario(3, math.pi / 4)
-        assert np.array_equal(_party_terms(0.0, [0.0, 1.5, math.pi / 2, 1.6]),
+        assert np.array_equal(_party_terms(0.0, np.cos([0.0, 1.5, math.pi / 2, 1.6])),
                               [1.0, 1.0, 1.0, -1.0])
         assert np.array_equal(_diagonal_local_prob(sc, [1.5, math.pi / 2, 1.6]),
                               [1.0, 1.0, 0.0])
@@ -716,6 +716,103 @@ class TestCertify:
         assert not cert.violated
         # and it beats the lower bound only within tolerance
         assert w >= lower_bound(sc) - 1e-9
+
+
+class TestCertifySequence:
+    """certify over equal-length sequences: one pass, each certificate as alone."""
+
+    ALPHAS = (0.0, 0.2, math.pi / 4)
+    WEIGHTS = (1.0, 0.3, 0.05)
+
+    def _batch_and_singles(self, n, samples, seed):
+        scenarios = [GhzScenario(n, alpha) for alpha in self.ALPHAS]
+        ws = self.WEIGHTS
+        batch = certify(scenarios, ws, samples=samples, seed=seed)
+        singles = [certify(sc, w, samples=samples, seed=seed)
+                   for sc, w in zip(scenarios, ws)]
+        return batch, singles
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_each_certificate_equals_the_single_call(self, n):
+        batch, singles = self._batch_and_singles(n, 3000 if n <= 8 else 300, 5)
+        assert isinstance(batch, list)
+        assert batch == singles
+        assert [repr(c.min_residual) for c in batch] == [
+            repr(c.min_residual) for c in singles]
+
+    @pytest.mark.parametrize("n", [3, 9, 12])
+    def test_equal_under_other_chunk_sizes(self, monkeypatch, n):
+        # Single calls keep their values under these sizes
+        # (TestCertify::test_chunk_budget_leaves_results_unchanged).
+        scenarios = [GhzScenario(n, alpha) for alpha in self.ALPHAS]
+        default, singles = self._batch_and_singles(n, 64, 4)
+        assert default == singles
+        for name, value in (("_CERT_MAX_ROWS", 512), ("_CERT_CHUNK_BYTES", 32 * 2**20),
+                            ("_CERT_CHUNK_BYTES", 8 * 2**12)):
+            with monkeypatch.context() as patch:
+                patch.setattr(epr2, name, value)
+                assert certify(scenarios, self.WEIGHTS, samples=64, seed=4) == default
+
+    def test_alpha_free_half_runs_once_per_chunk(self, monkeypatch):
+        # The chunk size is read at call time, and the alpha-free half runs
+        # once per chunk however many scenarios share the pass.
+        calls = []
+        original = epr2._alpha_free_factors
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(epr2, "_alpha_free_factors", counted)
+        monkeypatch.setattr(epr2, "_CERT_MAX_ROWS", 512)
+        scenarios = [GhzScenario(3, alpha) for alpha in self.ALPHAS]
+        certify(scenarios, self.WEIGHTS, samples=10_000, seed=7)
+        assert len(calls) == 4 + 20
+
+    def test_refuses_mixed_party_counts(self):
+        with pytest.raises(ValueError, match="one party count"):
+            certify([GhzScenario(3, 0.2), GhzScenario(4, 0.2)], [0.1, 0.1])
+
+    def test_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError, match="2 scenarios and 3 weights"):
+            certify([GhzScenario(3, 0.2)] * 2, [0.1] * 3)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_checks_every_weight_before_computing(self, monkeypatch, bad):
+        def refuse(*args):
+            raise AssertionError("computed before checking every weight")
+
+        monkeypatch.setattr(epr2, "_min_residuals", refuse)
+        monkeypatch.setattr(epr2, "_certification_rows", refuse)
+        with pytest.raises(ValueError, match="w must lie in"):
+            certify([GhzScenario(3, a) for a in self.ALPHAS], [0.1, 0.2, bad])
+
+    def test_empty_sequence_gives_empty_list(self):
+        assert certify([], [], samples=1000, seed=3) == []
+        assert certify((), ()) == []
+
+    def test_never_reduces_the_ratio(self, monkeypatch):
+        scenarios = [GhzScenario(4, alpha) for alpha in self.ALPHAS]
+        expected = certify(scenarios, self.WEIGHTS, samples=5000, seed=2)
+
+        def refuse(*args):
+            raise AssertionError("certify reduced the ratio")
+
+        monkeypatch.setattr(epr2, "_min_ratio", refuse)
+        assert certify(scenarios, self.WEIGHTS, samples=5000, seed=2) == expected
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_stays_cache_sized(self, n):
+        scenarios = [GhzScenario(n, alpha) for alpha in self.ALPHAS]
+        ws = [lower_bound(sc) for sc in scenarios]
+        tracemalloc.start()
+        try:
+            certificates = certify(scenarios, ws, samples=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(c.violated for c in certificates)
+        assert peak < 8 * 2**20
 
 
 class TestNonlocalPart:

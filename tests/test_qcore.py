@@ -41,6 +41,17 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             GhzScenario(13, 0.1)
 
+    @pytest.mark.parametrize("n", [3.0, 3.5, np.float64(3.0), "3", None])
+    def test_scenario_rejects_non_integral_n(self, n):
+        with pytest.raises(ValueError, match="party count must be an integer"):
+            GhzScenario(n, 0.2)
+
+    def test_scenario_stores_numpy_integer_n_as_int(self):
+        sc = GhzScenario(np.int64(3), 0.2)
+        assert type(sc.n) is int
+        assert sc == GhzScenario(3, 0.2)
+        assert hash(sc) == hash(GhzScenario(3, 0.2))
+
     def test_scenario_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             GhzScenario(3, -0.01)
