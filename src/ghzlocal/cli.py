@@ -302,8 +302,8 @@ def _add_common(parser, with_grid=True):
                         help="seed of the certification sample stream (default 0)")
     if with_grid:
         parser.add_argument("--grid-points", type=int, default=10_000,
-                            help="theta grid size of the bound minimizer, 1000 to "
-                                 "10000000 (default 10000)")
+                            help="accepted for compatibility, 1000 to 10000000 "
+                                 "(default 10000); the bound no longer depends on it")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write output to FILE instead of standard output")
 

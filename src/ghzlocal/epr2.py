@@ -4,7 +4,8 @@ The quantum distribution P_Q of a GHZ scenario is decomposed as
 ``P_Q = w * P_L + (1 - w) * P_NL`` with P_L fully local (a product over
 parties) and P_NL a valid distribution.  The local model vanishes wherever
 P_Q vanishes; the largest weight it supports along the symmetric
-measurement diagonal is the lower bound :func:`lower_bound`, and
+measurement diagonal, its ratio P_Q / P_L at the saturation kink where P_L
+first reaches 1, is the lower bound :func:`lower_bound`, and
 :func:`certify` checks nonnegativity of ``P_Q - w * P_L`` over a
 deterministic diagonal grid plus seeded random settings.
 """
@@ -49,13 +50,7 @@ DIAG_GRID_POINTS = 2001
 _CERT_CHUNK_BYTES = 512 * 2**10
 _CERT_MAX_ROWS = 8192
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# lower_bound refines the grid minimum's bracket until it is narrower than
-# this many radians.
-_REFINE_TOL = 1e-10
-
-# Largest lower_bound grid; its arrays take about 60 bytes per point.
+# Largest grid_points that lower_bound accepts.
 _MAX_GRID_POINTS = 10**7
 
 
@@ -125,7 +120,9 @@ def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
     """P_Q / P_L along the diagonal, all outcomes +1 (vectorized over thetas).
 
     ``+inf`` where P_L vanishes; within 1e-12 of the vanishing angle (when
-    ``cos theta0 < 0``) the exact limit :func:`_ratio_limit_at_theta0`.
+    ``cos theta0 < 0``) the exact limit :func:`_ratio_limit_at_theta0`, but
+    only above the saturation kink ``pi - theta0``: a band narrower than
+    1e-12 must not carry the limit onto the kink, where P_L = 1.
     A product state's P_L is its P_Q, so there the ratio is exactly 1 where P_Q > 0.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -133,7 +130,8 @@ def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
     pl = pq if scenario.alpha == 0.0 else _diagonal_local_prob(scenario, thetas)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(pl > 0.0, pq / pl, math.inf)
-    at_zero = np.abs(thetas - theta0(scenario)) <= 1e-12
+    t0 = theta0(scenario)
+    at_zero = (np.abs(thetas - t0) <= 1e-12) & (thetas > math.pi - t0)
     if cos_theta0(scenario) < 0.0 and at_zero.any():
         f = np.where(at_zero, _ratio_limit_at_theta0(scenario), f)
     return f
@@ -167,45 +165,24 @@ def _ratio_limit_at_theta0(scenario: GhzScenario) -> float:
     return math.inf
 
 
-def _refine_minimum(scenario: GhzScenario, a: float, b: float) -> float:
-    """Golden-section minimum of the diagonal ratio on the bracket [a, b].
-
-    Steps until the bracket is narrower than ``_REFINE_TOL``; returns the
-    smallest ratio evaluated.
-    """
-    c, d = b - (b - a) * _GOLDEN, a + (b - a) * _GOLDEN
-    fc, fd = _diagonal_ratio(scenario, c), _diagonal_ratio(scenario, d)
-    best = min(fc, fd)
-    while (b - a) > _REFINE_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = _diagonal_ratio(scenario, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = _diagonal_ratio(scenario, d)
-        best = min(best, fc, fd)
-    return float(best)
-
-
 def lower_bound(scenario: GhzScenario, grid_points: int = 10000) -> float:
     """Lower bound on the local content: min of the diagonal ratio over [0, pi].
 
-    Dense grid evaluation (both ends included), golden-section refinement
-    of the grid minimum's bracket, plus one probe at the common-zero angle
-    ``theta0``.  Gives ``1 - sin(2a)`` for n = 2, 1 for product states, 0
-    for maximal entanglement.  ``grid_points`` must lie in [1000, 10**7].
+    The minimum sits at the saturation kink ``pi - theta0``, where P_L first
+    reaches 1: below it P_L = 1 and the ratio is P_Q, which decreases; on
+    the band ``(pi - theta0, theta0)`` the ratio increases (constant at
+    n = 2; checked on dense grids, not proven); beyond ``theta0`` it is
+    ``+inf``.  So the bound is the ratio
+    there, ``P_Q(pi - theta0)``, which equals
+    ``cos^2(2a) / (cos(a)^(2/n) + sin(a)^(2/n))^n``: ``1 - sin(2a)`` for
+    n = 2, 1 for product states, 0 for maximal entanglement.
+    ``grid_points`` must lie in [1000, 10**7]; the bound does not depend on it.
     """
     if not 1000 <= grid_points <= _MAX_GRID_POINTS:
         raise ValueError(
             f"grid_points must lie in [1000, {_MAX_GRID_POINTS}], got {grid_points}"
         )
-    thetas = np.linspace(0.0, math.pi, grid_points)
-    f = _diagonal_ratio(scenario, thetas)
-    i = min(max(int(np.argmin(f)), 1), grid_points - 2)
-    refined = _refine_minimum(scenario, float(thetas[i - 1]), float(thetas[i + 1]))
-    w = min(float(f.min()), refined, ratio_f(scenario, theta0(scenario)))
+    w = ratio_f(scenario, math.pi - theta0(scenario))
     return min(max(w, 0.0), 1.0)
 
 

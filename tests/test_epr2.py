@@ -11,6 +11,7 @@ from ghzlocal.qcore import (
     MeasurementContext,
     OutcomePattern,
     all_outcome_patterns,
+    diagonal_prob,
     joint_prob_ghz,
     outcome_sign_matrix,
 )
@@ -20,11 +21,9 @@ from ghzlocal.epr2 import (
     DIAG_GRID_POINTS,
     DecompositionCertificate,
     LocalModel,
-    _GOLDEN,
     _diagonal_local_prob,
     _diagonal_ratio,
     _party_terms,
-    _refine_minimum,
     _residual_extrema,
     certification_thetas,
     certify,
@@ -73,15 +72,14 @@ def _broadcast_kron_rows(plus, minus):
     return out
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _refine_minima(scenario, a, b, tol):
     """Golden-section minimum of the diagonal ratio on every bracket [a_i, b_i].
 
-    The array refinement ``lower_bound`` used to run on every bracketing
-    grid minimum, kept as a reference: one vectorized ratio evaluation per
-    step for all brackets, each leaving once narrower than ``tol``.  numpy
-    rounds ``x ** k`` on a float64 scalar differently from the same power
-    on an array, so this reference also checks the scalar refinement's
-    arithmetic against the array evaluator's.
+    A reference search: one vectorized ratio evaluation per step for all
+    brackets, each leaving once narrower than ``tol``.
     """
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
@@ -103,7 +101,11 @@ def _refine_minima(scenario, a, b, tol):
 
 
 def _multi_bracket_lower_bound(scenario, grid_points=10000):
-    """Reference lower bound: the grid, every interior bracket, three end probes."""
+    """Reference lower bound: the grid, every interior bracket, three end probes.
+
+    A search over the whole diagonal that assumes nothing about where the
+    minimum sits; it overshoots a kink by about its slope times 1e-10.
+    """
     thetas = np.linspace(0.0, math.pi, grid_points)
     f = _diagonal_ratio(scenario, thetas)
     interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
@@ -112,6 +114,20 @@ def _multi_bracket_lower_bound(scenario, grid_points=10000):
     ends = [ratio_f(scenario, t) for t in (theta0(scenario), 0.0, math.pi)]
     w = float(np.min(np.concatenate((f, refined, ends))))
     return min(max(w, 0.0), 1.0)
+
+
+def _kink_bound_mp(mpmath, n, alpha):
+    """``cos^2(2a) / (cos(a)^(2/n) + sin(a)^(2/n))^n`` to 50 digits, as a float.
+
+    The float ``math.pi / 4`` stands for pi/4 itself, as in GhzScenario,
+    where ``cos 2a`` is exactly 0.
+    """
+    if alpha == math.pi / 4:
+        return 0.0
+    with mpmath.workdps(50):
+        a, e = mpmath.mpf(alpha), mpmath.mpf(2) / n
+        return float(mpmath.cos(2 * a) ** 2
+                     / (mpmath.cos(a) ** e + mpmath.sin(a) ** e) ** n)
 
 
 def _branch_party_terms(c0, thetas):
@@ -373,6 +389,17 @@ class TestRatio:
         sc3 = GhzScenario(3, alpha)
         assert math.isinf(ratio_f(sc3, theta0(sc3)))
 
+    # The band (pi - theta0, theta0) is narrower than 1e-12 here, so the
+    # theta0 limit must not reach the kink, where P_L = 1 and the ratio is P_Q.
+    @pytest.mark.parametrize("offset", [1e-12, 3e-13])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_kink_is_p_q_near_maximal_entanglement(self, n, offset):
+        sc = GhzScenario(n, math.pi / 4 - offset)
+        kink = math.pi - theta0(sc)
+        value = ratio_f(sc, kink)
+        assert math.isfinite(value)
+        assert value == diagonal_prob(sc, kink)
+
     def test_rejects_theta_out_of_range(self):
         for theta in (-0.1, math.pi + 1e-9, math.nan):
             with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
@@ -412,48 +439,73 @@ class TestLowerBound:
             for smaller, larger in zip(values[1:], values[:-1]):
                 assert smaller < larger
 
-    def test_array_refinement_matches_scalar_golden_section(self):
-        # The grid minimum's bracket, refined on scalars, against the array
-        # refinement lower_bound used to run on it.
-        thetas = np.linspace(0.0, math.pi, 10000)
+    def test_scalar_kink_matches_array_ratio(self):
+        # lower_bound evaluates the ratio once, on a scalar; numpy rounds
+        # x ** k on a float64 scalar differently from the same power in an
+        # array, so the scalar value must agree with the array evaluator's.
         for n in range(2, 13):
             for alpha in (0.0, 0.1, 0.3, math.pi / 4):
                 sc = GhzScenario(n, alpha)
-                i = min(max(int(np.argmin(_diagonal_ratio(sc, thetas))), 1), 9998)
-                a, b = float(thetas[i - 1]), float(thetas[i + 1])
-                got = _refine_minimum(sc, a, b)
-                ref = _refine_minima(sc, np.array([a]), np.array([b]), 1e-10)[0]
-                assert got == ref or abs(got - ref) <= 1e-15 * ref, (n, alpha, i)
+                kink = math.pi - theta0(sc)
+                ref = float(_diagonal_ratio(sc, np.array([kink]))[0])
+                got = lower_bound(sc)
+                assert got == ref or abs(got - ref) <= 1e-15 * ref, (n, alpha)
 
-    def test_array_refinement_brackets_of_mixed_width(self):
-        # Wider brackets need more steps than narrow ones; each one refined
-        # alone matches the array refinement of all of them together.
+    def test_no_bracket_lies_below_the_bound(self):
+        # Brackets of mixed width across the diagonal: below the kink, on
+        # the band and beyond theta0.
         sc = GhzScenario(4, 0.2)
-        a = np.array([0.1, 1.0, 0.5, 2.0, 1.9])
-        b = np.array([0.2, 1.0004, 2.5, 2.1, 1.90001])
-        together = _refine_minima(sc, a, b, 1e-10)
-        for k in range(a.size):
-            got = _refine_minimum(sc, float(a[k]), float(b[k]))
-            assert got == together[k] or abs(got - together[k]) <= 1e-15 * got
-        assert math.isinf(_refine_minimum(sc, 2.0, 2.1))  # beyond theta0: +inf
+        w = lower_bound(sc)
+        for a, b in ((0.1, 0.2), (1.0, 1.0004), (0.5, 2.5), (2.0, 2.1), (1.9, 1.90001)):
+            f = _diagonal_ratio(sc, np.linspace(a, b, 2001))
+            assert f.min() >= w * (1.0 - 1e-12), (a, b)
+        assert math.isinf(ratio_f(sc, 2.05))  # beyond theta0: +inf
+
+    def test_matches_closed_form_to_50_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in range(2, 13):
+            for alpha in np.linspace(0.0, math.pi / 4, 201):
+                got = lower_bound(GhzScenario(n, float(alpha)))
+                want = _kink_bound_mp(mpmath, n, float(alpha))
+                assert abs(got - want) <= 1e-12 * want, (n, alpha)
 
     def test_matches_multi_bracket_reference(self):
+        # The whole-diagonal search finds nothing below the bound, and
+        # overshoots it by less than 1e-8; the bound itself carries the
+        # 50-digit value's nine printed digits.
+        mpmath = pytest.importorskip("mpmath")
         for n in range(2, 13):
             for alpha in np.linspace(0.0, math.pi / 4, 11):
                 sc = GhzScenario(n, float(alpha))
-                got, want = lower_bound(sc), _multi_bracket_lower_bound(sc)
-                assert got == want or abs(got - want) <= 1e-15 * want, (n, alpha)
+                got, search = lower_bound(sc), _multi_bracket_lower_bound(sc)
+                want = _kink_bound_mp(mpmath, n, float(alpha))
+                assert got * (1.0 - 1e-12) <= search <= got * (1.0 + 1e-8), (n, alpha)
+                assert abs(got - want) <= 1e-12 * want, (n, alpha)
                 assert format(got, ".9g") == format(want, ".9g"), (n, alpha)
 
-    def test_default_grid_has_one_interior_minimum(self):
-        # For n >= 3 and alpha > 0 the grid minimum is the only bracket, so
-        # refining it alone loses nothing.
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_dense_grid_never_below_the_bound(self, n):
+        # Evidence that the ratio increases on the band (pi - theta0, theta0),
+        # which puts the minimum at the kink; not a proof.
+        thetas = np.linspace(0.0, math.pi, 200_001)
+        for alpha in np.linspace(0.0, math.pi / 4, 11):
+            sc = GhzScenario(n, float(alpha))
+            w = lower_bound(sc)
+            assert _diagonal_ratio(sc, thetas).min() >= w * (1.0 - 1e-12), alpha
+
+    def test_default_grid_minimum_sits_at_the_kink(self):
+        # For n >= 3 and alpha > 0 the default grid has one interior minimum,
+        # at a grid neighbour of the kink pi - theta0, and none below the bound.
         thetas = np.linspace(0.0, math.pi, 10000)
         for n in range(3, 13):
             for alpha in np.linspace(0.0, math.pi / 4, 102)[1:]:
-                f = _diagonal_ratio(GhzScenario(n, float(alpha)), thetas)
+                sc = GhzScenario(n, float(alpha))
+                f = _diagonal_ratio(sc, thetas)
                 interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
-                assert interior.tolist() == [int(np.argmin(f))], (n, alpha)
+                i = int(np.argmin(f))
+                assert interior.tolist() == [i], (n, alpha)
+                assert abs(thetas[i] - (math.pi - theta0(sc))) <= thetas[1], (n, alpha)
+                assert f[i] >= lower_bound(sc), (n, alpha)
 
     @pytest.mark.parametrize("n, alpha", [(2, 0.3), (5, 0.0)])
     def test_evaluates_one_grid_and_one_bracket(self, n, alpha, monkeypatch):
@@ -464,7 +516,7 @@ class TestLowerBound:
             lambda sc, t: points.append(np.size(t)) or original(sc, t),
         )
         lower_bound(GhzScenario(n, alpha), grid_points=10000)
-        assert sum(points) <= 10000 + 100
+        assert points == [1]  # the ratio at the kink, whatever grid_points says
 
     def test_ratio_agrees_with_scalar_ratio(self):
         cases = ((2, math.pi / 6), (3, math.pi / 12), (5, 0.0), (7, math.pi / 4))
@@ -478,8 +530,8 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("n, alpha", [(2, 0.3), (5, 0.0)])
     def test_flat_ratio_needs_few_scalar_calls(self, n, alpha, monkeypatch):
-        # Flat stretches of the ratio (n = 2, and alpha = 0) used to send
-        # thousands of scalar ratio_f calls through the refinement.
+        # Flat stretches of the ratio (n = 2, and alpha = 0) cost no extra
+        # calls: the bound is one ratio_f call, at the kink.
         calls = []
         original = epr2.ratio_f
         monkeypatch.setattr(
@@ -487,7 +539,7 @@ class TestLowerBound:
         )
         expected = 1.0 - math.sin(2.0 * alpha)
         assert abs(lower_bound(GhzScenario(n, alpha)) - expected) < 1e-9
-        assert len(calls) <= 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4])
     @pytest.mark.parametrize("n", range(2, 13))
