@@ -13,6 +13,7 @@ deterministic diagonal grid plus seeded random settings.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -49,6 +50,14 @@ DIAG_GRID_POINTS = 2001
 # raise peak memory.
 _CERT_CHUNK_BYTES = 512 * 2**10
 _CERT_MAX_ROWS = 8192
+
+# From this many parties on, rows with few unsaturated parties skip the
+# patterns where P_L is exactly 0 (the live path, :func:`_live_group`); at
+# 6 parties it ran no faster than the dense kernel.  The rows then come in
+# blocks of at least _LIVE_BLOCK_ROWS, so that each of its calls spans many
+# rows; it builds its factors in the dense kernel's buffers.
+_LIVE_MIN_PARTIES = 7
+_LIVE_BLOCK_ROWS = 1024
 
 # Largest grid_points that lower_bound accepts.
 _MAX_GRID_POINTS = 10**7
@@ -119,10 +128,11 @@ def _diagonal_local_prob(scenario: GhzScenario, theta):
 def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
     """P_Q / P_L along the diagonal, all outcomes +1 (vectorized over thetas).
 
-    ``+inf`` where P_L vanishes; within 1e-12 of the vanishing angle (when
-    ``cos theta0 < 0``) the exact limit :func:`_ratio_limit_at_theta0`, but
-    only above the saturation kink ``pi - theta0``: a band narrower than
-    1e-12 must not carry the limit onto the kink, where P_L = 1.
+    ``+inf`` where P_L vanishes; where the evaluated P_L is exactly 0
+    within 1e-12 of the vanishing angle (when ``cos theta0 < 0``), the
+    exact limit :func:`_ratio_limit_at_theta0`.  Wherever P_L is positive
+    the ratio is the quotient itself, also inside a band
+    ``(pi - theta0, theta0)`` narrower than 1e-12.
     A product state's P_L is its P_Q, so there the ratio is exactly 1 where P_Q > 0.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -130,8 +140,7 @@ def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
     pl = pq if scenario.alpha == 0.0 else _diagonal_local_prob(scenario, thetas)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(pl > 0.0, pq / pl, math.inf)
-    t0 = theta0(scenario)
-    at_zero = (np.abs(thetas - t0) <= 1e-12) & (thetas > math.pi - t0)
+    at_zero = (pl == 0.0) & (np.abs(thetas - theta0(scenario)) <= 1e-12)
     if cos_theta0(scenario) < 0.0 and at_zero.any():
         f = np.where(at_zero, _ratio_limit_at_theta0(scenario), f)
     return f
@@ -252,22 +261,20 @@ def _certification_buffers(rows: int, n: int, scenarios: int = 1):
     return tuple(np.empty(rows * 2**n) for _ in range(3 if scenarios == 1 else 4))
 
 
-def _alpha_free_factors(thetas: np.ndarray, buffers):
-    """(K, cos theta) at theta rows (rows, n): the kernel's part that no alpha changes.
+def _alpha_free_factors(parties: np.ndarray, buffers):
+    """K of one dense chunk from its (n, rows) angles: the part no alpha changes.
 
     ``K = kron_j (cos h_j, sin h_j)`` with h = theta / 2 is a (2^n, rows)
-    view of the first :func:`_certification_buffers` buffer, ``cos theta``
-    an (n, rows) array; the third buffer is scratch, free again on return.
+    view of the first :func:`_certification_buffers` buffer; the third
+    buffer is scratch, free again on return.
     """
-    k_buf, _, spare = buffers[:3]
-    parties = np.ascontiguousarray(thetas.T)
     half = 0.5 * parties
-    return _kron_rows(np.cos(half), np.sin(half), k_buf, spare), np.cos(parties)
+    return _kron_rows(np.cos(half), np.sin(half), buffers[0], buffers[2])
 
 
-def _alpha_factors(scenario: GhzScenario, k: np.ndarray, cos_parties: np.ndarray,
+def _alpha_factors(scenario: GhzScenario, k: np.ndarray, terms: np.ndarray,
                    buffers, consume_k: bool):
-    """(worst-phase P_Q, P_L) of one scenario from :func:`_alpha_free_factors`.
+    """(worst-phase P_Q, P_L) of one scenario from K and its (n, rows) :func:`_party_terms`.
 
     Each is a (2^n, rows) view of one of the flat
     :func:`_certification_buffers`: P_L of the second; P_Q, with
@@ -302,14 +309,169 @@ def _alpha_factors(scenario: GhzScenario, k: np.ndarray, cos_parties: np.ndarray
     np.multiply(k, math.cos(scenario.alpha), out=pq_worst)
     pq_worst -= b
     np.square(pq_worst, out=pq_worst)
-    terms = _party_terms(cos_theta0(scenario), cos_parties)
     pl = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms), pl_buf, spare)
     return pq_worst, pl
 
 
 def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
-    """(worst-phase P_Q, P_L) at theta rows (rows, n): both halves in turn."""
-    return _alpha_factors(scenario, *_alpha_free_factors(thetas, buffers), buffers, True)
+    """(worst-phase P_Q, P_L) at theta rows (rows, n) on the dense kernel."""
+    parties = np.ascontiguousarray(thetas.T)
+    terms = _party_terms(cos_theta0(scenario), np.cos(parties))
+    return _alpha_factors(scenario, _alpha_free_factors(parties, buffers), terms, buffers, True)
+
+
+def _dense_factors(scenarios, parties: np.ndarray, cos_parties: np.ndarray, buffers):
+    """(index, worst-phase P_Q, P_L) of every scenario at every dense chunk.
+
+    ``parties`` holds the (n, rows) angles and ``cos_parties`` their
+    cosines, cut into chunks of :func:`_chunk_rows` rows.  The pass is
+    chunk-major and scenario-minor: each chunk's K is built once, then
+    every scenario runs the same operations, in the same order, as it
+    would alone, so each entry is bit-identical to a batch of one.
+    """
+    if not scenarios:
+        return
+    n, rows = parties.shape
+    chunk, last = _chunk_rows(n), len(scenarios) - 1
+    for start in range(0, rows, chunk):
+        part = slice(start, start + chunk)
+        k = _alpha_free_factors(parties[:, part], buffers)
+        for i, scenario in enumerate(scenarios):
+            terms = _party_terms(cos_theta0(scenario), cos_parties[:, part])
+            yield i, *_alpha_factors(scenario, k, terms, buffers, i == last)
+
+
+def _live_max_unsaturated(n: int, entries: int) -> int:
+    """Most unsaturated parties a row may have and still run the live path.
+
+    Each of a row's 2^u live entries costs about as much as n entries of
+    the dense kernel (measured from 6 to 12 parties), so the rows with
+    ``2n * 2^u <= 2^n`` run the live path at most at half their dense cost;
+    and the row's (3, 2^u, n) factors must fit a buffer of ``entries``.
+    """
+    return min((1 << n) // (2 * n), entries // (3 * n)).bit_length() - 1
+
+
+def _live_group(scenario: GhzScenario, parties: np.ndarray, terms: np.ndarray, u: int,
+                buffers):
+    """(worst-phase P_Q, P_L) at the live patterns of rows with u unsaturated parties.
+
+    Takes the (n, rows) angles and :func:`_party_terms` of those rows and
+    returns (2^u, rows) arrays, whose pattern index holds the outcomes of
+    the unsaturated parties, the first of them in the most significant bit.
+    A saturated party (term +-1) has one P_L factor exactly 0, so its
+    outcome is forced; every other pattern has P_L = 0.
+
+    K, its complement ``Kr = kron_j (sin h_j, cos h_j)`` and P_L are each a
+    product over all parties, left to right, of the factor that the
+    pattern picks, a saturated party's forced one included: the dense
+    kernel's factors in its order, so every entry is bit-identical to the
+    dense entry of its pattern.  (A forced P_L factor is exactly 1.0.)
+    P_Q is then ``(cos(a) K - sin(a) Kr)^2`` in the dense kernel's operations.
+
+    The (3, 2^u, n, rows) factors are built in the three flat
+    :func:`_certification_buffers`, which must hold that many entries.
+    """
+    n, rows = terms.shape
+    plus, minus, picked = (b[:3 * n * rows << u].reshape(3, -1, n, rows) for b in buffers[:3])
+    plus, minus = plus[:, 0], minus[:, 0]
+    half = 0.5 * parties
+    np.cos(half, out=plus[0])
+    np.sin(half, out=plus[1])
+    minus[0], minus[1] = plus[1], plus[0]
+    np.multiply(0.5, np.add(1.0, terms, out=plus[2]), out=plus[2])
+    np.multiply(0.5, np.subtract(1.0, terms, out=minus[2]), out=minus[2])
+    np.copyto(plus, minus, where=terms == -1.0)
+    if u:
+        free = np.abs(terms) < 1.0
+        # A saturated party's factor is its forced one whichever outcome
+        # the pattern picks, so it may read any bit of the pattern index.
+        np.copyto(minus, plus, where=~free)
+        bits = u - 1 - (np.cumsum(free, axis=0) - free)
+        np.maximum(bits, 0, out=bits)
+        patterns = np.arange(2**u)[:, None, None]
+        np.copyto(picked, plus[:, None])
+        np.copyto(picked, minus[:, None], where=(patterns >> bits) & 1 == 1)
+        plus = picked
+    else:
+        plus = plus[:, None]
+    k, kr, pl = np.multiply.reduce(plus, axis=-2)
+    kr *= math.sin(scenario.alpha)
+    k *= math.cos(scenario.alpha)
+    k -= kr
+    np.square(k, out=k)
+    return k, pl
+
+
+def _live_rows(scenario: GhzScenario, cos_parties: np.ndarray, entries: int):
+    """(terms, unsaturated count per row, live rows) of one block, or ``None``.
+
+    A row is live when it has at most :func:`_live_max_unsaturated`
+    unsaturated parties.  ``None``, and the whole block runs the dense
+    kernel, below ``_LIVE_MIN_PARTIES``, where nothing is counted, and when
+    the live rows would save less than a third of the block's dense cost
+    (a live row costs about n 2^u dense entries instead of 2^n): the split
+    and its gathers then cost about what they save.
+    """
+    n = scenario.n
+    if n < _LIVE_MIN_PARTIES:
+        return None
+    terms = _party_terms(cos_theta0(scenario), cos_parties)
+    unsaturated = np.count_nonzero(np.abs(terms) < 1.0, axis=0)
+    live = unsaturated <= _live_max_unsaturated(n, entries)
+    saved_rows = np.count_nonzero(live) - np.sum(n << unsaturated[live]) / (1 << n)
+    if 3 * saved_rows < live.size:
+        return None
+    return terms, unsaturated, live
+
+
+def _split_factors(scenario: GhzScenario, parties: np.ndarray, cos_parties: np.ndarray,
+                   terms: np.ndarray, unsaturated: np.ndarray, live: np.ndarray, buffers):
+    """(worst-phase P_Q, P_L) pieces of one scenario over a block split by :func:`_live_rows`.
+
+    The live rows run :func:`_live_group`, grouped by their count of
+    unsaturated parties in pieces whose factors fill at most one buffer;
+    the other rows run the dense kernel.  The live path skips only entries
+    where P_L = 0, whose residual is P_Q >= 0 and whose ratio is never taken.
+    """
+    for u in np.flatnonzero(np.bincount(unsaturated[live])).tolist():
+        rows = np.flatnonzero(unsaturated == u)
+        step = buffers[0].size // (3 * scenario.n << u)
+        for start in range(0, rows.size, step):
+            part = rows[start:start + step]
+            yield _live_group(scenario, parties.take(part, axis=1), terms.take(part, axis=1), u,
+                              buffers)
+    dense = np.flatnonzero(~live)
+    for _, pq_worst, pl in _dense_factors([scenario], parties.take(dense, axis=1),
+                                          cos_parties.take(dense, axis=1), buffers):
+        yield pq_worst, pl
+
+
+def _factor_pieces(scenarios, samples: int, seed: int, buffers):
+    """(index, worst-phase P_Q, P_L) pieces of every scenario over every row.
+
+    The rows come in blocks of :func:`_block_rows`.  Per block, each
+    scenario that :func:`_live_rows` splits runs :func:`_split_factors`;
+    the others, every one below ``_LIVE_MIN_PARTIES``, then share each
+    dense chunk's K.  A piece's arrays are only valid until the next piece
+    is drawn.
+    """
+    n = scenarios[0].n
+    for thetas in _certification_rows(n, samples, seed, _block_rows(n)):
+        parties = np.ascontiguousarray(thetas.T)
+        del thetas  # the (rows, n) copy, so that the kernel's arrays stay cache-sized
+        cos_parties = np.cos(parties)
+        shared = []
+        for i, scenario in enumerate(scenarios):
+            split = _live_rows(scenario, cos_parties, buffers[0].size)
+            if split is None:
+                shared.append(i)
+                continue
+            for pq_worst, pl in _split_factors(scenario, parties, cos_parties, *split, buffers):
+                yield i, pq_worst, pl
+        for k, pq_worst, pl in _dense_factors([scenarios[i] for i in shared], parties,
+                                              cos_parties, buffers):
+            yield shared[k], pq_worst, pl
 
 
 def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
@@ -319,24 +481,24 @@ def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
     return float(np.min(pl))
 
 
-def _min_ratio(pq_worst: np.ndarray, pl: np.ndarray, spare: np.ndarray) -> float:
+def _min_ratio(pq_worst: np.ndarray, pl: np.ndarray) -> float:
     """min of P_Q / P_L where P_L is meaningfully positive, else ``+inf``.
 
-    The ratio is written into the flat buffer ``spare``.
+    The ratio overwrites ``pq_worst``.
     """
-    ratio = spare[:pl.size].reshape(pl.shape)
-    ratio.fill(math.inf)
-    np.divide(pq_worst, pl, out=ratio, where=pl > 1e-12)
-    return float(np.min(ratio))
+    positive = pl > 1e-12
+    np.divide(pq_worst, pl, out=pq_worst, where=positive)
+    return float(np.min(pq_worst, where=positive, initial=math.inf))
 
 
 def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
                       patterns: np.ndarray | None = None):
     """(min residual, min ratio) over theta rows x all patterns x both phase signs.
 
-    The residual is P_Q - w * P_L, the quantity :func:`certify` bounds; the
-    ratio P_Q / P_L, taken where P_L is meaningfully positive, is the one
-    :func:`sampled_min_ratio` bounds.  Both are reductions of
+    The dense reference of the certification kernel: every entry, live or
+    not.  The residual is P_Q - w * P_L, the quantity :func:`certify`
+    bounds; the ratio P_Q / P_L, taken where P_L is meaningfully positive,
+    is the one :func:`sampled_min_ratio` bounds.  Both are reductions of
     :func:`_certification_factors`, so both values are bit-identical to
     the dense (rows, 2^n, n) reference.  ``patterns``,
     when given, must be ``outcome_sign_matrix(n)``: the pattern order is
@@ -344,8 +506,7 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
 
     Flipping outcome ``r_j`` is the reflection ``theta_j -> pi - theta_j``
     (it swaps cos h_j and sin h_j in all three factors), so the certificate
-    checks one function of theta over ``[0, pi]^n``; each sampled row is
-    still evaluated at all 2^n patterns.
+    checks one function of theta over ``[0, pi]^n``.
     """
     n = scenario.n
     if patterns is not None and not np.array_equal(patterns, outcome_sign_matrix(n)):
@@ -354,22 +515,31 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
         )
     buffers = _certification_buffers(len(thetas), n)
     pq_worst, pl = _certification_factors(scenario, thetas, buffers)
-    min_ratio = _min_ratio(pq_worst, pl, buffers[2])
+    min_ratio = _min_ratio(pq_worst.copy(), pl)
     return _min_residual(pq_worst, pl, w), min_ratio
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows per chunk: as many as fit ``_CERT_CHUNK_BYTES`` per (2^n, rows)
+    """Rows per dense chunk: as many as fit ``_CERT_CHUNK_BYTES`` per (2^n, rows)
     array, at most ``_CERT_MAX_ROWS``."""
     return min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
 
 
-def _certification_rows(n: int, samples: int, seed: int):
+def _block_rows(n: int) -> int:
+    """Rows per block: a dense chunk below ``_LIVE_MIN_PARTIES``, else at
+    least ``_LIVE_BLOCK_ROWS``, so that each live group spans many rows."""
+    if n < _LIVE_MIN_PARTIES:
+        return _chunk_rows(n)
+    return max(_chunk_rows(n), _LIVE_BLOCK_ROWS)
+
+
+def _certification_rows(n: int, samples: int, seed: int, rows: int | None = None):
     """Theta row chunks of the diagonal grid, then of the sample stream.
 
-    Each chunk holds :func:`_chunk_rows` rows, the last of each part fewer.
+    Each chunk holds ``rows`` rows (by default :func:`_chunk_rows`), the
+    last of each part fewer.  The grid starts at theta = 0.
     """
-    chunk = _chunk_rows(n)
+    chunk = _chunk_rows(n) if rows is None else rows
     grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
     for start in range(0, DIAG_GRID_POINTS, chunk):
         yield np.repeat(grid[start:start + chunk, None], n, axis=1)
@@ -380,20 +550,27 @@ def _certification_rows(n: int, samples: int, seed: int):
 def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
     """min of P_Q - w * P_L for each (scenario, w), in one pass over the rows.
 
-    The scenarios share one n.  The pass is chunk-major and scenario-minor:
-    each chunk's :func:`_alpha_free_factors` are computed once, then every
-    scenario runs the same operations, in the same order, as it would
-    alone, so each value is bit-identical to a batch of one.
+    The scenarios share one n.  Every minimum starts at 0.0, the exact
+    residual of the grid row theta = 0 at each pattern that mixes the two
+    outcomes: there both K products hold a factor sin 0 = 0 and P_L one
+    (1 - 1) / 2 = 0.  That row is always evaluated, and every entry the
+    live path skips has a residual P_Q >= 0, so each value is the dense
+    kernel's minimum.
     """
-    n, last = scenarios[0].n, len(scenarios) - 1
+    n = scenarios[0].n
     buffers = _certification_buffers(_chunk_rows(n), n, len(scenarios))
-    residuals = [math.inf] * len(scenarios)
-    for thetas in _certification_rows(n, samples, seed):
-        shared = _alpha_free_factors(thetas, buffers)
-        for i, (scenario, w) in enumerate(zip(scenarios, ws)):
-            factors = _alpha_factors(scenario, *shared, buffers, i == last)
-            residuals[i] = min(residuals[i], _min_residual(*factors, w))
+    residuals = [0.0] * len(scenarios)
+    for i, pq_worst, pl in _factor_pieces(scenarios, samples, seed, buffers):
+        residuals[i] = min(residuals[i], _min_residual(pq_worst, pl, ws[i]))
     return residuals
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or ValueError when it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[float],
@@ -404,7 +581,14 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     Every random setting draws independent per-party polar angles; all 2^n
     outcome patterns and both extreme phase sums (cos = +-1) are evaluated at
     each setting.  Identical seed and sample count give an identical
-    certificate regardless of evaluation chunking.
+    certificate regardless of evaluation chunking.  ``samples`` and ``seed``
+    must be integers (numpy integers included), ``samples`` nonnegative.
+
+    ``min_residual`` is never positive: the grid row theta = 0 has exact
+    zeros, so it is exactly 0.0 at w = 0.  From 7 parties on, the rows with
+    few unsaturated parties are evaluated only at their patterns with
+    P_L > 0; the others have residual P_Q >= 0, so the value is the one of
+    the full evaluation, bit for bit.
 
     Given equal-length sequences of scenarios that share one party count
     and of weights, certifies every pair in one pass over the settings and
@@ -412,6 +596,7 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     matching single call; an empty pair of sequences gives ``[]``.  Every
     weight is checked before anything is computed.
     """
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     batch = not isinstance(scenario, GhzScenario)
     scenarios, ws = (list(scenario), list(w)) if batch else ([scenario], [w])
     if len(scenarios) != len(ws):
@@ -444,13 +629,19 @@ def sampled_min_ratio(scenario: GhzScenario, samples: int = 100_000,
 
     Fallback weight when a claimed w fails certification; by construction
     certify() at this value over the same seed and sample count passes.
+    ``samples`` and ``seed`` must be integers, ``samples`` nonnegative.  The
+    ratio is read only where P_L > 1e-12, so from 7 parties on the rows with
+    few unsaturated parties are evaluated only at their patterns with
+    P_L > 0, with the same value as the full evaluation, bit for bit.
     """
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     buffers = _certification_buffers(_chunk_rows(scenario.n), scenario.n)
     min_ratio = min(
-        _min_ratio(*_certification_factors(scenario, thetas, buffers), buffers[2])
-        for thetas in _certification_rows(scenario.n, samples, seed)
+        (_min_ratio(pq_worst, pl)
+         for _, pq_worst, pl in _factor_pieces([scenario], samples, seed, buffers)),
+        default=math.inf,
     )
     return min(max(min_ratio, 0.0), 1.0)
 

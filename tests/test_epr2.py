@@ -400,6 +400,18 @@ class TestRatio:
         assert math.isfinite(value)
         assert value == diagonal_prob(sc, kink)
 
+    # Inside a band narrower than 1e-12 P_L is about 2^-n, not 0: the ratio
+    # is the quotient there, about 2 * offset^2, and no theta0 limit.
+    @pytest.mark.parametrize("offset", [1e-12, 3e-13])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_band_midpoint_is_the_quotient_near_maximal_entanglement(self, n, offset):
+        sc = GhzScenario(n, math.pi / 4 - offset)
+        mid = math.pi / 2
+        assert math.pi - theta0(sc) < mid < theta0(sc)
+        value = ratio_f(sc, mid)
+        assert value == diagonal_prob(sc, mid) / _diagonal_local_prob(sc, mid)
+        assert 0.0 < value < 10.0 * offset**2
+
     def test_rejects_theta_out_of_range(self):
         for theta in (-0.1, math.pi + 1e-9, math.nan):
             with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
@@ -581,10 +593,10 @@ class TestCertify:
         assert cert.min_residual < -1e-3
 
     def test_weight_zero_nonnegative(self):
-        for n, alpha in ((2, 0.3), (3, 0.64), (4, math.pi / 4), (5, 0.0)):
+        for n, alpha in ((2, 0.3), (3, 0.64), (4, math.pi / 4), (5, 0.0), (8, 0.3)):
             cert = certify(GhzScenario(n, alpha), 0.0, samples=20_000, seed=3)
             assert not cert.violated
-            assert cert.min_residual >= 0.0
+            assert cert.min_residual == 0.0
 
     def test_reproducible(self):
         sc = GhzScenario(3, 0.5)
@@ -755,6 +767,26 @@ class TestCertify:
             certify(GhzScenario(2, 0.1), 1.5)
         with pytest.raises(ValueError):
             certify(GhzScenario(2, 0.1), -0.1)
+
+    @pytest.mark.parametrize("bad", [{"samples": 1000.0}, {"samples": "1000"},
+                                     {"seed": 1.5}, {"seed": None}])
+    def test_rejects_non_integral_samples_and_seed(self, bad):
+        name = next(iter(bad))
+        sc = GhzScenario(3, 0.3)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            certify(sc, 0.1, **bad)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            certify([sc], [0.1], **bad)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sampled_min_ratio(sc, **bad)
+
+    def test_numpy_integer_samples_and_seed_are_plain_ints(self):
+        sc = GhzScenario(3, 0.3)
+        cert = certify(sc, 0.1, samples=np.int64(500), seed=np.uint8(3))
+        assert cert == certify(sc, 0.1, samples=500, seed=3)
+        assert type(cert.samples) is int and type(cert.seed) is int
+        assert sampled_min_ratio(sc, samples=np.int32(500), seed=np.int64(3)) == (
+            sampled_min_ratio(sc, samples=500, seed=3))
 
     def test_sampled_min_ratio_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="samples must be nonnegative"):

@@ -1,0 +1,128 @@
+"""Property tests of the live-pattern certification path against the dense kernel.
+
+The live path evaluates a row only at its patterns with P_L > 0; it must
+agree with the dense kernel bit for bit there, and the patterns it skips
+must never lower a certificate.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghzlocal import epr2
+from ghzlocal.epr2 import _certification_factors, _party_terms, certify
+from ghzlocal.qcore import GhzScenario, cos_theta0
+
+PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# Exact 0, pi/2 and pi exercise the saturated ends, the sgn(0) branch and
+# both outcome flips of the local model.
+angles = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
+                   st.floats(0.0, math.pi, allow_nan=False))
+alphas = st.one_of(st.sampled_from([0.0, 1e-9, math.pi / 4 - 1e-9, math.pi / 4]),
+                   st.floats(0.0, math.pi / 4, allow_nan=False))
+weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def theta_rows(draw, n_max=12):
+    n = draw(st.integers(2, n_max))
+    count = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(angles, min_size=n, max_size=n),
+                         min_size=count, max_size=count))
+    return n, np.array(rows, dtype=float)
+
+
+def _dense(scenario, thetas):
+    """Dense (2^n, rows) worst-phase P_Q and P_L of the rows."""
+    return _certification_factors(scenario, thetas,
+                                  epr2._certification_buffers(len(thetas), scenario.n))
+
+
+def _live(scenario, thetas):
+    """Every live entry's (P_Q, P_L), one group per count of unsaturated parties."""
+    n = scenario.n
+    parties = np.ascontiguousarray(thetas.T)
+    terms = _party_terms(cos_theta0(scenario), np.cos(parties))
+    unsaturated = np.count_nonzero(np.abs(terms) < 1.0, axis=0)
+    pq, pl = [], []
+    for u in np.flatnonzero(np.bincount(unsaturated)).tolist():
+        rows = np.flatnonzero(unsaturated == u)
+        buffers = tuple(np.empty(3 * n * rows.size << u) for _ in range(3))
+        group = epr2._live_group(scenario, parties.take(rows, axis=1),
+                                 terms.take(rows, axis=1), u, buffers)
+        pq.append(group[0].ravel())
+        pl.append(group[1].ravel())
+    return np.concatenate(pq), np.concatenate(pl)
+
+
+@PROPERTIES
+@given(theta_rows(), alphas, weights)
+def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w):
+    n, thetas = rows
+    scenario = GhzScenario(n, alpha)
+    pq, pl = _dense(scenario, thetas)
+    positive = pl > 0.0
+    live_pq, live_pl = _live(scenario, thetas)
+    assert live_pl.size == np.count_nonzero(positive)
+    assert np.all(live_pl > 0.0)
+    # Same values, possibly in another order: compare the sorted entries.
+    assert np.array_equal(np.sort(live_pq), np.sort(pq[positive]))
+    assert np.array_equal(np.sort(live_pl), np.sort(pl[positive]))
+    assert np.min(live_pq - w * live_pl) == np.min(pq[positive] - w * pl[positive])
+    ratio = pl > 1e-12
+    live_ratio = live_pl > 1e-12
+    if ratio.any():
+        assert np.min(live_pq[live_ratio] / live_pl[live_ratio]) == np.min(
+            pq[ratio] / pl[ratio])
+
+
+@PROPERTIES
+@given(theta_rows(), alphas, weights)
+def test_dense_minimum_where_p_l_vanishes_is_zero_with_the_zero_row(rows, alpha, w):
+    n, thetas = rows
+    thetas = np.vstack((np.zeros(n), thetas))
+    pq, pl = _dense(GhzScenario(n, alpha), thetas)
+    dead = pl == 0.0
+    assert dead.any()
+    assert np.min(pq[dead] - w * pl[dead]) == 0.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 12), st.lists(st.tuples(alphas, weights), min_size=1, max_size=3),
+       st.integers(0, 40), st.integers(0, 2**64 - 1))
+def test_batch_certificates_equal_single_calls(n, pairs, samples, seed):
+    scenarios = [GhzScenario(n, alpha) for alpha, _ in pairs]
+    ws = [w for _, w in pairs]
+    batch = certify(scenarios, ws, samples=samples, seed=seed)
+    singles = [certify(sc, w, samples=samples, seed=seed) for sc, w in zip(scenarios, ws)]
+    assert batch == singles
+    assert all(c.min_residual <= 0.0 for c in batch)
+
+
+def _grid_minimum(scenario, w):
+    """Dense minimum residual over the diagonal grid, in chunks."""
+    rows = list(epr2._certification_rows(scenario.n, 0, 0))
+    return min(epr2._residual_extrema(scenario, w, t)[0] for t in rows)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 12])
+def test_certify_reads_only_live_patterns_at_interior_alphas(n, monkeypatch):
+    # The live path takes the sample rows with few unsaturated parties: the
+    # dense kernel sees only the rest, and the certificate is unchanged.
+    sc = GhzScenario(n, 0.3)
+    expected = epr2._residual_extrema(sc, 0.2, epr2.certification_thetas(3, 0, 256, n))[0]
+    dense_rows = []
+    original = epr2._dense_factors
+
+    def counted(scenarios, parties, cos_parties, buffers):
+        dense_rows.append(parties.shape[1] if scenarios else 0)
+        return original(scenarios, parties, cos_parties, buffers)
+
+    monkeypatch.setattr(epr2, "_dense_factors", counted)
+    cert = certify(sc, 0.2, samples=256, seed=3)
+    assert cert.min_residual == min(0.0, expected, _grid_minimum(sc, 0.2))
+    assert sum(dense_rows) < (epr2.DIAG_GRID_POINTS + 256) // 2
