@@ -13,8 +13,9 @@ deterministic diagonal grid plus seeded random settings.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,21 @@ _CERT_MAX_ROWS = 8192
 # rows; it builds its factors in the dense kernel's buffers.
 _LIVE_MIN_PARTIES = 7
 _LIVE_BLOCK_ROWS = 1024
+
+# From this many parties up to _LIVE_MIN_PARTIES, the dense pass sends the
+# rows with at most one unsaturated party past the dense kernel
+# (:func:`_two_pattern_rows`); 3 parties, with 6 of 8 entries a row to
+# save, keep the plain dense kernel.  Sorting a block, taking its columns
+# and gathering its patterns costs about as much as _SPLIT_ROW_COST dense
+# entries per row (measured at 4 to 6 parties, with margin for the
+# two-pattern rows' own work).  Blocks that may split
+# hold _SPLIT_BLOCK_ROWS rows, two to four chunks at 5 and 6 parties, so
+# that one sort spans several chunks (an 11-alpha batch ran 9 % faster
+# than with 2048-row blocks); blocks that cannot split stay chunk-sized,
+# where 4096 rows ran 2 % slower at 5 parties.
+_SPLIT_MIN_PARTIES = 4
+_SPLIT_BLOCK_ROWS = 4096
+_SPLIT_ROW_COST = 32
 
 # Largest grid_points that lower_bound accepts.
 _MAX_GRID_POINTS = 10**7
@@ -213,11 +229,16 @@ def certification_thetas(seed: int, start: int, count: int, n: int) -> np.ndarra
     splitmix64 counter hash, so any chunking or evaluation order reproduces
     the identical stream.  Angles are uniform on [0, pi).
     """
+    return np.ascontiguousarray(_certification_parties(seed, start, count, n).T)
+
+
+def _certification_parties(seed: int, start: int, count: int, n: int) -> np.ndarray:
+    """:func:`certification_thetas` in the kernel's (n, count) layout, computed in it."""
     mask = 0xFFFFFFFFFFFFFFFF
     seed_mix = ((seed & mask) * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & mask
-    idx = np.arange(start, start + count, dtype=np.uint64)[:, None] * np.uint64(
+    idx = np.arange(start, start + count, dtype=np.uint64)[None, :] * np.uint64(
         n
-    ) + np.arange(n, dtype=np.uint64)[None, :]
+    ) + np.arange(n, dtype=np.uint64)[:, None]
     z = idx + np.uint64(seed_mix)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -320,25 +341,134 @@ def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
     return _alpha_factors(scenario, _alpha_free_factors(parties, buffers), terms, buffers, True)
 
 
+def _may_split(n: int, scenarios: int) -> bool:
+    """Whether a block of ``scenarios`` scenarios at n parties may run
+    :func:`_two_pattern_rows`: a two-pattern row saves ``2^n - 2`` entries
+    at each scenario, which must be able to exceed ``_SPLIT_ROW_COST``."""
+    return (_SPLIT_MIN_PARTIES <= n < _LIVE_MIN_PARTIES
+            and scenarios * ((1 << n) - 2) > _SPLIT_ROW_COST)
+
+
+def _two_pattern_rows(scenarios, parties: np.ndarray, cos_parties: np.ndarray):
+    """One block's rows sorted for the two-pattern suffix, or ``None``.
+
+    Returns the sorted (n, rows) angles and cosines, each scenario's count
+    of dense rows, the (4, rows) patterns and each row's smallest
+    ``|cos t_j|``.
+
+    The rows are sorted by their second-smallest ``|cos t_j|``.  A row
+    whose key reaches a scenario's ``|cos t0|`` has at most one
+    unsaturated party, the one of smallest ``|cos t_j|``: for doubles
+    ``x, y >= 0``, ``fl(x / y) >= 1`` exactly when ``x >= y``, so
+    :func:`_party_terms` clips every other party to +-1.  The key holds no
+    alpha, so one sort serves every scenario: each scenario's dense rows
+    come first, as many as ``searchsorted`` finds below its ``|cos t0|``,
+    and its two-pattern rows form the suffix.
+
+    A row's patterns are: every party at the outcome of its cosine's
+    sign, where each saturated party's P_L factor is 1.0; the same with
+    the parties of smallest ``|cos t_j|`` flipped (one party, or at a tie
+    saturated parties only); and the complements of the two.
+
+    ``None``, and every row runs the dense kernel, unless
+    :func:`_may_split` and the entries that the two-pattern rows save
+    (``2^n - 2`` a row), summed over the scenarios, exceed
+    ``_SPLIT_ROW_COST`` per row of the block.  A count at the smallest
+    ``|cos t0|`` alone bounds that sum before the keys are computed.
+    """
+    n, rows = cos_parties.shape
+    if not _may_split(n, len(scenarios)):
+        return None
+    bounds = np.array([abs(cos_theta0(sc)) for sc in scenarios])
+    cost, saved = _SPLIT_ROW_COST * rows, (1 << n) - 2
+    magnitudes = np.abs(cos_parties)
+    unsaturated = np.add.reduce(magnitudes < bounds.min(), axis=0, dtype=np.uint8)
+    if len(bounds) * np.count_nonzero(unsaturated <= 1) * saved <= cost:
+        return None
+    least, second, spare = magnitudes[0].copy(), np.full(rows, math.inf), np.empty(rows)
+    for m in magnitudes[1:]:
+        np.minimum(second, np.maximum(least, m, out=spare), out=second)
+        np.minimum(least, m, out=least)
+    if np.count_nonzero(second >= bounds[:, None]) * saved <= cost:
+        return None
+    order = np.argsort(second)
+    parties, cos_parties, least = (parties.take(order, axis=1), cos_parties.take(order, axis=1),
+                                   least[order])
+    bits = 2.0 ** np.arange(n - 1, -1, -1)
+    forced = (bits @ (cos_parties < 0.0)).astype(np.intp)
+    flipped = forced ^ (bits @ (np.abs(cos_parties) == least)).astype(np.intp)
+    patterns = np.stack((forced, flipped, (1 << n) - 1 - forced, (1 << n) - 1 - flipped))
+    ends = np.searchsorted(second[order], bounds).tolist()
+    return parties, cos_parties, ends, patterns, least
+
+
+def _two_pattern_factors(scenario: GhzScenario, k_patterns: np.ndarray, least: np.ndarray):
+    """(worst-phase P_Q, P_L) of rows with at most one unsaturated party, at two patterns.
+
+    ``k_patterns`` holds the dense chunk's K at the rows' two patterns
+    from :func:`_two_pattern_rows` and at their complements, and ``least``
+    the rows' smallest ``|cos t_j|``; every other pattern has P_L = 0.
+    P_Q takes the dense kernel's operations on the dense kernel's K
+    entries.  A saturated party's P_L factor at the outcome of its sign is
+    exactly ``0.5 * (1 + 1) = 1.0``, so P_L is the other party's factor,
+    ``(1 +- |t|) / 2``, and 0.0 where a tie flips two saturated parties:
+    the dense entries bit for bit.
+    """
+    pq_worst = k_patterns[0:2] * math.cos(scenario.alpha)
+    pq_worst -= k_patterns[2:4] * math.sin(scenario.alpha)
+    np.square(pq_worst, out=pq_worst)
+    terms = _party_terms(cos_theta0(scenario), least)
+    pl = np.empty_like(pq_worst)
+    np.add(1.0, terms, out=pl[0])
+    np.subtract(1.0, terms, out=pl[1])
+    pl *= 0.5
+    return pq_worst, pl
+
+
 def _dense_factors(scenarios, parties: np.ndarray, cos_parties: np.ndarray, buffers):
-    """(index, worst-phase P_Q, P_L) of every scenario at every dense chunk.
+    """(index, worst-phase P_Q, P_L) of every scenario at every row of a block.
 
     ``parties`` holds the (n, rows) angles and ``cos_parties`` their
     cosines, cut into chunks of :func:`_chunk_rows` rows.  The pass is
     chunk-major and scenario-minor: each chunk's K is built once, then
     every scenario runs the same operations, in the same order, as it
     would alone, so each entry is bit-identical to a batch of one.
+
+    When :func:`_two_pattern_rows` sorts the block, a scenario's
+    two-pattern rows read only their two live patterns, gathered from the
+    shared K (:func:`_two_pattern_factors`), and its other rows run the
+    dense kernel on a prefix of each chunk.  Every entry skipped has
+    P_L = 0, whose residual is P_Q >= 0 and whose ratio is never taken.
     """
     if not scenarios:
         return
     n, rows = parties.shape
-    chunk, last = _chunk_rows(n), len(scenarios) - 1
+    split = _two_pattern_rows(scenarios, parties, cos_parties)
+    if split is None:
+        ends, patterns, least = [rows] * len(scenarios), None, None
+    else:
+        parties, cos_parties, ends, patterns, least = split
+    chunk = _chunk_rows(n)
     for start in range(0, rows, chunk):
-        part = slice(start, start + chunk)
-        k = _alpha_free_factors(parties[:, part], buffers)
+        stop = min(start + chunk, rows)
+        k = _alpha_free_factors(parties[:, start:stop], buffers)
+        first = max(start, min(ends))
+        if first < stop:
+            # K is a C-contiguous (2^n, stop - start) view: entry
+            # (pattern, column) sits at flat index pattern * width + column.
+            columns = np.arange(first - start, stop - start)
+            k_patterns = k.take(patterns[:, first:stop] * (stop - start) + columns)
         for i, scenario in enumerate(scenarios):
-            terms = _party_terms(cos_theta0(scenario), cos_parties[:, part])
-            yield i, *_alpha_factors(scenario, k, terms, buffers, i == last)
+            if ends[i] < stop:
+                top = max(ends[i], start)
+                yield i, *_two_pattern_factors(scenario, k_patterns[:, top - first:],
+                                               least[top:stop])
+        active = [i for i, end in enumerate(ends) if end > start]
+        for i in active:
+            part = slice(start, min(ends[i], stop))
+            terms = _party_terms(cos_theta0(scenarios[i]), cos_parties[:, part])
+            yield i, *_alpha_factors(scenarios[i], k[:, :part.stop - start], terms, buffers,
+                                     i == active[-1])
 
 
 def _live_max_unsaturated(n: int, entries: int) -> int:
@@ -452,14 +582,14 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
 
     The rows come in blocks of :func:`_block_rows`.  Per block, each
     scenario that :func:`_live_rows` splits runs :func:`_split_factors`;
-    the others, every one below ``_LIVE_MIN_PARTIES``, then share each
-    dense chunk's K.  A piece's arrays are only valid until the next piece
-    is drawn.
+    the others, every one below ``_LIVE_MIN_PARTIES``, then share one
+    :func:`_dense_factors` pass: each dense chunk's K and, from
+    ``_SPLIT_MIN_PARTIES`` on, one sort of the block.  A piece's arrays
+    are only valid until the next piece is drawn.
     """
     n = scenarios[0].n
-    for thetas in _certification_rows(n, samples, seed, _block_rows(n)):
+    for thetas in _certification_rows(n, samples, seed, _block_rows(n, len(scenarios))):
         parties = np.ascontiguousarray(thetas.T)
-        del thetas  # the (rows, n) copy, so that the kernel's arrays stay cache-sized
         cos_parties = np.cos(parties)
         shared = []
         for i, scenario in enumerate(scenarios):
@@ -525,26 +655,32 @@ def _chunk_rows(n: int) -> int:
     return min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
 
 
-def _block_rows(n: int) -> int:
-    """Rows per block: a dense chunk below ``_LIVE_MIN_PARTIES``, else at
-    least ``_LIVE_BLOCK_ROWS``, so that each live group spans many rows."""
-    if n < _LIVE_MIN_PARTIES:
-        return _chunk_rows(n)
-    return max(_chunk_rows(n), _LIVE_BLOCK_ROWS)
+def _block_rows(n: int, scenarios: int = 1) -> int:
+    """Rows per block: ``_SPLIT_BLOCK_ROWS`` where :func:`_may_split`, so that
+    one sort of :func:`_two_pattern_rows` spans several chunks; from
+    ``_LIVE_MIN_PARTIES`` on at least ``_LIVE_BLOCK_ROWS``, so that each
+    live group spans many rows; else a dense chunk."""
+    if _may_split(n, scenarios):
+        return max(_chunk_rows(n), _SPLIT_BLOCK_ROWS)
+    if n >= _LIVE_MIN_PARTIES:
+        return max(_chunk_rows(n), _LIVE_BLOCK_ROWS)
+    return _chunk_rows(n)
 
 
 def _certification_rows(n: int, samples: int, seed: int, rows: int | None = None):
     """Theta row chunks of the diagonal grid, then of the sample stream.
 
     Each chunk holds ``rows`` rows (by default :func:`_chunk_rows`), the
-    last of each part fewer.  The grid starts at theta = 0.
+    last of each part fewer.  The grid starts at theta = 0.  A chunk is
+    the (rows, n) transpose of a C-contiguous (n, rows) array, so the
+    kernel takes its parties without a copy.
     """
     chunk = _chunk_rows(n) if rows is None else rows
     grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
     for start in range(0, DIAG_GRID_POINTS, chunk):
-        yield np.repeat(grid[start:start + chunk, None], n, axis=1)
+        yield np.repeat(grid[None, start:start + chunk], n, axis=0).T
     for start in range(0, samples, chunk):
-        yield certification_thetas(seed, start, min(chunk, samples - start), n)
+        yield _certification_parties(seed, start, min(chunk, samples - start), n).T
 
 
 def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
@@ -573,6 +709,28 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _certify_pairs(scenario, w) -> tuple[list, list]:
+    """(scenarios, weights) of a certify call, or ValueError naming the expected form.
+
+    Takes one scenario with one real weight, or a sequence of scenarios
+    with a sequence of real weights (a string is no such sequence).
+    """
+    if isinstance(scenario, GhzScenario):
+        if not isinstance(w, numbers.Real):
+            raise ValueError(f"w must be a real number for one scenario, got {w!r}")
+        return [scenario], [w]
+    if isinstance(scenario, (str, bytes)) or not isinstance(scenario, Iterable):
+        raise ValueError(f"scenario must be a GhzScenario or a sequence of them, got {scenario!r}")
+    scenarios = list(scenario)
+    if not all(isinstance(sc, GhzScenario) for sc in scenarios):
+        raise ValueError(f"scenario must be a GhzScenario or a sequence of them, got {scenarios!r}")
+    ws = list(w) if isinstance(w, Iterable) and not isinstance(w, (str, bytes)) else None
+    if ws is None or not all(isinstance(weight, numbers.Real) for weight in ws):
+        raise ValueError(
+            f"w must be a sequence of real numbers, one per scenario, got {w!r}")
+    return scenarios, ws
+
+
 def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[float],
             samples: int = 100_000,
             seed: int = 0) -> DecompositionCertificate | list[DecompositionCertificate]:
@@ -585,20 +743,27 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     must be integers (numpy integers included), ``samples`` nonnegative.
 
     ``min_residual`` is never positive: the grid row theta = 0 has exact
-    zeros, so it is exactly 0.0 at w = 0.  From 7 parties on, the rows with
-    few unsaturated parties are evaluated only at their patterns with
-    P_L > 0; the others have residual P_Q >= 0, so the value is the one of
-    the full evaluation, bit for bit.
+    zeros, so it is exactly 0.0 at w = 0.  Rows with few unsaturated
+    parties are evaluated only at patterns with P_L > 0: from 7 parties on
+    its 2^u live patterns for a row with u unsaturated parties, and from 4
+    to 6 parties two patterns for a row with at most one, when enough rows
+    of a block have so few.  The other patterns have residual P_Q >= 0, so
+    the value is the one of the full evaluation, bit for bit.
 
     Given equal-length sequences of scenarios that share one party count
-    and of weights, certifies every pair in one pass over the settings and
-    returns a list of :class:`DecompositionCertificate`, each equal to the
-    matching single call; an empty pair of sequences gives ``[]``.  Every
-    weight is checked before anything is computed.
+    and of real weights, certifies every pair in one pass over the
+    settings and returns a list of :class:`DecompositionCertificate`, each
+    equal to the matching single call; an empty pair of sequences gives
+    ``[]``.  The pass shares the angles, their trigonometry and each
+    chunk's alpha-free Kronecker product K, and, from 4 to 6 parties, one
+    sort of each block that serves every scenario's two-pattern rows.  A
+    single scenario takes a single real weight; any other pairing is
+    refused with ValueError, and every weight is checked before anything
+    is computed.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     batch = not isinstance(scenario, GhzScenario)
-    scenarios, ws = (list(scenario), list(w)) if batch else ([scenario], [w])
+    scenarios, ws = _certify_pairs(scenario, w)
     if len(scenarios) != len(ws):
         raise ValueError(f"got {len(scenarios)} scenarios and {len(ws)} weights")
     for weight in ws:
@@ -630,9 +795,9 @@ def sampled_min_ratio(scenario: GhzScenario, samples: int = 100_000,
     Fallback weight when a claimed w fails certification; by construction
     certify() at this value over the same seed and sample count passes.
     ``samples`` and ``seed`` must be integers, ``samples`` nonnegative.  The
-    ratio is read only where P_L > 1e-12, so from 7 parties on the rows with
-    few unsaturated parties are evaluated only at their patterns with
-    P_L > 0, with the same value as the full evaluation, bit for bit.
+    ratio is read only where P_L > 1e-12, so the rows with few unsaturated
+    parties are evaluated only at patterns with P_L > 0, as in
+    :func:`certify`, with the same value as the full evaluation, bit for bit.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 0:

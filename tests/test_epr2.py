@@ -871,6 +871,37 @@ class TestCertifySequence:
         with pytest.raises(ValueError, match="w must lie in"):
             certify([GhzScenario(3, a) for a in self.ALPHAS], [0.1, 0.2, bad])
 
+    @pytest.mark.parametrize("pairing, form", [
+        ("sequence, number", "w must be a sequence of real numbers"),
+        ("scenario, sequence", "w must be a real number for one scenario"),
+        ("sequence, string", "w must be a sequence of real numbers"),
+        ("sequence, strings", "w must be a sequence of real numbers"),
+        ("number, number", "scenario must be a GhzScenario or a sequence of them"),
+        ("strings, sequence", "scenario must be a GhzScenario or a sequence of them"),
+    ])
+    def test_refuses_other_argument_pairings(self, monkeypatch, pairing, form):
+        def refuse(*args):
+            raise AssertionError("computed before checking the arguments")
+
+        monkeypatch.setattr(epr2, "_min_residuals", refuse)
+        sc = GhzScenario(3, 0.2)
+        scenario, w = {
+            "sequence, number": ([sc, sc], 0.5),
+            "scenario, sequence": (sc, [0.5]),
+            "sequence, string": ([sc, sc], "ab"),
+            "sequence, strings": ([sc, sc], ["0.5", "0.5"]),
+            "number, number": (3, 0.5),
+            "strings, sequence": (["ab"], [0.5]),
+        }[pairing]
+        with pytest.raises(ValueError, match=form):
+            certify(scenario, w)
+
+    def test_accepts_numpy_weights(self):
+        scenarios = [GhzScenario(3, alpha) for alpha in self.ALPHAS]
+        expected = certify(scenarios, list(self.WEIGHTS), samples=500, seed=1)
+        assert certify(scenarios, np.array(self.WEIGHTS), samples=500, seed=1) == expected
+        assert certify(scenarios[1], np.float64(0.3), samples=500, seed=1) == expected[1]
+
     def test_empty_sequence_gives_empty_list(self):
         assert certify([], [], samples=1000, seed=3) == []
         assert certify((), ()) == []
