@@ -17,6 +17,7 @@ import numbers
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +53,21 @@ DIAG_GRID_POINTS = 2001
 _CERT_CHUNK_BYTES = 512 * 2**10
 _CERT_MAX_ROWS = 8192
 
-# From this many parties on, rows with few unsaturated parties skip the
-# patterns where P_L is exactly 0 (the live path, :func:`_live_group`); at
-# 6 parties it ran no faster than the dense kernel.  The rows then come in
-# blocks of at least _LIVE_BLOCK_ROWS, so that each of its calls spans many
-# rows; it builds its factors in the dense kernel's buffers.
+# From this many parties on, a block whose rows have few unsaturated
+# parties skips the patterns where P_L is exactly 0 (the live path): one
+# row-dense pass reads every row at two patterns (:func:`_two_pattern_pass`),
+# the rows with more unsaturated parties add their other live patterns in
+# groups collected over blocks (:func:`_live_group`), and the rest run the
+# dense kernel.  At 6 parties the live path ran no faster than the dense
+# kernel.  A block holds as many whole dense chunks as the pass's factors
+# fit one kernel buffer, 1280 rows at 8 parties and 896 at 12
+# (:func:`_block_rows`).
 _LIVE_MIN_PARTIES = 7
-_LIVE_BLOCK_ROWS = 1024
+
+# From _LIVE_MIN_PARTIES on, an angle gets its cosine only where a scenario
+# of the batch may leave its party unsaturated (:func:`_block_cosines`),
+# with this margin: far beyond the rounding of cos and acos.
+_COS_MARGIN = 1e-12
 
 # From this many parties up to _LIVE_MIN_PARTIES, the dense pass sends the
 # rows with at most one unsaturated party past the dense kernel
@@ -232,18 +241,33 @@ def certification_thetas(seed: int, start: int, count: int, n: int) -> np.ndarra
     return np.ascontiguousarray(_certification_parties(seed, start, count, n).T)
 
 
-def _certification_parties(seed: int, start: int, count: int, n: int) -> np.ndarray:
-    """:func:`certification_thetas` in the kernel's (n, count) layout, computed in it."""
+def _hash_buffers(entries: int):
+    """Flat (float64, uint64, uint64) buffers of :func:`_certification_parties`."""
+    return np.empty(entries), np.empty(entries, np.uint64), np.empty(entries, np.uint64)
+
+
+def _certification_parties(seed: int, start: int, count: int, n: int,
+                           buffers=None) -> np.ndarray:
+    """:func:`certification_thetas` in the kernel's (n, count) layout, computed in it.
+
+    The hash runs in place in ``buffers`` from :func:`_hash_buffers`, of at
+    least ``n * count`` entries each, and the angles are a view of the
+    first; without ``buffers`` it makes fresh ones.  The counter of entry
+    (party j, sample i) is ``(i * n + j) + seed_mix`` modulo 2^64.
+    """
+    angles, z, spare = (b[:n * count].reshape(n, count)
+                        for b in (buffers or _hash_buffers(n * count)))
     mask = 0xFFFFFFFFFFFFFFFF
     seed_mix = ((seed & mask) * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & mask
-    idx = np.arange(start, start + count, dtype=np.uint64)[None, :] * np.uint64(
-        n
-    ) + np.arange(n, dtype=np.uint64)[:, None]
-    z = idx + np.uint64(seed_mix)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(float) * (math.pi / 2**53)
+    samples = np.arange(start, start + count, dtype=np.uint64) * np.uint64(n)
+    np.add(samples, np.arange(n, dtype=np.uint64)[:, None] + np.uint64(seed_mix), out=z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=spare)
+        z *= np.uint64(factor)
+    z ^= np.right_shift(z, np.uint64(31), out=spare)
+    z >>= np.uint64(11)
+    # z < 2^53 converts exactly, and from int64 faster than from uint64.
+    return np.multiply(z.view(np.int64), math.pi / 2**53, out=angles)
 
 
 def _kron_rows(plus: np.ndarray, minus: np.ndarray, out: np.ndarray,
@@ -282,15 +306,75 @@ def _certification_buffers(rows: int, n: int, scenarios: int = 1):
     return tuple(np.empty(rows * 2**n) for _ in range(3 if scenarios == 1 else 4))
 
 
-def _alpha_free_factors(parties: np.ndarray, buffers):
-    """K of one dense chunk from its (n, rows) angles: the part no alpha changes.
+class _Block(NamedTuple):
+    """A block of angle rows as the kernel reads it, (n, rows) arrays each.
+
+    ``cosines`` holds ``cos t_j`` (or, from :func:`_block_cosines`, +-1.0
+    where that clips to the same term), ``half_cos`` and ``half_sin`` the
+    half-angle ``cos h_j`` and ``sin h_j`` with h = t / 2.
+    """
+
+    cosines: np.ndarray
+    half_cos: np.ndarray
+    half_sin: np.ndarray
+
+    def take(self, columns) -> _Block:
+        """The block of the given rows."""
+        return _Block(*(a.take(columns, axis=1) for a in self))
+
+
+def _block(parties: np.ndarray, bound: float | None = None, buffers=None) -> _Block:
+    """The :class:`_Block` of (n, rows) angles: every cosine, or with ``bound``
+    those of :func:`_block_cosines`.
+
+    The three arrays are views of the flat ``buffers``, of at least
+    ``parties.size`` entries each (fresh ones without them).  The angles
+    may sit in the half-angle sines' buffer: they are read before it is
+    written, and halved in place.
+    """
+    buffers = buffers or tuple(np.empty(parties.size) for _ in range(3))
+    block = _Block(*(b[:parties.size].reshape(parties.shape) for b in buffers))
+    if bound is None:
+        np.cos(parties, out=block.cosines)
+    else:
+        _block_cosines(parties, bound, block.cosines)
+    half = np.multiply(0.5, parties, out=block.half_sin)
+    np.cos(half, out=block.half_cos)
+    np.sin(half, out=block.half_sin)
+    return block
+
+
+def _block_cosines(parties: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
+    """``cos t`` of the (n, rows) angles where a party may be unsaturated, else +-1.0.
+
+    ``bound`` is the largest ``|cos t0|`` of the scenarios that read the
+    cosines.  With ``x = bound + _COS_MARGIN < 1``, every angle up to
+    ``acos(x) - _COS_MARGIN`` has ``fl(cos t) > bound``, so
+    :func:`_party_terms` clips it to +1 for each of those scenarios, as it
+    clips the +1.0 put in its place; from ``pi`` minus that edge on, -1.0
+    stands for the cosine the same way.  The margin is far beyond the
+    rounding of cos and acos.  Only the angles in between get their
+    cosine, and all of them when ``x >= 1``: a batch that reaches
+    alpha = 0.  Writes into the C-contiguous ``out``.
+    """
+    x = bound + _COS_MARGIN
+    if x >= 1.0:
+        return np.cos(parties, out=out)
+    edge = math.acos(x) - _COS_MARGIN
+    np.copysign(1.0, np.subtract(math.pi / 2, parties, out=out), out=out)
+    middle = np.flatnonzero((parties > edge) & (parties < math.pi - edge))
+    out.reshape(-1)[middle] = np.cos(parties.reshape(-1)[middle])
+    return out
+
+
+def _alpha_free_factors(half_cos: np.ndarray, half_sin: np.ndarray, buffers):
+    """K of one dense chunk from its (n, rows) half-angle trigonometry: the part no alpha changes.
 
     ``K = kron_j (cos h_j, sin h_j)`` with h = theta / 2 is a (2^n, rows)
     view of the first :func:`_certification_buffers` buffer; the third
     buffer is scratch, free again on return.
     """
-    half = 0.5 * parties
-    return _kron_rows(np.cos(half), np.sin(half), buffers[0], buffers[2])
+    return _kron_rows(half_cos, half_sin, buffers[0], buffers[2])
 
 
 def _alpha_factors(scenario: GhzScenario, k: np.ndarray, terms: np.ndarray,
@@ -336,9 +420,10 @@ def _alpha_factors(scenario: GhzScenario, k: np.ndarray, terms: np.ndarray,
 
 def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
     """(worst-phase P_Q, P_L) at theta rows (rows, n) on the dense kernel."""
-    parties = np.ascontiguousarray(thetas.T)
-    terms = _party_terms(cos_theta0(scenario), np.cos(parties))
-    return _alpha_factors(scenario, _alpha_free_factors(parties, buffers), terms, buffers, True)
+    block = _block(np.ascontiguousarray(thetas.T))
+    terms = _party_terms(cos_theta0(scenario), block.cosines)
+    k = _alpha_free_factors(block.half_cos, block.half_sin, buffers)
+    return _alpha_factors(scenario, k, terms, buffers, True)
 
 
 def _may_split(n: int, scenarios: int) -> bool:
@@ -349,12 +434,11 @@ def _may_split(n: int, scenarios: int) -> bool:
             and scenarios * ((1 << n) - 2) > _SPLIT_ROW_COST)
 
 
-def _two_pattern_rows(scenarios, parties: np.ndarray, cos_parties: np.ndarray):
+def _two_pattern_rows(scenarios, block: _Block):
     """One block's rows sorted for the two-pattern suffix, or ``None``.
 
-    Returns the sorted (n, rows) angles and cosines, each scenario's count
-    of dense rows, the (4, rows) patterns and each row's smallest
-    ``|cos t_j|``.
+    Returns the sorted :class:`_Block`, each scenario's count of dense
+    rows, the (4, rows) patterns and each row's smallest ``|cos t_j|``.
 
     The rows are sorted by their second-smallest ``|cos t_j|``.  A row
     whose key reaches a scenario's ``|cos t0|`` has at most one
@@ -376,12 +460,12 @@ def _two_pattern_rows(scenarios, parties: np.ndarray, cos_parties: np.ndarray):
     ``_SPLIT_ROW_COST`` per row of the block.  A count at the smallest
     ``|cos t0|`` alone bounds that sum before the keys are computed.
     """
-    n, rows = cos_parties.shape
+    n, rows = block.cosines.shape
     if not _may_split(n, len(scenarios)):
         return None
     bounds = np.array([abs(cos_theta0(sc)) for sc in scenarios])
     cost, saved = _SPLIT_ROW_COST * rows, (1 << n) - 2
-    magnitudes = np.abs(cos_parties)
+    magnitudes = np.abs(block.cosines)
     unsaturated = np.add.reduce(magnitudes < bounds.min(), axis=0, dtype=np.uint8)
     if len(bounds) * np.count_nonzero(unsaturated <= 1) * saved <= cost:
         return None
@@ -392,14 +476,13 @@ def _two_pattern_rows(scenarios, parties: np.ndarray, cos_parties: np.ndarray):
     if np.count_nonzero(second >= bounds[:, None]) * saved <= cost:
         return None
     order = np.argsort(second)
-    parties, cos_parties, least = (parties.take(order, axis=1), cos_parties.take(order, axis=1),
-                                   least[order])
+    block, least = block.take(order), least[order]
     bits = 2.0 ** np.arange(n - 1, -1, -1)
-    forced = (bits @ (cos_parties < 0.0)).astype(np.intp)
-    flipped = forced ^ (bits @ (np.abs(cos_parties) == least)).astype(np.intp)
+    forced = (bits @ (block.cosines < 0.0)).astype(np.intp)
+    flipped = forced ^ (bits @ (np.abs(block.cosines) == least)).astype(np.intp)
     patterns = np.stack((forced, flipped, (1 << n) - 1 - forced, (1 << n) - 1 - flipped))
     ends = np.searchsorted(second[order], bounds).tolist()
-    return parties, cos_parties, ends, patterns, least
+    return block, ends, patterns, least
 
 
 def _two_pattern_factors(scenario: GhzScenario, k_patterns: np.ndarray, least: np.ndarray):
@@ -425,14 +508,13 @@ def _two_pattern_factors(scenario: GhzScenario, k_patterns: np.ndarray, least: n
     return pq_worst, pl
 
 
-def _dense_factors(scenarios, parties: np.ndarray, cos_parties: np.ndarray, buffers):
+def _dense_factors(scenarios, block: _Block, buffers):
     """(index, worst-phase P_Q, P_L) of every scenario at every row of a block.
 
-    ``parties`` holds the (n, rows) angles and ``cos_parties`` their
-    cosines, cut into chunks of :func:`_chunk_rows` rows.  The pass is
-    chunk-major and scenario-minor: each chunk's K is built once, then
-    every scenario runs the same operations, in the same order, as it
-    would alone, so each entry is bit-identical to a batch of one.
+    The :class:`_Block` is cut into chunks of :func:`_chunk_rows` rows.
+    The pass is chunk-major and scenario-minor: each chunk's K is built
+    once, then every scenario runs the same operations, in the same order,
+    as it would alone, so each entry is bit-identical to a batch of one.
 
     When :func:`_two_pattern_rows` sorts the block, a scenario's
     two-pattern rows read only their two live patterns, gathered from the
@@ -442,16 +524,17 @@ def _dense_factors(scenarios, parties: np.ndarray, cos_parties: np.ndarray, buff
     """
     if not scenarios:
         return
-    n, rows = parties.shape
-    split = _two_pattern_rows(scenarios, parties, cos_parties)
+    n, rows = block.cosines.shape
+    split = _two_pattern_rows(scenarios, block)
     if split is None:
         ends, patterns, least = [rows] * len(scenarios), None, None
     else:
-        parties, cos_parties, ends, patterns, least = split
+        block, ends, patterns, least = split
     chunk = _chunk_rows(n)
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
-        k = _alpha_free_factors(parties[:, start:stop], buffers)
+        k = _alpha_free_factors(block.half_cos[:, start:stop], block.half_sin[:, start:stop],
+                                buffers)
         first = max(start, min(ends))
         if first < stop:
             # K is a C-contiguous (2^n, stop - start) view: entry
@@ -466,7 +549,7 @@ def _dense_factors(scenarios, parties: np.ndarray, cos_parties: np.ndarray, buff
         active = [i for i, end in enumerate(ends) if end > start]
         for i in active:
             part = slice(start, min(ends[i], stop))
-            terms = _party_terms(cos_theta0(scenarios[i]), cos_parties[:, part])
+            terms = _party_terms(cos_theta0(scenarios[i]), block.cosines[:, part])
             yield i, *_alpha_factors(scenarios[i], k[:, :part.stop - start], terms, buffers,
                                      i == active[-1])
 
@@ -482,15 +565,78 @@ def _live_max_unsaturated(n: int, entries: int) -> int:
     return min((1 << n) // (2 * n), entries // (3 * n)).bit_length() - 1
 
 
-def _live_group(scenario: GhzScenario, parties: np.ndarray, terms: np.ndarray, u: int,
-                buffers):
+def _forced_factors(block: _Block, k: np.ndarray, kr: np.ndarray):
+    """Write the K and Kr factors of every party at the outcome of its cosine's sign.
+
+    The sign is a saturated party's forced outcome, as in the dense
+    kernel, where ``(1 +- t) / 2`` is 0 at the other.  K takes ``cos h``
+    at +1 and ``sin h`` at -1, Kr the other one; ``k`` and ``kr`` are
+    (n, rows) arrays.
+
+    The choice runs on the bits, several times faster than ``np.where`` on
+    a random mask: the sign bit of a cosine (never -0.0, as no float angle
+    in [0, pi] has cos t = 0), spread over all 64 bits, masks the bits
+    that turn ``cos h`` into ``sin h`` and back.
+    """
+    cos_h, sin_h = block.half_cos.view(np.int64), block.half_sin.view(np.int64)
+    k, swap = k.view(np.int64), kr.view(np.int64)
+    np.right_shift(block.cosines.view(np.int64), 63, out=swap)
+    swap &= np.bitwise_xor(cos_h, sin_h, out=k)
+    np.bitwise_xor(cos_h, swap, out=k)
+    np.bitwise_xor(sin_h, swap, out=swap)
+
+
+def _two_pattern_pass(scenario: GhzScenario, block: _Block, terms: np.ndarray,
+                      free: np.ndarray, buffers):
+    """(worst-phase P_Q, P_L) of every row of a block at two patterns, (2, rows) each.
+
+    Pattern A puts every unsaturated party (``free``) at +1, pattern B
+    every one at -1, and both every saturated party at its forced outcome
+    (:func:`_forced_factors`).  So a row with no unsaturated party has
+    A = B, a row with one has both of its live patterns, and a row with
+    u >= 2 two of its 2^u, which :func:`_live_group` supplies in full; an
+    entry read twice changes no minimum.
+
+    The factors are the dense kernel's: K takes cos h_j at +1 and sin h_j
+    at -1, Kr the other, and P_L ``(1 +- t_j) / 2``, exactly 1.0 at a
+    forced outcome.  The forced factors fill the (6, n, rows) factor array
+    in the first :func:`_certification_buffers` buffer, which must hold
+    that many entries, and only the sparse unsaturated entries are then
+    written by index.  Each product runs over the parties left to right
+    and the cos(a) / sin(a) scale comes last, so every entry is
+    bit-identical to the dense entry of its pattern.
+    """
+    n, rows = terms.shape
+    factors = buffers[0][:6 * n * rows].reshape(6, n, rows)
+    # Rows of the factors: K at A and at B, Kr at A and at B, P_L at A and at B.
+    _forced_factors(block, factors[0], factors[2])
+    factors[1], factors[3], factors[4:6] = factors[0], factors[2], 1.0
+    k_a, k_b, kr_a, kr_b, pl_a, pl_b = factors.reshape(6, -1)
+    cells = np.flatnonzero(free)
+    k_a[cells] = kr_b[cells] = block.half_cos.reshape(-1)[cells]
+    k_b[cells] = kr_a[cells] = block.half_sin.reshape(-1)[cells]
+    t = terms.reshape(-1)[cells]
+    pl_a[cells] = 0.5 * (1.0 + t)
+    pl_b[cells] = 0.5 * (1.0 - t)
+    products = buffers[1][:6 * rows].reshape(6, rows)
+    k, kr, pl = np.multiply.reduce(factors, axis=1, out=products).reshape(3, 2, rows)
+    kr *= math.sin(scenario.alpha)
+    k *= math.cos(scenario.alpha)
+    k -= kr
+    np.square(k, out=k)
+    return k, pl
+
+
+def _live_group(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.ndarray,
+                terms: np.ndarray, u: int, buffers):
     """(worst-phase P_Q, P_L) at the live patterns of rows with u unsaturated parties.
 
-    Takes the (n, rows) angles and :func:`_party_terms` of those rows and
-    returns (2^u, rows) arrays, whose pattern index holds the outcomes of
-    the unsaturated parties, the first of them in the most significant bit.
-    A saturated party (term +-1) has one P_L factor exactly 0, so its
-    outcome is forced; every other pattern has P_L = 0.
+    Takes the (n, rows) half-angle trigonometry and :func:`_party_terms`
+    of those rows and returns (2^u, rows) arrays, whose pattern index
+    holds the outcomes of the unsaturated parties, the first of them in
+    the most significant bit.  A saturated party (term +-1) has one P_L
+    factor exactly 0, so its outcome is forced; every other pattern has
+    P_L = 0.
 
     K, its complement ``Kr = kron_j (sin h_j, cos h_j)`` and P_L are each a
     product over all parties, left to right, of the factor that the
@@ -505,27 +651,22 @@ def _live_group(scenario: GhzScenario, parties: np.ndarray, terms: np.ndarray, u
     n, rows = terms.shape
     plus, minus, picked = (b[:3 * n * rows << u].reshape(3, -1, n, rows) for b in buffers[:3])
     plus, minus = plus[:, 0], minus[:, 0]
-    half = 0.5 * parties
-    np.cos(half, out=plus[0])
-    np.sin(half, out=plus[1])
-    minus[0], minus[1] = plus[1], plus[0]
+    plus[0], plus[1] = half_cos, half_sin
+    minus[0], minus[1] = half_sin, half_cos
     np.multiply(0.5, np.add(1.0, terms, out=plus[2]), out=plus[2])
     np.multiply(0.5, np.subtract(1.0, terms, out=minus[2]), out=minus[2])
     np.copyto(plus, minus, where=terms == -1.0)
-    if u:
-        free = np.abs(terms) < 1.0
-        # A saturated party's factor is its forced one whichever outcome
-        # the pattern picks, so it may read any bit of the pattern index.
-        np.copyto(minus, plus, where=~free)
-        bits = u - 1 - (np.cumsum(free, axis=0) - free)
-        np.maximum(bits, 0, out=bits)
-        patterns = np.arange(2**u)[:, None, None]
-        np.copyto(picked, plus[:, None])
-        np.copyto(picked, minus[:, None], where=(patterns >> bits) & 1 == 1)
-        plus = picked
-    else:
-        plus = plus[:, None]
-    k, kr, pl = np.multiply.reduce(plus, axis=-2)
+    free = np.abs(terms) < 1.0
+    # A saturated party's factor is its forced one whichever outcome the
+    # pattern picks, so it may read any bit of the pattern index.
+    np.copyto(minus, plus, where=~free)
+    # Small integers keep the (2^u, n, rows) pattern mask small: u <= 7 at 12 parties.
+    bits = u - 1 - (np.cumsum(free, axis=0, dtype=np.int16) - free)
+    np.maximum(bits, 0, out=bits)
+    patterns = np.arange(2**u, dtype=np.int16)[:, None, None]
+    np.copyto(picked, plus[:, None])
+    np.copyto(picked, minus[:, None], where=(patterns >> bits) & 1 == 1)
+    k, kr, pl = np.multiply.reduce(picked, axis=-2)
     kr *= math.sin(scenario.alpha)
     k *= math.cos(scenario.alpha)
     k -= kr
@@ -533,8 +674,52 @@ def _live_group(scenario: GhzScenario, parties: np.ndarray, terms: np.ndarray, u
     return k, pl
 
 
-def _live_rows(scenario: GhzScenario, cos_parties: np.ndarray, entries: int):
-    """(terms, unsaturated count per row, live rows) of one block, or ``None``.
+class _LiveGroups:
+    """Rows with two or more unsaturated parties, collected over blocks.
+
+    The rows wait per (scenario index, u) as their columns of the block's
+    half-angle trigonometry and terms, and run :func:`_live_group` in
+    calls as large as its (3, 2^u, n, rows) factors fit a kernel buffer of
+    ``entries``, so a call spans many blocks' rows.
+    """
+
+    def __init__(self, scenarios, entries: int):
+        self.scenarios, self.entries = scenarios, entries
+        self.waiting = {}
+
+    def add(self, i: int, block: _Block, terms: np.ndarray, unsaturated: np.ndarray,
+            live: np.ndarray):
+        """Keep scenario i's live rows of the block with u >= 2."""
+        counts = np.bincount(unsaturated[live]).tolist()
+        for u in (u for u in range(2, len(counts)) if counts[u]):
+            rows = np.flatnonzero(unsaturated == u)
+            self.waiting.setdefault((i, u), []).append(
+                (block.half_cos.take(rows, axis=1), block.half_sin.take(rows, axis=1),
+                 terms.take(rows, axis=1)))
+
+    def pieces(self, buffers, final: bool = False):
+        """(index, worst-phase P_Q, P_L) of every full call, and with ``final`` of
+        every row still waiting."""
+        for (i, u), parts in list(self.waiting.items()):
+            scenario = self.scenarios[i]
+            step = self.entries // (3 * scenario.n << u)
+            count = sum(part[2].shape[1] for part in parts)
+            stop = count if final else count - count % step
+            if not stop:
+                continue
+            half_cos, half_sin, terms = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
+            for start in range(0, stop, step):
+                part = slice(start, min(start + step, stop))
+                yield i, *_live_group(scenario, half_cos[:, part], half_sin[:, part],
+                                      terms[:, part], u, buffers)
+            if stop < count:
+                self.waiting[i, u] = [(half_cos[:, stop:], half_sin[:, stop:], terms[:, stop:])]
+            else:
+                del self.waiting[i, u]
+
+
+def _live_rows(scenario: GhzScenario, cosines: np.ndarray, entries: int):
+    """(terms, unsaturated parties, their count per row, live rows) of one block, or ``None``.
 
     A row is live when it has at most :func:`_live_max_unsaturated`
     unsaturated parties.  ``None``, and the whole block runs the dense
@@ -546,41 +731,42 @@ def _live_rows(scenario: GhzScenario, cos_parties: np.ndarray, entries: int):
     n = scenario.n
     if n < _LIVE_MIN_PARTIES:
         return None
-    terms = _party_terms(cos_theta0(scenario), cos_parties)
-    unsaturated = np.count_nonzero(np.abs(terms) < 1.0, axis=0)
+    terms = _party_terms(cos_theta0(scenario), cosines)
+    free = np.abs(terms) < 1.0
+    unsaturated = np.count_nonzero(free, axis=0)
     live = unsaturated <= _live_max_unsaturated(n, entries)
     saved_rows = np.count_nonzero(live) - np.sum(n << unsaturated[live]) / (1 << n)
     if 3 * saved_rows < live.size:
         return None
-    return terms, unsaturated, live
+    return terms, free, unsaturated, live
 
 
-def _split_factors(scenario: GhzScenario, parties: np.ndarray, cos_parties: np.ndarray,
-                   terms: np.ndarray, unsaturated: np.ndarray, live: np.ndarray, buffers):
-    """(worst-phase P_Q, P_L) pieces of one scenario over a block split by :func:`_live_rows`.
+def _split_factors(i: int, scenario: GhzScenario, block: _Block, split, groups: _LiveGroups,
+                   buffers):
+    """(index, worst-phase P_Q, P_L) pieces of scenario i over a block split by :func:`_live_rows`.
 
-    The live rows run :func:`_live_group`, grouped by their count of
-    unsaturated parties in pieces whose factors fill at most one buffer;
-    the other rows run the dense kernel.  The live path skips only entries
-    where P_L = 0, whose residual is P_Q >= 0 and whose ratio is never taken.
+    Every row runs :func:`_two_pattern_pass`; the live rows with u >= 2
+    unsaturated parties join ``groups``, whose full calls run here too,
+    and the rows that are not live run the dense kernel.  The live path
+    skips only entries where P_L = 0, whose residual is P_Q >= 0 and whose
+    ratio is never taken.
     """
-    for u in np.flatnonzero(np.bincount(unsaturated[live])).tolist():
-        rows = np.flatnonzero(unsaturated == u)
-        step = buffers[0].size // (3 * scenario.n << u)
-        for start in range(0, rows.size, step):
-            part = rows[start:start + step]
-            yield _live_group(scenario, parties.take(part, axis=1), terms.take(part, axis=1), u,
-                              buffers)
-    dense = np.flatnonzero(~live)
-    for _, pq_worst, pl in _dense_factors([scenario], parties.take(dense, axis=1),
-                                          cos_parties.take(dense, axis=1), buffers):
-        yield pq_worst, pl
+    terms, free, unsaturated, live = split
+    yield i, *_two_pattern_pass(scenario, block, terms, free, buffers)
+    groups.add(i, block, terms, unsaturated, live)
+    yield from groups.pieces(buffers)
+    for _, pq_worst, pl in _dense_factors([scenario], block.take(np.flatnonzero(~live)),
+                                          buffers):
+        yield i, pq_worst, pl
 
 
 def _factor_pieces(scenarios, samples: int, seed: int, buffers):
     """(index, worst-phase P_Q, P_L) pieces of every scenario over every row.
 
-    The rows come in blocks of :func:`_block_rows`.  Per block, each
+    The rows come in blocks of :func:`_block_rows`, each with its
+    trigonometry computed once for every scenario: from
+    ``_LIVE_MIN_PARTIES`` on the cosines only where a scenario may leave
+    a party unsaturated (:func:`_block_cosines`).  Per block, each
     scenario that :func:`_live_rows` splits runs :func:`_split_factors`;
     the others, every one below ``_LIVE_MIN_PARTIES``, then share one
     :func:`_dense_factors` pass: each dense chunk's K and, from
@@ -588,20 +774,19 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
     are only valid until the next piece is drawn.
     """
     n = scenarios[0].n
-    for thetas in _certification_rows(n, samples, seed, _block_rows(n, len(scenarios))):
-        parties = np.ascontiguousarray(thetas.T)
-        cos_parties = np.cos(parties)
+    bound = max(abs(cos_theta0(sc)) for sc in scenarios) if n >= _LIVE_MIN_PARTIES else None
+    groups = _LiveGroups(scenarios, buffers[0].size)
+    for block in _certification_blocks(n, samples, seed, _block_rows(n, len(scenarios)), bound):
         shared = []
         for i, scenario in enumerate(scenarios):
-            split = _live_rows(scenario, cos_parties, buffers[0].size)
+            split = _live_rows(scenario, block.cosines, buffers[0].size)
             if split is None:
                 shared.append(i)
                 continue
-            for pq_worst, pl in _split_factors(scenario, parties, cos_parties, *split, buffers):
-                yield i, pq_worst, pl
-        for k, pq_worst, pl in _dense_factors([scenarios[i] for i in shared], parties,
-                                              cos_parties, buffers):
+            yield from _split_factors(i, scenario, block, split, groups, buffers)
+        for k, pq_worst, pl in _dense_factors([scenarios[i] for i in shared], block, buffers):
             yield shared[k], pq_worst, pl
+    yield from groups.pieces(buffers, final=True)
 
 
 def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
@@ -658,13 +843,15 @@ def _chunk_rows(n: int) -> int:
 def _block_rows(n: int, scenarios: int = 1) -> int:
     """Rows per block: ``_SPLIT_BLOCK_ROWS`` where :func:`_may_split`, so that
     one sort of :func:`_two_pattern_rows` spans several chunks; from
-    ``_LIVE_MIN_PARTIES`` on at least ``_LIVE_BLOCK_ROWS``, so that each
-    live group spans many rows; else a dense chunk."""
+    ``_LIVE_MIN_PARTIES`` on as many whole chunks as the (6, n, rows)
+    factors of :func:`_two_pattern_pass` fit one kernel buffer, or one
+    chunk; else a dense chunk."""
+    chunk = _chunk_rows(n)
     if _may_split(n, scenarios):
-        return max(_chunk_rows(n), _SPLIT_BLOCK_ROWS)
+        return max(chunk, _SPLIT_BLOCK_ROWS)
     if n >= _LIVE_MIN_PARTIES:
-        return max(_chunk_rows(n), _LIVE_BLOCK_ROWS)
-    return _chunk_rows(n)
+        return max(chunk, (chunk << n) // (6 * n) // chunk * chunk)
+    return chunk
 
 
 def _certification_rows(n: int, samples: int, seed: int, rows: int | None = None):
@@ -672,8 +859,7 @@ def _certification_rows(n: int, samples: int, seed: int, rows: int | None = None
 
     Each chunk holds ``rows`` rows (by default :func:`_chunk_rows`), the
     last of each part fewer.  The grid starts at theta = 0.  A chunk is
-    the (rows, n) transpose of a C-contiguous (n, rows) array, so the
-    kernel takes its parties without a copy.
+    the (rows, n) transpose of a C-contiguous (n, rows) array.
     """
     chunk = _chunk_rows(n) if rows is None else rows
     grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
@@ -681,6 +867,33 @@ def _certification_rows(n: int, samples: int, seed: int, rows: int | None = None
         yield np.repeat(grid[None, start:start + chunk], n, axis=0).T
     for start in range(0, samples, chunk):
         yield _certification_parties(seed, start, min(chunk, samples - start), n).T
+
+
+def _certification_blocks(n: int, samples: int, seed: int, rows: int,
+                          bound: float | None = None):
+    """The :class:`_Block` of each chunk of ``rows`` rows of :func:`_certification_rows`.
+
+    A grid row repeats one angle n times, so its trigonometry is computed
+    once per grid point and repeated over the parties.  The sample angles
+    are hashed, and every block's arrays written, into buffers reused from
+    block to block, so a block is only valid until the next is drawn.
+    ``bound`` is that of :func:`_block`.
+    """
+    buffers = tuple(np.empty(n * rows) for _ in range(3))
+    grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
+    for start in range(0, DIAG_GRID_POINTS, rows):
+        angles = grid[start:start + rows]
+        block = _Block(*(b[:n * angles.size].reshape(n, -1) for b in buffers))
+        for values, out in zip(_block(angles), block):
+            out[...] = values
+        yield block
+    # The hash runs in the buffers of the cosines and of the half-angle
+    # cosines, and leaves the angles in that of the half-angle sines, where
+    # _block halves them in place.
+    hashing = buffers[2], buffers[0].view(np.uint64), buffers[1].view(np.uint64)
+    for start in range(0, samples, rows):
+        parties = _certification_parties(seed, start, min(rows, samples - start), n, hashing)
+        yield _block(parties, bound, buffers)
 
 
 def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
@@ -691,12 +904,18 @@ def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
     outcomes: there both K products hold a factor sin 0 = 0 and P_L one
     (1 - 1) / 2 = 0.  That row is always evaluated, and every entry the
     live path skips has a residual P_Q >= 0, so each value is the dense
-    kernel's minimum.
+    kernel's minimum.  At w = 0 every residual is P_Q >= 0, so that
+    minimum is 0.0 and no row is evaluated for it.
     """
-    n = scenarios[0].n
-    buffers = _certification_buffers(_chunk_rows(n), n, len(scenarios))
     residuals = [0.0] * len(scenarios)
-    for i, pq_worst, pl in _factor_pieces(scenarios, samples, seed, buffers):
+    evaluated = [i for i, w in enumerate(ws) if w != 0.0]
+    if not evaluated:
+        return residuals
+    n = scenarios[0].n
+    buffers = _certification_buffers(_chunk_rows(n), n, len(evaluated))
+    pieces = _factor_pieces([scenarios[i] for i in evaluated], samples, seed, buffers)
+    for k, pq_worst, pl in pieces:
+        i = evaluated[k]
         residuals[i] = min(residuals[i], _min_residual(pq_worst, pl, ws[i]))
     return residuals
 

@@ -45,15 +45,16 @@ def _dense(scenario, thetas):
 def _live(scenario, thetas):
     """Every live entry's (P_Q, P_L), one group per count of unsaturated parties."""
     n = scenario.n
-    parties = np.ascontiguousarray(thetas.T)
-    terms = _party_terms(cos_theta0(scenario), np.cos(parties))
+    block = epr2._block(np.ascontiguousarray(thetas.T))
+    terms = _party_terms(cos_theta0(scenario), block.cosines)
     unsaturated = np.count_nonzero(np.abs(terms) < 1.0, axis=0)
     pq, pl = [], []
     for u in np.flatnonzero(np.bincount(unsaturated)).tolist():
         rows = np.flatnonzero(unsaturated == u)
         buffers = tuple(np.empty(3 * n * rows.size << u) for _ in range(3))
-        group = epr2._live_group(scenario, parties.take(rows, axis=1),
-                                 terms.take(rows, axis=1), u, buffers)
+        group = epr2._live_group(scenario, block.half_cos.take(rows, axis=1),
+                                 block.half_sin.take(rows, axis=1), terms.take(rows, axis=1),
+                                 u, buffers)
         pq.append(group[0].ravel())
         pl.append(group[1].ravel())
     return np.concatenate(pq), np.concatenate(pl)
@@ -118,9 +119,9 @@ def test_certify_reads_only_live_patterns_at_interior_alphas(n, monkeypatch):
     dense_rows = []
     original = epr2._dense_factors
 
-    def counted(scenarios, parties, cos_parties, buffers):
-        dense_rows.append(parties.shape[1] if scenarios else 0)
-        return original(scenarios, parties, cos_parties, buffers)
+    def counted(scenarios, block, buffers):
+        dense_rows.append(block.cosines.shape[1] if scenarios else 0)
+        return original(scenarios, block, buffers)
 
     monkeypatch.setattr(epr2, "_dense_factors", counted)
     cert = certify(sc, 0.2, samples=256, seed=3)

@@ -78,7 +78,7 @@ def _pass_extrema(scenarios, ws, thetas):
     parties = np.ascontiguousarray(thetas.T)
     buffers = epr2._certification_buffers(epr2._chunk_rows(n), n, len(scenarios))
     residuals, ratios = [0.0] * len(scenarios), [math.inf] * len(scenarios)
-    for i, pq_worst, pl in epr2._dense_factors(scenarios, parties, np.cos(parties), buffers):
+    for i, pq_worst, pl in epr2._dense_factors(scenarios, epr2._block(parties), buffers):
         ratios[i] = min(ratios[i], epr2._min_ratio(pq_worst.copy(), pl.copy()))
         residuals[i] = min(residuals[i], epr2._min_residual(pq_worst, pl, ws[i]))
     return list(zip(residuals, ratios))
@@ -97,7 +97,7 @@ def test_two_pattern_pass_is_the_dense_reference(block, pairs, chunk_rows):
         # one.  Short chunks put the sorted rows of one block in several.
         patch.setattr(epr2, "_SPLIT_ROW_COST", 0)
         patch.setattr(epr2, "_CERT_MAX_ROWS", chunk_rows)
-        split = epr2._two_pattern_rows(scenarios, parties, np.cos(parties))
+        split = epr2._two_pattern_rows(scenarios, epr2._block(parties))
         got = _pass_extrema(scenarios, ws, thetas)
     assert (split is None) == (n in (3, 7))
     assert got == [epr2._residual_extrema(sc, w, thetas) for sc, w in zip(scenarios, ws)]
@@ -119,7 +119,10 @@ def _count_two_pattern_pieces(monkeypatch):
 def test_batch_certificates_are_the_dense_minima(n, monkeypatch):
     alphas = (0.0, 1e-12, 0.1, 0.3, math.pi / 4 - 1e-12, math.pi / 4)
     scenarios = [GhzScenario(n, alpha) for alpha in alphas]
-    ws = [_weight(sc, w) for sc, w in zip(scenarios, (0.0, "lower_bound", 0.5, 1.0) * 2)]
+    # certify skips a w = 0 scenario, so the near-saturated alphas, whose
+    # rows take the two-pattern suffix, carry nonzero weights.
+    weights = (0.0, "lower_bound", 0.5, 1.0, "lower_bound", 0.5)
+    ws = [_weight(sc, w) for sc, w in zip(scenarios, weights)]
     samples, seed = 5000, 11
     pieces = _count_two_pattern_pieces(monkeypatch)
     certificates = certify(scenarios, ws, samples=samples, seed=seed)
@@ -157,7 +160,8 @@ def test_a_key_equal_to_the_bound_is_a_two_pattern_row(monkeypatch):
                          [below, -below, 0.9, 0.9],
                          [0.2, 0.9, -0.9, 0.9]])
     parties = np.arccos(cos_rows).T.copy()
-    _, _, ends, _, least = epr2._two_pattern_rows([sc], parties, cos_rows.T.copy())
+    block = epr2._block(parties)._replace(cosines=cos_rows.T.copy())
+    _, ends, _, least = epr2._two_pattern_rows([sc], block)
     assert ends == [1]
     assert least.tolist() == [below, 0.1, 0.2]
 
