@@ -565,25 +565,72 @@ def _live_max_unsaturated(n: int, entries: int) -> int:
     return min((1 << n) // (2 * n), entries // (3 * n)).bit_length() - 1
 
 
-def _forced_factors(block: _Block, k: np.ndarray, kr: np.ndarray):
-    """Write the K and Kr factors of every party at the outcome of its cosine's sign.
+def _forced_factors(terms: np.ndarray, half_cos: np.ndarray, half_sin: np.ndarray,
+                    k: np.ndarray, kr: np.ndarray):
+    """Write the K and Kr factors of every party at the outcome of its term's sign.
 
-    The sign is a saturated party's forced outcome, as in the dense
-    kernel, where ``(1 +- t) / 2`` is 0 at the other.  K takes ``cos h``
-    at +1 and ``sin h`` at -1, Kr the other one; ``k`` and ``kr`` are
+    The sign of a saturated party's term (+-1) is its forced outcome, as
+    in the dense kernel, where ``(1 +- t) / 2`` is 0 at the other.  K takes
+    ``cos h`` at +1 and ``sin h`` at -1, Kr the other one; all five are
     (n, rows) arrays.
 
     The choice runs on the bits, several times faster than ``np.where`` on
-    a random mask: the sign bit of a cosine (never -0.0, as no float angle
-    in [0, pi] has cos t = 0), spread over all 64 bits, masks the bits
-    that turn ``cos h`` into ``sin h`` and back.
+    a random mask: the sign bit of the term, spread over all 64 bits, masks
+    the bits that turn ``cos h`` into ``sin h`` and back.
     """
-    cos_h, sin_h = block.half_cos.view(np.int64), block.half_sin.view(np.int64)
+    cos_h, sin_h = half_cos.view(np.int64), half_sin.view(np.int64)
     k, swap = k.view(np.int64), kr.view(np.int64)
-    np.right_shift(block.cosines.view(np.int64), 63, out=swap)
+    np.right_shift(terms.view(np.int64), 63, out=swap)
     swap &= np.bitwise_xor(cos_h, sin_h, out=k)
     np.bitwise_xor(cos_h, swap, out=k)
     np.bitwise_xor(sin_h, swap, out=swap)
+
+
+def _pattern_factors(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.ndarray,
+                     terms: np.ndarray, cells: np.ndarray, minus: np.ndarray, buffers):
+    """(worst-phase P_Q, P_L) of rows at several patterns, (patterns, rows) each.
+
+    Takes the (n, rows) half-angle trigonometry and :func:`_party_terms`
+    of the rows, and the flat indices ``cells`` of their unsaturated
+    entries.  Every pattern puts each saturated party at its forced
+    outcome (:func:`_forced_factors`), and ``minus[p, m]`` tells whether
+    pattern p puts the party of ``cells[m]`` at -1.
+
+    The factors are the dense kernel's: K takes cos h_j at +1 and sin h_j
+    at -1, Kr the other, and P_L ``(1 +- t_j) / 2``, exactly 1.0 at a
+    forced outcome.  The forced factors fill the (3, patterns, n, rows)
+    factors in the first :func:`_certification_buffers` buffer, which
+    must hold that many entries, and only the sparse unsaturated entries
+    are then written by index.  Each product runs over the parties left
+    to right, into the second buffer, and the cos(a) / sin(a) scale comes
+    last, so every entry is bit-identical to the dense entry of its
+    pattern.
+    """
+    n, rows = terms.shape
+    patterns = minus.shape[0]
+    factors = buffers[0][:3 * patterns * n * rows].reshape(3, patterns, n, rows)
+    k, kr, pl = factors[:, 0]
+    _forced_factors(terms, half_cos, half_sin, k, kr)
+    pl[...] = 1.0
+    factors[:, 1:] = factors[:, :1]
+    index = np.arange(patterns)[:, None] * (n * rows) + cells
+    up, down = half_cos.reshape(-1)[cells], half_sin.reshape(-1)[cells]
+    t = terms.reshape(-1)[cells]
+    for f, at_plus, at_minus in zip(factors, (up, down, 0.5 * (1.0 + t)),
+                                    (down, up, 0.5 * (1.0 - t))):
+        f.reshape(-1)[index] = np.where(minus, at_minus, at_plus)
+    products = buffers[1][:3 * patterns * rows].reshape(3, patterns, rows)
+    k, kr, pl = np.multiply.reduce(factors, axis=2, out=products)
+    kr *= math.sin(scenario.alpha)
+    k *= math.cos(scenario.alpha)
+    k -= kr
+    np.square(k, out=k)
+    return k, pl
+
+
+# The patterns of the two-pattern pass: every unsaturated party at +1 (A),
+# and every one at -1 (B).
+_PATTERNS_A_B = np.array([[False], [True]])
 
 
 def _two_pattern_pass(scenario: GhzScenario, block: _Block, terms: np.ndarray,
@@ -592,39 +639,14 @@ def _two_pattern_pass(scenario: GhzScenario, block: _Block, terms: np.ndarray,
 
     Pattern A puts every unsaturated party (``free``) at +1, pattern B
     every one at -1, and both every saturated party at its forced outcome
-    (:func:`_forced_factors`).  So a row with no unsaturated party has
+    (:func:`_pattern_factors`).  So a row with no unsaturated party has
     A = B, a row with one has both of its live patterns, and a row with
     u >= 2 two of its 2^u, which :func:`_live_group` supplies in full; an
-    entry read twice changes no minimum.
-
-    The factors are the dense kernel's: K takes cos h_j at +1 and sin h_j
-    at -1, Kr the other, and P_L ``(1 +- t_j) / 2``, exactly 1.0 at a
-    forced outcome.  The forced factors fill the (6, n, rows) factor array
-    in the first :func:`_certification_buffers` buffer, which must hold
-    that many entries, and only the sparse unsaturated entries are then
-    written by index.  Each product runs over the parties left to right
-    and the cos(a) / sin(a) scale comes last, so every entry is
-    bit-identical to the dense entry of its pattern.
+    entry read twice changes no minimum.  The (6, n, rows) factors must
+    fit the first buffer.
     """
-    n, rows = terms.shape
-    factors = buffers[0][:6 * n * rows].reshape(6, n, rows)
-    # Rows of the factors: K at A and at B, Kr at A and at B, P_L at A and at B.
-    _forced_factors(block, factors[0], factors[2])
-    factors[1], factors[3], factors[4:6] = factors[0], factors[2], 1.0
-    k_a, k_b, kr_a, kr_b, pl_a, pl_b = factors.reshape(6, -1)
-    cells = np.flatnonzero(free)
-    k_a[cells] = kr_b[cells] = block.half_cos.reshape(-1)[cells]
-    k_b[cells] = kr_a[cells] = block.half_sin.reshape(-1)[cells]
-    t = terms.reshape(-1)[cells]
-    pl_a[cells] = 0.5 * (1.0 + t)
-    pl_b[cells] = 0.5 * (1.0 - t)
-    products = buffers[1][:6 * rows].reshape(6, rows)
-    k, kr, pl = np.multiply.reduce(factors, axis=1, out=products).reshape(3, 2, rows)
-    kr *= math.sin(scenario.alpha)
-    k *= math.cos(scenario.alpha)
-    k -= kr
-    np.square(k, out=k)
-    return k, pl
+    return _pattern_factors(scenario, block.half_cos, block.half_sin, terms,
+                            np.flatnonzero(free), _PATTERNS_A_B, buffers)
 
 
 def _live_group(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.ndarray,
@@ -634,53 +656,30 @@ def _live_group(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.ndarra
     Takes the (n, rows) half-angle trigonometry and :func:`_party_terms`
     of those rows and returns (2^u, rows) arrays, whose pattern index
     holds the outcomes of the unsaturated parties, the first of them in
-    the most significant bit.  A saturated party (term +-1) has one P_L
-    factor exactly 0, so its outcome is forced; every other pattern has
-    P_L = 0.
-
-    K, its complement ``Kr = kron_j (sin h_j, cos h_j)`` and P_L are each a
-    product over all parties, left to right, of the factor that the
-    pattern picks, a saturated party's forced one included: the dense
-    kernel's factors in its order, so every entry is bit-identical to the
-    dense entry of its pattern.  (A forced P_L factor is exactly 1.0.)
-    P_Q is then ``(cos(a) K - sin(a) Kr)^2`` in the dense kernel's operations.
-
-    The (3, 2^u, n, rows) factors are built in the three flat
-    :func:`_certification_buffers`, which must hold that many entries.
+    the most significant bit (1 for -1).  A saturated party (term +-1)
+    has one P_L factor exactly 0, so its outcome is forced; every other
+    pattern has P_L = 0.  The entries are those of :func:`_pattern_factors`,
+    bit-identical to the dense ones; the (3, 2^u, n, rows) factors must
+    fit the first buffer.
     """
     n, rows = terms.shape
-    plus, minus, picked = (b[:3 * n * rows << u].reshape(3, -1, n, rows) for b in buffers[:3])
-    plus, minus = plus[:, 0], minus[:, 0]
-    plus[0], plus[1] = half_cos, half_sin
-    minus[0], minus[1] = half_sin, half_cos
-    np.multiply(0.5, np.add(1.0, terms, out=plus[2]), out=plus[2])
-    np.multiply(0.5, np.subtract(1.0, terms, out=minus[2]), out=minus[2])
-    np.copyto(plus, minus, where=terms == -1.0)
-    free = np.abs(terms) < 1.0
-    # A saturated party's factor is its forced one whichever outcome the
-    # pattern picks, so it may read any bit of the pattern index.
-    np.copyto(minus, plus, where=~free)
-    # Small integers keep the (2^u, n, rows) pattern mask small: u <= 7 at 12 parties.
-    bits = u - 1 - (np.cumsum(free, axis=0, dtype=np.int16) - free)
-    np.maximum(bits, 0, out=bits)
-    patterns = np.arange(2**u, dtype=np.int16)[:, None, None]
-    np.copyto(picked, plus[:, None])
-    np.copyto(picked, minus[:, None], where=(patterns >> bits) & 1 == 1)
-    k, kr, pl = np.multiply.reduce(picked, axis=-2)
-    kr *= math.sin(scenario.alpha)
-    k *= math.cos(scenario.alpha)
-    k -= kr
-    np.square(k, out=k)
-    return k, pl
+    # The unsaturated entries row by row, so the m-th is the (m mod u)-th
+    # unsaturated party of its row and reads bit u - 1 - m mod u.
+    row, party = np.nonzero(np.abs(terms.T) < 1.0)
+    place = u - 1 - np.arange(row.size) % u
+    minus = (np.arange(2**u)[:, None] >> place) & 1 == 1
+    return _pattern_factors(scenario, half_cos, half_sin, terms, party * rows + row, minus,
+                            buffers)
 
 
 class _LiveGroups:
     """Rows with two or more unsaturated parties, collected over blocks.
 
     The rows wait per (scenario index, u) as their columns of the block's
-    half-angle trigonometry and terms, and run :func:`_live_group` in
-    calls as large as its (3, 2^u, n, rows) factors fit a kernel buffer of
-    ``entries``, so a call spans many blocks' rows.
+    half-angle trigonometry and terms, in a (3, n, rows) store as large as
+    a :func:`_live_group` call whose (3, 2^u, n, rows) factors fill a
+    kernel buffer of ``entries``; a full store runs that call, so a call
+    spans many blocks' rows.
     """
 
     def __init__(self, scenarios, entries: int):
@@ -688,34 +687,30 @@ class _LiveGroups:
         self.waiting = {}
 
     def add(self, i: int, block: _Block, terms: np.ndarray, unsaturated: np.ndarray,
-            live: np.ndarray):
-        """Keep scenario i's live rows of the block with u >= 2."""
+            live: np.ndarray, buffers):
+        """Add scenario i's live rows of the block with u >= 2; yields
+        (index, worst-phase P_Q, P_L) of every store that fills."""
+        n = self.scenarios[i].n
         counts = np.bincount(unsaturated[live]).tolist()
         for u in (u for u in range(2, len(counts)) if counts[u]):
             rows = np.flatnonzero(unsaturated == u)
-            self.waiting.setdefault((i, u), []).append(
-                (block.half_cos.take(rows, axis=1), block.half_sin.take(rows, axis=1),
-                 terms.take(rows, axis=1)))
+            store, count = self.waiting.get((i, u)) or (
+                np.empty((3, n, self.entries // (3 * n << u))), 0)
+            while rows.size:
+                part, rows = rows[:store.shape[2] - count], rows[store.shape[2] - count:]
+                for source, target in zip((block.half_cos, block.half_sin, terms), store):
+                    target[:, count:count + part.size] = source.take(part, axis=1)
+                count += part.size
+                if count == store.shape[2]:
+                    yield i, *_live_group(self.scenarios[i], *store, u, buffers)
+                    count = 0
+            self.waiting[i, u] = store, count
 
-    def pieces(self, buffers, final: bool = False):
-        """(index, worst-phase P_Q, P_L) of every full call, and with ``final`` of
-        every row still waiting."""
-        for (i, u), parts in list(self.waiting.items()):
-            scenario = self.scenarios[i]
-            step = self.entries // (3 * scenario.n << u)
-            count = sum(part[2].shape[1] for part in parts)
-            stop = count if final else count - count % step
-            if not stop:
-                continue
-            half_cos, half_sin, terms = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
-            for start in range(0, stop, step):
-                part = slice(start, min(start + step, stop))
-                yield i, *_live_group(scenario, half_cos[:, part], half_sin[:, part],
-                                      terms[:, part], u, buffers)
-            if stop < count:
-                self.waiting[i, u] = [(half_cos[:, stop:], half_sin[:, stop:], terms[:, stop:])]
-            else:
-                del self.waiting[i, u]
+    def rest(self, buffers):
+        """(index, worst-phase P_Q, P_L) of the rows still waiting."""
+        for (i, u), (store, count) in self.waiting.items():
+            if count:
+                yield i, *_live_group(self.scenarios[i], *store[:, :, :count], u, buffers)
 
 
 def _live_rows(scenario: GhzScenario, cosines: np.ndarray, entries: int):
@@ -753,8 +748,7 @@ def _split_factors(i: int, scenario: GhzScenario, block: _Block, split, groups: 
     """
     terms, free, unsaturated, live = split
     yield i, *_two_pattern_pass(scenario, block, terms, free, buffers)
-    groups.add(i, block, terms, unsaturated, live)
-    yield from groups.pieces(buffers)
+    yield from groups.add(i, block, terms, unsaturated, live, buffers)
     for _, pq_worst, pl in _dense_factors([scenario], block.take(np.flatnonzero(~live)),
                                           buffers):
         yield i, pq_worst, pl
@@ -786,7 +780,7 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
             yield from _split_factors(i, scenario, block, split, groups, buffers)
         for k, pq_worst, pl in _dense_factors([scenarios[i] for i in shared], block, buffers):
             yield shared[k], pq_worst, pl
-    yield from groups.pieces(buffers, final=True)
+    yield from groups.rest(buffers)
 
 
 def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
