@@ -241,22 +241,20 @@ def certification_thetas(seed: int, start: int, count: int, n: int) -> np.ndarra
     return np.ascontiguousarray(_certification_parties(seed, start, count, n).T)
 
 
-def _hash_buffers(entries: int):
-    """Flat (float64, uint64, uint64) buffers of :func:`_certification_parties`."""
-    return np.empty(entries), np.empty(entries, np.uint64), np.empty(entries, np.uint64)
-
-
 def _certification_parties(seed: int, start: int, count: int, n: int,
                            buffers=None) -> np.ndarray:
     """:func:`certification_thetas` in the kernel's (n, count) layout, computed in it.
 
-    The hash runs in place in ``buffers`` from :func:`_hash_buffers`, of at
-    least ``n * count`` entries each, and the angles are a view of the
-    first; without ``buffers`` it makes fresh ones.  The counter of entry
-    (party j, sample i) is ``(i * n + j) + seed_mix`` modulo 2^64.
+    The hash runs in place in ``buffers``, flat (float64, uint64, uint64)
+    arrays of at least ``n * count`` entries each, and the angles are a
+    view of the first; without ``buffers`` it makes fresh ones.  The
+    counter of entry (party j, sample i) is ``(i * n + j) + seed_mix``
+    modulo 2^64.
     """
-    angles, z, spare = (b[:n * count].reshape(n, count)
-                        for b in (buffers or _hash_buffers(n * count)))
+    size = n * count
+    if buffers is None:
+        buffers = np.empty(size), np.empty(size, np.uint64), np.empty(size, np.uint64)
+    angles, z, spare = (b[:size].reshape(n, count) for b in buffers)
     mask = 0xFFFFFFFFFFFFFFFF
     seed_mix = ((seed & mask) * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & mask
     samples = np.arange(start, start + count, dtype=np.uint64) * np.uint64(n)
@@ -956,20 +954,24 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     must be integers (numpy integers included), ``samples`` nonnegative.
 
     ``min_residual`` is never positive: the grid row theta = 0 has exact
-    zeros, so it is exactly 0.0 at w = 0.  Rows with few unsaturated
-    parties are evaluated only at patterns with P_L > 0: from 7 parties on
-    its 2^u live patterns for a row with u unsaturated parties, and from 4
-    to 6 parties two patterns for a row with at most one, when enough rows
-    of a block have so few.  The other patterns have residual P_Q >= 0, so
-    the value is the one of the full evaluation, bit for bit.
+    zeros, so it is exactly 0.0 at w = 0, where no row is evaluated.  Rows
+    with few unsaturated parties are evaluated only at patterns with
+    P_L > 0: from 7 parties on, every row at two patterns in one row-dense
+    pass and a row with u >= 2 unsaturated parties at all its 2^u live
+    patterns, and from 4 to 6 parties two patterns for a row with at most
+    one, when enough rows of a block have so few.  The other patterns have
+    residual P_Q >= 0, so the value is the one of the full evaluation, bit
+    for bit.
 
     Given equal-length sequences of scenarios that share one party count
     and of real weights, certifies every pair in one pass over the
     settings and returns a list of :class:`DecompositionCertificate`, each
     equal to the matching single call; an empty pair of sequences gives
-    ``[]``.  The pass shares the angles, their trigonometry and each
-    chunk's alpha-free Kronecker product K, and, from 4 to 6 parties, one
-    sort of each block that serves every scenario's two-pattern rows.  A
+    ``[]``.  The pass shares the angles, their trigonometry (from 7
+    parties on ``cos theta`` only where some scenario may leave a party
+    unsaturated) and each chunk's alpha-free Kronecker product K, and,
+    from 4 to 6 parties, one sort of each block that serves every
+    scenario's two-pattern rows.  A
     single scenario takes a single real weight; any other pairing is
     refused with ValueError, and every weight is checked before anything
     is computed.

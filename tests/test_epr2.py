@@ -867,7 +867,7 @@ class TestCertifySequence:
             raise AssertionError("computed before checking every weight")
 
         monkeypatch.setattr(epr2, "_min_residuals", refuse)
-        monkeypatch.setattr(epr2, "_certification_rows", refuse)
+        monkeypatch.setattr(epr2, "_certification_blocks", refuse)
         with pytest.raises(ValueError, match="w must lie in"):
             certify([GhzScenario(3, a) for a in self.ALPHAS], [0.1, 0.2, bad])
 

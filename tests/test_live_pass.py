@@ -226,7 +226,7 @@ def _hash_oracle(seed, start, count, n):
 @pytest.mark.parametrize("start", [0, 37, 2**32 + 5, 2**40 - 1])
 @pytest.mark.parametrize("count", [0, 1, 300])
 def test_hash_in_buffers_is_the_stream(seed, start, count):
-    buffers = epr2._hash_buffers(12 * 300)
+    buffers = np.empty(12 * 300), np.empty(12 * 300, np.uint64), np.empty(12 * 300, np.uint64)
     for n in (2, 7, 12):
         expected = _hash_oracle(seed, start, count, n).tobytes()
         got = epr2._certification_parties(seed, start, count, n, buffers)
@@ -247,7 +247,7 @@ def test_blocks_are_the_trigonometry_of_their_rows(n, rows):
     for block, thetas in zip(blocks, chunks, strict=True):
         parties = np.ascontiguousarray(thetas.T)
         half = 0.5 * parties
-        for got, expected in zip(block, (np.cos(parties), np.cos(half), np.sin(half))):
+        for got, expected in zip(block, (np.cos(parties), np.cos(half), np.sin(half)), strict=True):
             assert got.tobytes() == expected.tobytes()
         count += 1
     assert count == -(-epr2.DIAG_GRID_POINTS // rows) - (-samples // rows)
