@@ -64,9 +64,9 @@ _CERT_MAX_ROWS = 8192
 # (:func:`_block_rows`).
 _LIVE_MIN_PARTIES = 7
 
-# From _LIVE_MIN_PARTIES on, an angle gets its cosine only where a scenario
-# of the batch may leave its party unsaturated (:func:`_block_cosines`),
-# with this margin: far beyond the rounding of cos and acos.
+# A sample angle gets its cosine only where a scenario of the batch may
+# leave its party unsaturated (:func:`_block_cosines`), with this margin:
+# far beyond the rounding of cos and acos.
 _COS_MARGIN = 1e-12
 
 # From this many parties up to _LIVE_MIN_PARTIES, the dense pass sends the
@@ -108,11 +108,15 @@ def _party_terms(c0: float, cos_thetas):
     """Per-party signed terms r-independent part: sgn(cos t)*min(1,|cos t/c0|).
 
     Takes the cosines ``cos t`` of the angles.  ``cos t / |c0|`` clipped to
-    [-1, 1], the same bit for bit; at c0 = 0, +-inf clips to sgn(cos t), as
-    no float angle in [0, pi] has cos t = 0 (6.1e-17 at pi/2).
+    [-1, 1]; at c0 = 0, sgn(cos t), the +-inf of the division clipped, as
+    no float angle in [0, pi] has cos t = 0 (6.1e-17 at pi/2).  The
+    quotient gets its own array, also for a scalar, so that the clip runs
+    in place and skips ``np.clip``'s dispatch.
     """
-    with np.errstate(divide="ignore"):
-        return np.clip(np.divide(cos_thetas, abs(c0)), -1.0, 1.0)
+    if c0 == 0.0:
+        return np.copysign(1.0, cos_thetas)
+    terms = np.divide(cos_thetas, abs(c0), out=np.empty_like(cos_thetas))
+    return terms.clip(-1.0, 1.0, out=terms)
 
 
 def local_prob(model: LocalModel, thetas, outcomes: OutcomePattern) -> float:
@@ -352,7 +356,7 @@ def _block_cosines(parties: np.ndarray, bound: float, out: np.ndarray) -> np.nda
     clips the +1.0 put in its place; from ``pi`` minus that edge on, -1.0
     stands for the cosine the same way.  The margin is far beyond the
     rounding of cos and acos.  Only the angles in between get their
-    cosine, and all of them when ``x >= 1``: a batch that reaches
+    cosine, and all of them when ``x >= 1``, as in a batch that reaches
     alpha = 0.  Writes into the C-contiguous ``out``.
     """
     x = bound + _COS_MARGIN
@@ -756,9 +760,13 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
     """(index, worst-phase P_Q, P_L) pieces of every scenario over every row.
 
     The rows come in blocks of :func:`_block_rows`, each with its
-    trigonometry computed once for every scenario: from
-    ``_LIVE_MIN_PARTIES`` on the cosines only where a scenario may leave
-    a party unsaturated (:func:`_block_cosines`).  Per block, each
+    trigonometry computed once for every scenario, and a sample block's
+    cosines only where a scenario may leave a party unsaturated
+    (:func:`_block_cosines`; every one when the batch reaches alpha = 0).
+    The stand-ins change no entry that is read: each clips to the term
+    of the cosine it replaces, and from ``_SPLIT_MIN_PARTIES`` to
+    ``_LIVE_MIN_PARTIES`` it keeps every row's side of each scenario's
+    ``|cos t0|`` in :func:`_two_pattern_rows`.  Per block, each
     scenario that :func:`_live_rows` splits runs :func:`_split_factors`;
     the others, every one below ``_LIVE_MIN_PARTIES``, then share one
     :func:`_dense_factors` pass: each dense chunk's K and, from
@@ -766,7 +774,7 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
     are only valid until the next piece is drawn.
     """
     n = scenarios[0].n
-    bound = max(abs(cos_theta0(sc)) for sc in scenarios) if n >= _LIVE_MIN_PARTIES else None
+    bound = max(abs(cos_theta0(sc)) for sc in scenarios)
     groups = _LiveGroups(scenarios, buffers[0].size)
     for block in _certification_blocks(n, samples, seed, _block_rows(n, len(scenarios)), bound):
         shared = []
@@ -846,25 +854,13 @@ def _block_rows(n: int, scenarios: int = 1) -> int:
     return chunk
 
 
-def _certification_rows(n: int, samples: int, seed: int, rows: int | None = None):
-    """Theta row chunks of the diagonal grid, then of the sample stream.
-
-    Each chunk holds ``rows`` rows (by default :func:`_chunk_rows`), the
-    last of each part fewer.  The grid starts at theta = 0.  A chunk is
-    the (rows, n) transpose of a C-contiguous (n, rows) array.
-    """
-    chunk = _chunk_rows(n) if rows is None else rows
-    grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
-    for start in range(0, DIAG_GRID_POINTS, chunk):
-        yield np.repeat(grid[None, start:start + chunk], n, axis=0).T
-    for start in range(0, samples, chunk):
-        yield _certification_parties(seed, start, min(chunk, samples - start), n).T
-
-
 def _certification_blocks(n: int, samples: int, seed: int, rows: int,
                           bound: float | None = None):
-    """The :class:`_Block` of each chunk of ``rows`` rows of :func:`_certification_rows`.
+    """The :class:`_Block` of each chunk of ``rows`` rows: the diagonal grid, then the samples.
 
+    The grid of ``DIAG_GRID_POINTS`` angles runs from 0 to pi, and sample
+    i is row i of :func:`certification_thetas`; the last block of each
+    part has fewer rows.
     A grid row repeats one angle n times, so its trigonometry is computed
     once per grid point and repeated over the parties.  The sample angles
     are hashed, and every block's arrays written, into buffers reused from
@@ -910,6 +906,48 @@ def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
         i = evaluated[k]
         residuals[i] = min(residuals[i], _min_residual(pq_worst, pl, ws[i]))
     return residuals
+
+
+def _alpha_zero_rounding(n: int) -> float:
+    """How far below 0 rounding can take a certificate residual at alpha = 0: ``16 n 2^-53``.
+
+    At alpha = 0 (also -0.0) the state is a product state, ``cos a = 1.0``
+    and ``sin a = +-0.0`` exactly, and ``cos t0 = -1.0``.  So at every row
+    and pattern the kernel computes, with u = 2^-53 and the half angles
+    ``h_j = t_j / 2`` (halving is exact):
+
+    * ``P_Q = fl(K^2)``, with K the left-to-right product of n values, each
+      ``fl(cos h_j)`` or ``fl(sin h_j)`` (``A = K * 1.0`` and ``B = +-0.0``);
+    * ``P_L``, the left-to-right product of n factors
+      ``fl(0.5 * fl(1 +- c_j))``, with c_j = fl(cos t_j) / 1.0 clipped
+      to [-1, 1];
+    * the residual ``fl(P_Q - fl(w * P_L))``.
+
+    The two-pattern and live paths compute the same entries bit for bit.
+    Exactly, ``cos^2 h = (1 + cos t) / 2`` and ``sin^2 h = (1 - cos t) / 2``,
+    so ``K^2 = P_L`` and the residual is ``(1 - w) P_L >= 0`` for w <= 1.
+    Take libm's (and numpy's SIMD) cos and sin within 4 ulp; every value
+    lies in [-1, 1], where an ulp below 1 is at most u, so each ``fl(cos
+    h_j)``, ``fl(sin h_j)`` and c_j is within 4u of its exact value (the
+    clip moves no value away from a cosine in [-1, 1]).  To first order
+    in u, on values of at most 1:
+
+    * K: n values off by 4u and n - 1 products rounded by u,
+      ``|fl(K) - K| <= (5n - 1) u``; squaring doubles that (both are at
+      most 1) and rounds once more, ``|P_Q - K^2| <= (10n - 1) u``;
+    * P_L: each factor is off by 2u from c_j and u from rounding
+      ``1 +- c_j``, 3u, and n - 1 products add u each,
+      ``|fl(P_L) - P_L| <= (4n - 1) u``;
+    * ``w * P_L`` rounds by at most u, and the subtraction rounds a
+      negative result by the relative u only.
+
+    So every residual is at least ``-(14n - 1) u (1 + u)`` up to terms in
+    ``(n u)^2``, above ``-16 n u``: 2.1e-14 at 12 parties, five orders of
+    magnitude inside ``CERT_TOLERANCE``.  The bound holds at every angle
+    setting, not only the sampled ones, so a product state's certificate
+    passes at every sample count and seed.
+    """
+    return 16 * n * 2.0**-53
 
 
 def _integer(name: str, value) -> int:
@@ -967,9 +1005,10 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     and of real weights, certifies every pair in one pass over the
     settings and returns a list of :class:`DecompositionCertificate`, each
     equal to the matching single call; an empty pair of sequences gives
-    ``[]``.  The pass shares the angles, their trigonometry (from 7
-    parties on ``cos theta`` only where some scenario may leave a party
-    unsaturated) and each chunk's alpha-free Kronecker product K, and,
+    ``[]``.  The pass shares the angles, their trigonometry (a sample's
+    ``cos theta`` only where some scenario may leave a party unsaturated,
+    so every one in a batch that reaches alpha = 0) and each chunk's
+    alpha-free Kronecker product K, and,
     from 4 to 6 parties, one sort of each block that serves every
     scenario's two-pattern rows.  A
     single scenario takes a single real weight; any other pairing is

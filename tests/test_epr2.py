@@ -36,6 +36,8 @@ from ghzlocal.epr2 import (
     theta0,
 )
 
+from certification_rows import certification_rows
+
 
 def _dense_residual_extrema(scenario, w, thetas):
     """Dense reference for the certification kernel, on (rows, 2^n, n) arrays.
@@ -313,6 +315,9 @@ class TestOneFormulaAtEveryAngle:
                 got, want = _party_terms(c0, np.cos(thetas)), _branch_party_terms(c0, thetas)
                 assert np.array_equal(got, want), (n, alpha)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (n, alpha)
+            # The +-1.0 that _block_cosines puts in place of saturated cosines.
+            stand_ins = _party_terms(c0, np.array([1.0, -1.0]))
+            assert np.array_equal(stand_ins, _branch_party_terms(c0, [0.0, math.pi])), (n, alpha)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_diagonal_local_prob_matches_branch_form(self, n):
@@ -609,7 +614,7 @@ class TestCertify:
         whole = (certify(sc, 0.1, samples=10_000, seed=7),
                  sampled_min_ratio(sc, samples=10_000, seed=7))
         monkeypatch.setattr(epr2, "_CERT_MAX_ROWS", 512)
-        assert len(list(epr2._certification_rows(3, 10_000, 7))) == 4 + 20
+        assert len(list(certification_rows(3, 10_000, 7))) == 4 + 20
         chunked = (certify(sc, 0.1, samples=10_000, seed=7),
                    sampled_min_ratio(sc, samples=10_000, seed=7))
         assert chunked == whole
@@ -619,7 +624,7 @@ class TestCertify:
         # certify keeps only the residual and sampled_min_ratio only the
         # ratio; each must equal its half of the both-extrema kernel.
         samples, seed, w = (3000 if n <= 8 else 300), 5, 0.3
-        rows = list(epr2._certification_rows(n, samples, seed))
+        rows = list(certification_rows(n, samples, seed))
         for alpha in (0.0, 0.2, math.pi / 4):
             sc = GhzScenario(n, alpha)
             residuals, ratios = zip(*(_residual_extrema(sc, w, t) for t in rows))

@@ -19,6 +19,8 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _party_terms, certify
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
+from certification_rows import certification_rows
+
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 HALF_PI = math.pi / 2
@@ -199,7 +201,7 @@ def test_batch_pieces_are_dense_entries_and_read_every_positive_one(n):
         pieces[i].append(np.stack((pq.ravel(), pl.ravel()), axis=1))
     for sc, got in zip(scenarios, pieces):
         got = np.unique(np.concatenate(got), axis=0)
-        every, positive = _dense_entries(sc, epr2._certification_rows(n, samples, seed))
+        every, positive = _dense_entries(sc, certification_rows(n, samples, seed))
         assert np.all(np.isin(got.view(complex), every.view(complex)))
         assert np.all(np.isin(positive.view(complex), got.view(complex)))
 
@@ -242,7 +244,7 @@ def test_blocks_are_the_trigonometry_of_their_rows(n, rows):
     # values np.cos and np.sin give on the rows themselves.
     samples, seed = 2000, 5
     blocks = epr2._certification_blocks(n, samples, seed, rows)
-    chunks = epr2._certification_rows(n, samples, seed, rows)
+    chunks = certification_rows(n, samples, seed, rows)
     count = 0
     for block, thetas in zip(blocks, chunks, strict=True):
         parties = np.ascontiguousarray(thetas.T)

@@ -16,6 +16,8 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _certification_factors, _party_terms, certify
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
+from certification_rows import certification_rows
+
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 # Exact 0, pi/2 and pi exercise the saturated ends, the sgn(0) branch and
@@ -106,7 +108,7 @@ def test_batch_certificates_equal_single_calls(n, pairs, samples, seed):
 
 def _grid_minimum(scenario, w):
     """Dense minimum residual over the diagonal grid, in chunks."""
-    rows = list(epr2._certification_rows(scenario.n, 0, 0))
+    rows = list(certification_rows(scenario.n, 0, 0))
     return min(epr2._residual_extrema(scenario, w, t)[0] for t in rows)
 
 

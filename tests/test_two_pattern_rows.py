@@ -18,6 +18,8 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _party_terms, certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
+from certification_rows import certification_rows
+
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 # Exact 0, pi/2 and pi exercise the saturated ends and the sign of the
@@ -127,7 +129,7 @@ def test_batch_certificates_are_the_dense_minima(n, monkeypatch):
     pieces = _count_two_pattern_pieces(monkeypatch)
     certificates = certify(scenarios, ws, samples=samples, seed=seed)
     assert bool(pieces) == (4 <= n <= 6)
-    rows = list(epr2._certification_rows(n, samples, seed))
+    rows = list(certification_rows(n, samples, seed))
     for sc, w, cert in zip(scenarios, ws, certificates):
         assert cert.min_residual == min(epr2._residual_extrema(sc, w, t)[0] for t in rows)
 
@@ -144,7 +146,7 @@ def test_sampled_min_ratio_is_the_dense_minimum(n, cost, monkeypatch):
     pieces = _count_two_pattern_pieces(monkeypatch)
     got = sampled_min_ratio(sc, samples=samples, seed=seed)
     assert bool(pieces) == (cost == 0 or n == 6)
-    rows = epr2._certification_rows(n, samples, seed)
+    rows = certification_rows(n, samples, seed)
     dense = min(epr2._residual_extrema(sc, 0.0, t)[1] for t in rows)
     assert got == min(max(dense, 0.0), 1.0)
 
@@ -192,6 +194,6 @@ def test_alpha_free_half_runs_once_per_chunk_of_a_sorted_block(monkeypatch):
     scenarios = [GhzScenario(n, alpha) for alpha in (0.0, 0.2, math.pi / 4)]
     certify(scenarios, [1.0, 0.3, 0.05], samples=samples, seed=7)
     chunk = epr2._chunk_rows(n)
-    blocks = epr2._certification_rows(n, samples, 7, epr2._block_rows(n, len(scenarios)))
+    blocks = certification_rows(n, samples, 7, epr2._block_rows(n, len(scenarios)))
     assert len(calls) == sum(-(-len(block) // chunk) for block in blocks)
     assert len(calls) > epr2.DIAG_GRID_POINTS // chunk
