@@ -53,35 +53,16 @@ DIAG_GRID_POINTS = 2001
 _CERT_CHUNK_BYTES = 512 * 2**10
 _CERT_MAX_ROWS = 8192
 
-# From this many parties on, a block whose rows have few unsaturated
-# parties skips the patterns where P_L is exactly 0 (the live path): one
-# row-dense pass reads every row at two patterns (:func:`_two_pattern_pass`),
-# the rows with more unsaturated parties add their other live patterns in
-# groups collected over blocks (:func:`_live_group`), and the rest run the
-# dense kernel.  At 6 parties the live path ran no faster than the dense
-# kernel.  A block holds as many whole dense chunks as the pass's factors
-# fit one kernel buffer, 1280 rows at 8 parties and 896 at 12
-# (:func:`_block_rows`).
-_LIVE_MIN_PARTIES = 7
-
 # A sample angle gets its cosine only where a scenario of the batch may
 # leave its party unsaturated (:func:`_block_cosines`), with this margin:
 # far beyond the rounding of cos and acos.
 _COS_MARGIN = 1e-12
 
-# From this many parties up to _LIVE_MIN_PARTIES, the dense pass sends the
-# rows with at most one unsaturated party past the dense kernel
-# (:func:`_two_pattern_rows`); 3 parties, with 6 of 8 entries a row to
-# save, keep the plain dense kernel.  Sorting a block, taking its columns
-# and gathering its patterns costs about as much as _SPLIT_ROW_COST dense
-# entries per row (measured at 4 to 6 parties, with margin for the
-# two-pattern rows' own work).  Blocks that may split
-# hold _SPLIT_BLOCK_ROWS rows, two to four chunks at 5 and 6 parties, so
-# that one sort spans several chunks (an 11-alpha batch ran 9 % faster
-# than with 2048-row blocks); blocks that cannot split stay chunk-sized,
-# where 4096 rows ran 2 % slower at 5 parties.
-_SPLIT_MIN_PARTIES = 4
-_SPLIT_BLOCK_ROWS = 4096
+# Sorting a block, taking its columns and forming its two-pattern products
+# costs about as much as this many dense entries per row (measured at 4 to
+# 6 parties, with margin for the two-pattern rows' own work), so a block
+# splits only when the rows that skip the dense kernel save more
+# (:func:`_block_factors`).
 _SPLIT_ROW_COST = 32
 
 # Largest grid_points that lower_bound accepts.
@@ -428,79 +409,47 @@ def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
     return _alpha_factors(scenario, k, terms, buffers, True)
 
 
-def _may_split(n: int, scenarios: int) -> bool:
-    """Whether a block of ``scenarios`` scenarios at n parties may run
-    :func:`_two_pattern_rows`: a two-pattern row saves ``2^n - 2`` entries
-    at each scenario, which must be able to exceed ``_SPLIT_ROW_COST``."""
-    return (_SPLIT_MIN_PARTIES <= n < _LIVE_MIN_PARTIES
-            and scenarios * ((1 << n) - 2) > _SPLIT_ROW_COST)
+def _two_pattern_products(block: _Block, least: np.ndarray, buffers) -> np.ndarray:
+    """K and Kr of a block's rows at their two patterns, a (4, rows) array.
 
-
-def _two_pattern_rows(scenarios, block: _Block):
-    """One block's rows sorted for the two-pattern suffix, or ``None``.
-
-    Returns the sorted :class:`_Block`, each scenario's count of dense
-    rows, the (4, rows) patterns and each row's smallest ``|cos t_j|``.
-
-    The rows are sorted by their second-smallest ``|cos t_j|``.  A row
-    whose key reaches a scenario's ``|cos t0|`` has at most one
-    unsaturated party, the one of smallest ``|cos t_j|``: for doubles
-    ``x, y >= 0``, ``fl(x / y) >= 1`` exactly when ``x >= y``, so
-    :func:`_party_terms` clips every other party to +-1.  The key holds no
-    alpha, so one sort serves every scenario: each scenario's dense rows
-    come first, as many as ``searchsorted`` finds below its ``|cos t0|``,
-    and its two-pattern rows form the suffix.
-
-    A row's patterns are: every party at the outcome of its cosine's
-    sign, where each saturated party's P_L factor is 1.0; the same with
-    the parties of smallest ``|cos t_j|`` flipped (one party, or at a tie
-    saturated parties only); and the complements of the two.
-
-    ``None``, and every row runs the dense kernel, unless
-    :func:`_may_split` and the entries that the two-pattern rows save
-    (``2^n - 2`` a row), summed over the scenarios, exceed
-    ``_SPLIT_ROW_COST`` per row of the block.  A count at the smallest
-    ``|cos t0|`` alone bounds that sum before the keys are computed.
+    The forced pattern puts every party at the outcome of its cosine's
+    sign, the flipped one also flips the parties of smallest ``|cos t_j|``
+    (``least``): one party, or at a tie every tied one, all saturated, so
+    P_L is 0 there.  The rows are K at both patterns, then Kr (K at the
+    complement pattern) at both; no alpha enters.  The (2, n, rows) K and
+    Kr factors, from :func:`_forced_factors` with the flipped cells
+    swapped, fill the first and third :func:`_certification_buffers`
+    buffers, and one reduce over the parties, left to right as in
+    :func:`_kron_rows`, forms each product in the second: each entry is
+    the dense K entry of its pattern, bit for bit.
     """
     n, rows = block.cosines.shape
-    if not _may_split(n, len(scenarios)):
-        return None
-    bounds = np.array([abs(cos_theta0(sc)) for sc in scenarios])
-    cost, saved = _SPLIT_ROW_COST * rows, (1 << n) - 2
-    magnitudes = np.abs(block.cosines)
-    unsaturated = np.add.reduce(magnitudes < bounds.min(), axis=0, dtype=np.uint8)
-    if len(bounds) * np.count_nonzero(unsaturated <= 1) * saved <= cost:
-        return None
-    least, second, spare = magnitudes[0].copy(), np.full(rows, math.inf), np.empty(rows)
-    for m in magnitudes[1:]:
-        np.minimum(second, np.maximum(least, m, out=spare), out=second)
-        np.minimum(least, m, out=least)
-    if np.count_nonzero(second >= bounds[:, None]) * saved <= cost:
-        return None
-    order = np.argsort(second)
-    block, least = block.take(order), least[order]
-    bits = 2.0 ** np.arange(n - 1, -1, -1)
-    forced = (bits @ (block.cosines < 0.0)).astype(np.intp)
-    flipped = forced ^ (bits @ (np.abs(block.cosines) == least)).astype(np.intp)
-    patterns = np.stack((forced, flipped, (1 << n) - 1 - forced, (1 << n) - 1 - flipped))
-    ends = np.searchsorted(second[order], bounds).tolist()
-    return block, ends, patterns, least
+    k, kr = (b[:2 * n * rows].reshape(2, n, rows) for b in (buffers[0], buffers[2]))
+    _forced_factors(block.cosines, block.half_cos, block.half_sin, k[0], kr[0])
+    k[1], kr[1] = k[0], kr[0]
+    magnitudes = np.abs(block.cosines, out=buffers[1][:n * rows].reshape(n, rows))
+    cells = np.flatnonzero(magnitudes == least)
+    k[1].reshape(-1)[cells] = kr[0].reshape(-1)[cells]
+    kr[1].reshape(-1)[cells] = k[0].reshape(-1)[cells]
+    products = buffers[1][:4 * rows].reshape(2, 2, rows)
+    np.multiply.reduce(k, axis=1, out=products[0])
+    np.multiply.reduce(kr, axis=1, out=products[1])
+    return products.reshape(4, rows)
 
 
-def _two_pattern_factors(scenario: GhzScenario, k_patterns: np.ndarray, least: np.ndarray):
+def _two_pattern_factors(scenario: GhzScenario, products: np.ndarray, least: np.ndarray):
     """(worst-phase P_Q, P_L) of rows with at most one unsaturated party, at two patterns.
 
-    ``k_patterns`` holds the dense chunk's K at the rows' two patterns
-    from :func:`_two_pattern_rows` and at their complements, and ``least``
-    the rows' smallest ``|cos t_j|``; every other pattern has P_L = 0.
-    P_Q takes the dense kernel's operations on the dense kernel's K
-    entries.  A saturated party's P_L factor at the outcome of its sign is
-    exactly ``0.5 * (1 + 1) = 1.0``, so P_L is the other party's factor,
-    ``(1 +- |t|) / 2``, and 0.0 where a tie flips two saturated parties:
-    the dense entries bit for bit.
+    ``products`` holds the rows' :func:`_two_pattern_products` and
+    ``least`` their smallest ``|cos t_j|``; every other pattern has
+    P_L = 0.  P_Q takes the dense kernel's operations on the dense
+    kernel's K entries.  A saturated party's P_L factor at the outcome of
+    its sign is exactly ``0.5 * (1 + 1) = 1.0``, so P_L is the other
+    party's factor, ``(1 +- |t|) / 2``, and 0.0 where a tie flips two
+    saturated parties: the dense entries bit for bit.
     """
-    pq_worst = k_patterns[0:2] * math.cos(scenario.alpha)
-    pq_worst -= k_patterns[2:4] * math.sin(scenario.alpha)
+    pq_worst = products[0:2] * math.cos(scenario.alpha)
+    pq_worst -= products[2:4] * math.sin(scenario.alpha)
     np.square(pq_worst, out=pq_worst)
     terms = _party_terms(cos_theta0(scenario), least)
     pl = np.empty_like(pq_worst)
@@ -510,44 +459,21 @@ def _two_pattern_factors(scenario: GhzScenario, k_patterns: np.ndarray, least: n
     return pq_worst, pl
 
 
-def _dense_factors(scenarios, block: _Block, buffers):
-    """(index, worst-phase P_Q, P_L) of every scenario at every row of a block.
+def _dense_factors(scenarios, block: _Block, ends, buffers):
+    """(index, worst-phase P_Q, P_L) of scenario i at rows ``0 .. ends[i] - 1`` of a block.
 
-    The :class:`_Block` is cut into chunks of :func:`_chunk_rows` rows.
-    The pass is chunk-major and scenario-minor: each chunk's K is built
-    once, then every scenario runs the same operations, in the same order,
-    as it would alone, so each entry is bit-identical to a batch of one.
-
-    When :func:`_two_pattern_rows` sorts the block, a scenario's
-    two-pattern rows read only their two live patterns, gathered from the
-    shared K (:func:`_two_pattern_factors`), and its other rows run the
-    dense kernel on a prefix of each chunk.  Every entry skipped has
-    P_L = 0, whose residual is P_Q >= 0 and whose ratio is never taken.
+    The rows are cut into chunks of :func:`_chunk_rows` rows.  The pass
+    is chunk-major and scenario-minor: each chunk's K is built once, then
+    every scenario whose rows reach the chunk runs the same operations,
+    in the same order, as it would alone, so each entry is bit-identical
+    to a batch of one.
     """
-    if not scenarios:
-        return
-    n, rows = block.cosines.shape
-    split = _two_pattern_rows(scenarios, block)
-    if split is None:
-        ends, patterns, least = [rows] * len(scenarios), None, None
-    else:
-        block, ends, patterns, least = split
+    n, rows = block.cosines.shape[0], max(ends)
     chunk = _chunk_rows(n)
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
         k = _alpha_free_factors(block.half_cos[:, start:stop], block.half_sin[:, start:stop],
                                 buffers)
-        first = max(start, min(ends))
-        if first < stop:
-            # K is a C-contiguous (2^n, stop - start) view: entry
-            # (pattern, column) sits at flat index pattern * width + column.
-            columns = np.arange(first - start, stop - start)
-            k_patterns = k.take(patterns[:, first:stop] * (stop - start) + columns)
-        for i, scenario in enumerate(scenarios):
-            if ends[i] < stop:
-                top = max(ends[i], start)
-                yield i, *_two_pattern_factors(scenario, k_patterns[:, top - first:],
-                                               least[top:stop])
         active = [i for i, end in enumerate(ends) if end > start]
         for i in active:
             part = slice(start, min(ends[i], stop))
@@ -557,14 +483,15 @@ def _dense_factors(scenarios, block: _Block, buffers):
 
 
 def _live_max_unsaturated(n: int, entries: int) -> int:
-    """Most unsaturated parties a row may have and still run the live path.
+    """Most unsaturated parties a row may have and still skip the dense kernel.
 
-    Each of a row's 2^u live entries costs about as much as n entries of
-    the dense kernel (measured from 6 to 12 parties), so the rows with
-    ``2n * 2^u <= 2^n`` run the live path at most at half their dense cost;
-    and the row's (3, 2^u, n) factors must fit a buffer of ``entries``.
+    Each of a row's 2^u live patterns costs about as much as 32 entries
+    of the dense kernel (measured from 6 to 12 parties: 15 to 45, with
+    and without the chunk's K), so the rows with ``32 * 2^u <= 2^n`` run
+    :func:`_live_group` at no more than their dense cost; and the row's
+    (3, 2^u, n) factors must fit a buffer of ``entries``.
     """
-    return min((1 << n) // (2 * n), entries // (3 * n)).bit_length() - 1
+    return min((1 << n) // 32, entries // (3 * n)).bit_length() - 1
 
 
 def _forced_factors(terms: np.ndarray, half_cos: np.ndarray, half_sin: np.ndarray,
@@ -630,27 +557,6 @@ def _pattern_factors(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.n
     return k, pl
 
 
-# The patterns of the two-pattern pass: every unsaturated party at +1 (A),
-# and every one at -1 (B).
-_PATTERNS_A_B = np.array([[False], [True]])
-
-
-def _two_pattern_pass(scenario: GhzScenario, block: _Block, terms: np.ndarray,
-                      free: np.ndarray, buffers):
-    """(worst-phase P_Q, P_L) of every row of a block at two patterns, (2, rows) each.
-
-    Pattern A puts every unsaturated party (``free``) at +1, pattern B
-    every one at -1, and both every saturated party at its forced outcome
-    (:func:`_pattern_factors`).  So a row with no unsaturated party has
-    A = B, a row with one has both of its live patterns, and a row with
-    u >= 2 two of its 2^u, which :func:`_live_group` supplies in full; an
-    entry read twice changes no minimum.  The (6, n, rows) factors must
-    fit the first buffer.
-    """
-    return _pattern_factors(scenario, block.half_cos, block.half_sin, terms,
-                            np.flatnonzero(free), _PATTERNS_A_B, buffers)
-
-
 def _live_group(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.ndarray,
                 terms: np.ndarray, u: int, buffers):
     """(worst-phase P_Q, P_L) at the live patterns of rows with u unsaturated parties.
@@ -688,13 +594,16 @@ class _LiveGroups:
         self.scenarios, self.entries = scenarios, entries
         self.waiting = {}
 
-    def add(self, i: int, block: _Block, terms: np.ndarray, unsaturated: np.ndarray,
-            live: np.ndarray, buffers):
-        """Add scenario i's live rows of the block with u >= 2; yields
-        (index, worst-phase P_Q, P_L) of every store that fills."""
-        n = self.scenarios[i].n
-        counts = np.bincount(unsaturated[live]).tolist()
-        for u in (u for u in range(2, len(counts)) if counts[u]):
+    def add(self, i: int, block: _Block, columns: np.ndarray, buffers):
+        """Add the block's rows at ``columns``, each with at least two
+        unsaturated parties of scenario i; yields (index, worst-phase P_Q,
+        P_L) of every store that fills."""
+        scenario = self.scenarios[i]
+        n = scenario.n
+        block = block.take(columns)
+        terms = _party_terms(cos_theta0(scenario), block.cosines)
+        unsaturated = np.count_nonzero(np.abs(terms) < 1.0, axis=0)
+        for u in np.unique(unsaturated).tolist():
             rows = np.flatnonzero(unsaturated == u)
             store, count = self.waiting.get((i, u)) or (
                 np.empty((3, n, self.entries // (3 * n << u))), 0)
@@ -704,7 +613,7 @@ class _LiveGroups:
                     target[:, count:count + part.size] = source.take(part, axis=1)
                 count += part.size
                 if count == store.shape[2]:
-                    yield i, *_live_group(self.scenarios[i], *store, u, buffers)
+                    yield i, *_live_group(scenario, *store, u, buffers)
                     count = 0
             self.waiting[i, u] = store, count
 
@@ -715,45 +624,75 @@ class _LiveGroups:
                 yield i, *_live_group(self.scenarios[i], *store[:, :, :count], u, buffers)
 
 
-def _live_rows(scenario: GhzScenario, cosines: np.ndarray, entries: int):
-    """(terms, unsaturated parties, their count per row, live rows) of one block, or ``None``.
+def _block_factors(scenarios, block: _Block, live_max: int, groups: _LiveGroups, buffers):
+    """(index, worst-phase P_Q, P_L) pieces of every scenario over one block.
 
-    A row is live when it has at most :func:`_live_max_unsaturated`
-    unsaturated parties.  ``None``, and the whole block runs the dense
-    kernel, below ``_LIVE_MIN_PARTIES``, where nothing is counted, and when
-    the live rows would save less than a third of the block's dense cost
-    (a live row costs about n 2^u dense entries instead of 2^n): the split
-    and its gathers then cost about what they save.
+    A party is saturated for a scenario when its ``|cos t_j|`` reaches the
+    scenario's ``|cos t0|``: for doubles ``x, y >= 0``, ``fl(x / y) >= 1``
+    exactly when ``x >= y``, so :func:`_party_terms` clips it to +-1.  So
+    a row has at most one unsaturated party exactly when its
+    second-smallest ``|cos t_j|``, a key with no alpha, reaches
+    ``|cos t0|``.  One sort of the block by that key serves every
+    scenario: its rows at or above a scenario's ``|cos t0|`` form a
+    suffix, read at two patterns from the shared
+    :func:`_two_pattern_products`, whose (2, n, rows) factors, like the
+    block's ``|cos t_j|``, must fit a kernel buffer.  The other rows are
+    sorted again for live_max >= 2, by their (live_max + 1)-th smallest
+    ``|cos t_j|``: a scenario's rows with at most live_max unsaturated
+    parties join ``groups``, and the rest, again a prefix, run the dense
+    kernel on each chunk's shared K.
+
+    A block splits only when the rows that skip the dense kernel, summed
+    over the scenarios, save more than ``_SPLIT_ROW_COST`` dense entries
+    per row of the block, counting ``2^n - 2`` for each; else every row
+    runs the dense kernel, unsorted when no block of the batch could pay
+    or too few rows skip it even at the smallest ``|cos t0|``.  Every
+    entry skipped has P_L = 0, whose residual is P_Q >= 0 and whose ratio
+    is never taken.
     """
-    n = scenario.n
-    if n < _LIVE_MIN_PARTIES:
-        return None
-    terms = _party_terms(cos_theta0(scenario), cosines)
-    free = np.abs(terms) < 1.0
-    unsaturated = np.count_nonzero(free, axis=0)
-    live = unsaturated <= _live_max_unsaturated(n, entries)
-    saved_rows = np.count_nonzero(live) - np.sum(n << unsaturated[live]) / (1 << n)
-    if 3 * saved_rows < live.size:
-        return None
-    return terms, free, unsaturated, live
-
-
-def _split_factors(i: int, scenario: GhzScenario, block: _Block, split, groups: _LiveGroups,
-                   buffers):
-    """(index, worst-phase P_Q, P_L) pieces of scenario i over a block split by :func:`_live_rows`.
-
-    Every row runs :func:`_two_pattern_pass`; the live rows with u >= 2
-    unsaturated parties join ``groups``, whose full calls run here too,
-    and the rows that are not live run the dense kernel.  The live path
-    skips only entries where P_L = 0, whose residual is P_Q >= 0 and whose
-    ratio is never taken.
-    """
-    terms, free, unsaturated, live = split
-    yield i, *_two_pattern_pass(scenario, block, terms, free, buffers)
-    yield from groups.add(i, block, terms, unsaturated, live, buffers)
-    for _, pq_worst, pl in _dense_factors([scenario], block.take(np.flatnonzero(~live)),
-                                          buffers):
-        yield i, pq_worst, pl
+    n, rows = block.cosines.shape
+    saved, everything = (1 << n) - 2, [rows] * len(scenarios)
+    if len(scenarios) * saved <= _SPLIT_ROW_COST:
+        yield from _dense_factors(scenarios, block, everything, buffers)
+        return
+    bounds = np.array([abs(cos_theta0(sc)) for sc in scenarios])
+    magnitudes = np.abs(block.cosines, out=buffers[1][:n * rows].reshape(n, rows))
+    unsaturated = np.count_nonzero(magnitudes < bounds.min(), axis=0)
+    skipping = np.count_nonzero(unsaturated <= live_max)
+    if len(scenarios) * skipping * saved <= _SPLIT_ROW_COST * rows:
+        yield from _dense_factors(scenarios, block, everything, buffers)
+        return
+    least, second, spare = magnitudes[0].copy(), np.full(rows, math.inf), np.empty(rows)
+    for m in magnitudes[1:]:
+        np.minimum(second, np.maximum(least, m, out=spare), out=second)
+        np.minimum(least, m, out=least)
+    order = np.argsort(second)
+    ends = np.searchsorted(second[order], bounds).tolist()
+    prefix, dense = order[:max(ends)], ends
+    if live_max > 1:
+        keys = magnitudes.take(prefix, axis=1)
+        keys.partition(live_max, axis=0)
+        inner = np.argsort(keys[live_max])
+        prefix = prefix[inner]
+        dense = np.searchsorted(keys[live_max, inner], bounds).tolist()
+    if (len(scenarios) * rows - sum(dense)) * saved <= _SPLIT_ROW_COST * rows:
+        yield from _dense_factors(scenarios, block, everything, buffers)
+        return
+    first = min(ends)
+    if first < rows:
+        suffix = order[first:]
+        products = _two_pattern_products(block, least, buffers).take(suffix, axis=1)
+        least = least[suffix]
+        for i, scenario in enumerate(scenarios):
+            if ends[i] < rows:
+                yield i, *_two_pattern_factors(scenario, products[:, ends[i] - first:],
+                                               least[ends[i] - first:])
+    for i, bound in enumerate(bounds.tolist()):
+        tail = prefix[dense[i]:]
+        columns = tail[second[tail] < bound]
+        if columns.size:
+            yield from groups.add(i, block, columns, buffers)
+    yield from _dense_factors(scenarios, block.take(prefix[:max(dense)]), dense, buffers)
 
 
 def _factor_pieces(scenarios, samples: int, seed: int, buffers):
@@ -764,28 +703,18 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
     cosines only where a scenario may leave a party unsaturated
     (:func:`_block_cosines`; every one when the batch reaches alpha = 0).
     The stand-ins change no entry that is read: each clips to the term
-    of the cosine it replaces, and from ``_SPLIT_MIN_PARTIES`` to
-    ``_LIVE_MIN_PARTIES`` it keeps every row's side of each scenario's
-    ``|cos t0|`` in :func:`_two_pattern_rows`.  Per block, each
-    scenario that :func:`_live_rows` splits runs :func:`_split_factors`;
-    the others, every one below ``_LIVE_MIN_PARTIES``, then share one
-    :func:`_dense_factors` pass: each dense chunk's K and, from
-    ``_SPLIT_MIN_PARTIES`` on, one sort of the block.  A piece's arrays
-    are only valid until the next piece is drawn.
+    of the cosine it replaces, and keeps every party's side of each
+    scenario's ``|cos t0|``.  Each block runs :func:`_block_factors`, at
+    every n; the rows it sends to the live groups wait over blocks.  A
+    piece's arrays are only valid until the next piece is drawn.
     """
     n = scenarios[0].n
     bound = max(abs(cos_theta0(sc)) for sc in scenarios)
-    groups = _LiveGroups(scenarios, buffers[0].size)
-    for block in _certification_blocks(n, samples, seed, _block_rows(n, len(scenarios)), bound):
-        shared = []
-        for i, scenario in enumerate(scenarios):
-            split = _live_rows(scenario, block.cosines, buffers[0].size)
-            if split is None:
-                shared.append(i)
-                continue
-            yield from _split_factors(i, scenario, block, split, groups, buffers)
-        for k, pq_worst, pl in _dense_factors([scenarios[i] for i in shared], block, buffers):
-            yield shared[k], pq_worst, pl
+    entries = buffers[0].size
+    live_max = max(1, _live_max_unsaturated(n, entries))
+    groups = _LiveGroups(scenarios, entries)
+    for block in _certification_blocks(n, samples, seed, _block_rows(n), bound):
+        yield from _block_factors(scenarios, block, live_max, groups, buffers)
     yield from groups.rest(buffers)
 
 
@@ -793,7 +722,7 @@ def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
     """min of P_Q - w * P_L over the factor arrays; overwrites ``pl``."""
     pl *= w
     np.subtract(pq_worst, pl, out=pl)
-    return float(np.min(pl))
+    return float(np.minimum.reduce(pl, axis=None))
 
 
 def _min_ratio(pq_worst: np.ndarray, pl: np.ndarray) -> float:
@@ -803,7 +732,7 @@ def _min_ratio(pq_worst: np.ndarray, pl: np.ndarray) -> float:
     """
     positive = pl > 1e-12
     np.divide(pq_worst, pl, out=pq_worst, where=positive)
-    return float(np.min(pq_worst, where=positive, initial=math.inf))
+    return float(np.minimum.reduce(pq_worst, axis=None, where=positive, initial=math.inf))
 
 
 def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
@@ -840,18 +769,11 @@ def _chunk_rows(n: int) -> int:
     return min(_CERT_MAX_ROWS, _CERT_CHUNK_BYTES // (8 * 2**n))
 
 
-def _block_rows(n: int, scenarios: int = 1) -> int:
-    """Rows per block: ``_SPLIT_BLOCK_ROWS`` where :func:`_may_split`, so that
-    one sort of :func:`_two_pattern_rows` spans several chunks; from
-    ``_LIVE_MIN_PARTIES`` on as many whole chunks as the (6, n, rows)
-    factors of :func:`_two_pattern_pass` fit one kernel buffer, or one
-    chunk; else a dense chunk."""
-    chunk = _chunk_rows(n)
-    if _may_split(n, scenarios):
-        return max(chunk, _SPLIT_BLOCK_ROWS)
-    if n >= _LIVE_MIN_PARTIES:
-        return max(chunk, (chunk << n) // (6 * n) // chunk * chunk)
-    return chunk
+def _block_rows(n: int) -> int:
+    """Rows per block: as many whole dense chunks as the (2, n, rows) K
+    factors of :func:`_two_pattern_products` fit one kernel buffer, at
+    least one chunk."""
+    return _chunk_rows(n) * max(1, (1 << n) // (2 * n))
 
 
 def _certification_blocks(n: int, samples: int, seed: int, rows: int,
@@ -890,9 +812,9 @@ def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
     The scenarios share one n.  Every minimum starts at 0.0, the exact
     residual of the grid row theta = 0 at each pattern that mixes the two
     outcomes: there both K products hold a factor sin 0 = 0 and P_L one
-    (1 - 1) / 2 = 0.  That row is always evaluated, and every entry the
-    live path skips has a residual P_Q >= 0, so each value is the dense
-    kernel's minimum.  At w = 0 every residual is P_Q >= 0, so that
+    (1 - 1) / 2 = 0.  That row is always evaluated, and every entry that
+    :func:`_block_factors` skips has a residual P_Q >= 0, so each value is
+    the dense kernel's minimum.  At w = 0 every residual is P_Q >= 0, so that
     minimum is 0.0 and no row is evaluated for it.
     """
     residuals = [0.0] * len(scenarios)
@@ -994,12 +916,11 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     ``min_residual`` is never positive: the grid row theta = 0 has exact
     zeros, so it is exactly 0.0 at w = 0, where no row is evaluated.  Rows
     with few unsaturated parties are evaluated only at patterns with
-    P_L > 0: from 7 parties on, every row at two patterns in one row-dense
-    pass and a row with u >= 2 unsaturated parties at all its 2^u live
-    patterns, and from 4 to 6 parties two patterns for a row with at most
-    one, when enough rows of a block have so few.  The other patterns have
-    residual P_Q >= 0, so the value is the one of the full evaluation, bit
-    for bit.
+    P_L > 0, by one rule at every n (:func:`_block_factors`): when enough
+    rows of a block have at most one, those rows are read at their two
+    live patterns, and, from 6 parties on, a row with a few more at all
+    its 2^u live patterns.  The other patterns have residual P_Q >= 0, so
+    the value is the one of the full evaluation, bit for bit.
 
     Given equal-length sequences of scenarios that share one party count
     and of real weights, certifies every pair in one pass over the
@@ -1007,10 +928,9 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     equal to the matching single call; an empty pair of sequences gives
     ``[]``.  The pass shares the angles, their trigonometry (a sample's
     ``cos theta`` only where some scenario may leave a party unsaturated,
-    so every one in a batch that reaches alpha = 0) and each chunk's
-    alpha-free Kronecker product K, and,
-    from 4 to 6 parties, one sort of each block that serves every
-    scenario's two-pattern rows.  A
+    so every one in a batch that reaches alpha = 0), one sort of each
+    block with the alpha-free products of its two-pattern rows, and each
+    chunk's alpha-free Kronecker product K.  A
     single scenario takes a single real weight; any other pairing is
     refused with ValueError, and every weight is checked before anything
     is computed.

@@ -23,7 +23,7 @@ from ghzlocal import cli, epr2
 from ghzlocal.epr2 import CERT_TOLERANCE, certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import MAX_PARTIES, GhzScenario, cos_theta0
 
-from certification_rows import certification_rows
+from certification_rows import block_extrema, certification_rows
 from test_epr2 import _dense_residual_extrema
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -138,9 +138,9 @@ def test_near_zero_batches_are_single_calls_and_dense_minima(n):
 
 @st.composite
 def edge_batches(draw):
-    """(scenarios, weights, (rows, n) angles) at 2 to 6 parties, with angles at
+    """(scenarios, weights, (rows, n) angles) at 2 to 8 parties, with angles at
     the edge of the batch's cosine bound and at each scenario's band edges."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))
     alpha = st.one_of(st.sampled_from(NEAR_ZERO_ALPHAS), st.floats(1e-15, math.pi / 4))
     weight = st.sampled_from(["lower_bound", 0.5, 1.0])
     pairs = draw(st.lists(st.tuples(alpha, weight), min_size=1, max_size=4))
@@ -161,21 +161,13 @@ def edge_batches(draw):
 @PROPERTIES
 @given(edge_batches(), st.sampled_from([1, 3, 8192]))
 def test_stand_in_cosines_change_no_minimum(batch, chunk_rows):
-    # The dense pass over a block with the batch's stand-in cosines, the
-    # two-pattern split forced on from 4 parties, equals the dense
+    # The pass over a block with the batch's stand-in cosines, split for
+    # every row that can skip the dense kernel, equals the dense
     # reference; the theta = 0 row puts the residual's 0.0 in both.
     scenarios, ws, thetas = batch
-    n = scenarios[0].n
-    parties = np.ascontiguousarray(thetas.T)
     bound = max(abs(cos_theta0(sc)) for sc in scenarios)
-    buffers = epr2._certification_buffers(epr2._chunk_rows(n), n, len(scenarios))
-    residuals, ratios = [0.0] * len(scenarios), [math.inf] * len(scenarios)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(epr2, "_SPLIT_ROW_COST", 0)
         patch.setattr(epr2, "_CERT_MAX_ROWS", chunk_rows)
-        block = epr2._block(parties, bound)
-        for i, pq_worst, pl in epr2._dense_factors(scenarios, block, buffers):
-            ratios[i] = min(ratios[i], epr2._min_ratio(pq_worst.copy(), pl.copy()))
-            residuals[i] = min(residuals[i], epr2._min_residual(pq_worst, pl, ws[i]))
-    assert list(zip(residuals, ratios)) == [
-        epr2._residual_extrema(sc, w, thetas) for sc, w in zip(scenarios, ws)]
+        got = block_extrema(scenarios, ws, thetas, bound=bound)
+    assert got == [epr2._residual_extrema(sc, w, thetas) for sc, w in zip(scenarios, ws)]

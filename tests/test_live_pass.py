@@ -1,11 +1,11 @@
-"""Tests of the live path's row-dense pieces against the dense kernel.
+"""Tests of the certification pass's row-dense pieces against the dense kernel.
 
-From 7 parties on, every row of a block is read at two patterns in one
-row-dense pass; the rows with two or more unsaturated parties add their
-other live patterns in groups; the angles get their cosine only where a
-scenario of the batch may leave a party unsaturated.  These tests hold
-each piece to the dense reference bit for bit, and pin the angle hash,
-the shared grid trigonometry and the w = 0 skip.
+The rows with at most one unsaturated party are read at two patterns from
+alpha-free products; the rows with a few more add their live patterns in
+groups; the angles get their cosine only where a scenario of the batch
+may leave a party unsaturated.  These tests hold each piece to the dense
+reference bit for bit, and pin the angle hash, the shared grid
+trigonometry and the w = 0 skip.
 """
 
 import math
@@ -19,7 +19,7 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _party_terms, certify
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import certification_rows
+from certification_rows import block_pieces, certification_rows
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -120,62 +120,56 @@ def _buffers(entries):
 
 
 @PROPERTIES
-@given(batches())
-def test_two_pattern_pass_reads_patterns_a_and_b_of_the_dense_kernel(batch):
+@given(batches(n_min=2))
+def test_two_pattern_products_are_the_dense_k_entries(batch):
+    # K at the forced pattern (every party at its cosine's sign) and at the
+    # flipped one (the parties of smallest |cos t_j| flipped), then K at
+    # their complements; and, for the rows with at most one unsaturated
+    # party, the dense (P_Q, P_L) at the two patterns.
     scenarios, parties = batch
     n, rows = parties.shape
     block = epr2._block(parties, _batch_bound(scenarios))
+    magnitudes = np.abs(block.cosines)
+    least = magnitudes.min(axis=0)
+    buffers = epr2._certification_buffers(rows, n)
+    products = epr2._two_pattern_products(block, least, buffers).copy()
+    forced = _pattern(block.cosines < 0.0)
+    flipped = forced ^ _pattern(magnitudes == least)
+    complement = (1 << n) - 1
+    k = epr2._alpha_free_factors(block.half_cos, block.half_sin, buffers)
     columns = np.arange(rows)
+    for got, pattern in zip(products, (forced, flipped, complement - forced,
+                                       complement - flipped)):
+        assert got.tobytes() == k[pattern, columns].tobytes()
+    second = np.sort(magnitudes, axis=0)[1]
     for sc in scenarios:
-        terms = _party_terms(cos_theta0(sc), block.cosines)
-        free = np.abs(terms) < 1.0
-        pq, pl = epr2._two_pattern_pass(sc, block, terms, free, _buffers(6 * n * rows))
+        rows_2 = np.flatnonzero(second >= abs(cos_theta0(sc)))
+        pq, pl = epr2._two_pattern_factors(sc, products[:, rows_2], least[rows_2])
         dense_pq, dense_pl = _dense(sc, parties)
-        # A: unsaturated parties at +1; B: at -1; saturated at their sign.
-        negative = terms == -1.0
-        for k, bits in enumerate((negative, negative | free)):
-            pattern = _pattern(bits)
-            assert pq[k].tobytes() == dense_pq[pattern, columns].tobytes()
-            assert pl[k].tobytes() == dense_pl[pattern, columns].tobytes()
+        for got_pq, got_pl, pattern in zip(pq, pl, (forced, flipped)):
+            assert got_pq.tobytes() == dense_pq[pattern[rows_2], rows_2].tobytes()
+            assert got_pl.tobytes() == dense_pl[pattern[rows_2], rows_2].tobytes()
 
 
 @PROPERTIES
-@given(batches())
-def test_pass_and_groups_cover_every_positive_dense_entry(batch):
-    # The pass reads every row at A and B and the live groups read each
-    # row with u >= 2 at all of its 2^u live patterns; together they read
-    # every entry with P_L > 0, each at its dense value.
+@given(batches(n_min=2), st.sampled_from([None, 1, 2, 3]))
+def test_pass_and_groups_cover_every_positive_dense_entry(batch, live_max):
+    # The two-pattern rows, the live groups and the dense rows of a block,
+    # split for every row that can skip the dense kernel, read only dense
+    # entries, and together every entry with P_L > 0.
     scenarios, parties = batch
-    n, rows = parties.shape
-    block = epr2._block(parties, _batch_bound(scenarios))
-    for sc in scenarios:
-        terms = _party_terms(cos_theta0(sc), block.cosines)
-        free = np.abs(terms) < 1.0
-        unsaturated = np.count_nonzero(free, axis=0)
+    bound = _batch_bound(scenarios)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(epr2, "_SPLIT_ROW_COST", 0)
+        pieces = block_pieces(scenarios, parties.T, live_max=live_max, bound=bound)
+    for i, sc in enumerate(scenarios):
+        got = [np.stack((pq.ravel(), pl.ravel()), axis=1) for k, pq, pl in pieces if k == i]
+        got = np.unique(np.concatenate(got), axis=0)
         dense_pq, dense_pl = _dense(sc, parties)
-        read = np.zeros(dense_pl.shape, dtype=bool)
-        pq, pl = epr2._two_pattern_pass(sc, block, terms, free, _buffers(6 * n * rows))
-        negative = terms == -1.0
-        for k, bits in enumerate((negative, negative | free)):
-            read[_pattern(bits), np.arange(rows)] = True
-        for u in range(2, n + 1):
-            group = np.flatnonzero(unsaturated == u)
-            if not group.size:
-                continue
-            part = block.take(group)
-            gpq, gpl = epr2._live_group(sc, part.half_cos, part.half_sin,
-                                        terms[:, group], u, _buffers(3 * n * group.size << u))
-            for index in range(2**u):
-                # The unsaturated parties take the bits of the index, the
-                # first of them the most significant.
-                rank = np.cumsum(free[:, group], axis=0) - 1
-                bits = np.where(free[:, group], (index >> (u - 1 - rank)) & 1 == 1,
-                                negative[:, group])
-                pattern = _pattern(bits)
-                assert gpq[index].tobytes() == dense_pq[pattern, group].tobytes()
-                assert gpl[index].tobytes() == dense_pl[pattern, group].tobytes()
-                read[pattern, group] = True
-        assert np.all(read[dense_pl > 0.0])
+        every = np.unique(np.stack((dense_pq.ravel(), dense_pl.ravel()), axis=1), axis=0)
+        positive = every[every[:, 1] > 0.0]
+        assert np.all(np.isin(got.view(complex), every.view(complex)))
+        assert np.all(np.isin(positive.view(complex), got.view(complex)))
 
 
 def _dense_entries(scenario, thetas_chunks):
@@ -188,17 +182,25 @@ def _dense_entries(scenario, thetas_chunks):
     return pairs, pairs[pairs[:, 1] > 0.0]
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_batch_pieces_are_dense_entries_and_read_every_positive_one(n):
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_batch_pieces_are_dense_entries_and_read_every_positive_one(n, monkeypatch):
     # Each piece of a batch pass holds dense entries only, and together
     # they hold every dense entry with P_L > 0: the block cosines serve the
-    # scenario of the largest |cos t0| as they serve the others.
-    scenarios = [GhzScenario(n, a) for a in (1e-12, 0.05, 0.3, math.pi / 4 - 1e-15)]
+    # scenario of the largest |cos t0| as they serve the others.  The
+    # fewer parties, the more scenarios it takes for a block to split.
+    alphas = [1e-12, 0.05, 0.3, math.pi / 4 - 1e-15]
+    alphas += [0.2, 0.5, 0.7] * (n <= 6) + [0.1, 0.4, 0.6, 0.75] * (n == 3)
+    scenarios = [GhzScenario(n, a) for a in alphas]
     samples, seed = 400, 21
     buffers = epr2._certification_buffers(epr2._chunk_rows(n), n, len(scenarios))
+    two_pattern = []
+    original = epr2._two_pattern_factors
+    monkeypatch.setattr(epr2, "_two_pattern_factors",
+                        lambda *args: two_pattern.append(1) or original(*args))
     pieces = [[] for _ in scenarios]
     for i, pq, pl in epr2._factor_pieces(scenarios, samples, seed, buffers):
         pieces[i].append(np.stack((pq.ravel(), pl.ravel()), axis=1))
+    assert two_pattern
     for sc, got in zip(scenarios, pieces):
         got = np.unique(np.concatenate(got), axis=0)
         every, positive = _dense_entries(sc, certification_rows(n, samples, seed))

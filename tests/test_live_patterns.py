@@ -114,16 +114,17 @@ def _grid_minimum(scenario, w):
 
 @pytest.mark.parametrize("n", [7, 8, 9, 12])
 def test_certify_reads_only_live_patterns_at_interior_alphas(n, monkeypatch):
-    # The live path takes the sample rows with few unsaturated parties: the
-    # dense kernel sees only the rest, and the certificate is unchanged.
+    # The rows with few unsaturated parties are read at their live
+    # patterns only: the dense kernel sees only the rest, and the
+    # certificate is unchanged.
     sc = GhzScenario(n, 0.3)
     expected = epr2._residual_extrema(sc, 0.2, epr2.certification_thetas(3, 0, 256, n))[0]
     dense_rows = []
     original = epr2._dense_factors
 
-    def counted(scenarios, block, buffers):
-        dense_rows.append(block.cosines.shape[1] if scenarios else 0)
-        return original(scenarios, block, buffers)
+    def counted(scenarios, block, ends, buffers):
+        dense_rows.append(max(ends))
+        return original(scenarios, block, ends, buffers)
 
     monkeypatch.setattr(epr2, "_dense_factors", counted)
     cert = certify(sc, 0.2, samples=256, seed=3)

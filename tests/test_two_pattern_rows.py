@@ -1,10 +1,11 @@
-"""Tests of the two-pattern suffix of the dense certification pass.
+"""Tests of the two-pattern suffix and the split rule of the certification pass.
 
-From 4 to 6 parties the dense pass sorts each block's rows by their
-second-smallest |cos theta_j|.  A row whose key reaches |cos theta0| has
-at most one unsaturated party and is read at two patterns only; these
-tests hold that path to the dense reference, bit for bit, and pin that 3
-and 7 parties keep their own paths.
+At every n, one sort of a block by its rows' second-smallest
+|cos theta_j| puts the rows with at most one unsaturated party in a
+suffix, read at two patterns from alpha-free products that the batch
+shares; the rows with a few more join the live groups, and the rest run
+the dense kernel.  These tests hold that pass to the dense reference,
+bit for bit, and pin which blocks split.
 """
 
 import math
@@ -18,7 +19,7 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _party_terms, certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import certification_rows
+from certification_rows import block_extrema, block_pieces, certification_rows
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -63,45 +64,29 @@ def test_a_party_saturates_exactly_when_its_magnitude_reaches_the_bound(pair):
 @st.composite
 def blocks(draw):
     """(n, (rows, n) angles): a theta = 0 row, drawn rows and all-equal rows."""
-    n = draw(st.sampled_from([3, 4, 5, 6, 7]))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8]))
     rows = draw(st.lists(st.lists(angles, min_size=n, max_size=n), min_size=0, max_size=8))
     equal = draw(st.lists(angles, min_size=0, max_size=3))
     thetas = np.array([[0.0] * n] + rows + [[theta] * n for theta in equal])
     return n, thetas
 
 
-def _pass_extrema(scenarios, ws, thetas):
-    """(min residual, min ratio) per scenario from one _dense_factors pass.
-
-    The residual starts at 0.0, as in certify: the theta = 0 row's dense
-    minimum is at most 0.0.
-    """
-    n = scenarios[0].n
-    parties = np.ascontiguousarray(thetas.T)
-    buffers = epr2._certification_buffers(epr2._chunk_rows(n), n, len(scenarios))
-    residuals, ratios = [0.0] * len(scenarios), [math.inf] * len(scenarios)
-    for i, pq_worst, pl in epr2._dense_factors(scenarios, epr2._block(parties), buffers):
-        ratios[i] = min(ratios[i], epr2._min_ratio(pq_worst.copy(), pl.copy()))
-        residuals[i] = min(residuals[i], epr2._min_residual(pq_worst, pl, ws[i]))
-    return list(zip(residuals, ratios))
-
-
 @PROPERTIES
 @given(blocks(), st.lists(st.tuples(alphas, weights), min_size=1, max_size=4),
-       st.sampled_from([1, 2, 3, 8192]))
-def test_two_pattern_pass_is_the_dense_reference(block, pairs, chunk_rows):
+       st.sampled_from([1, 2, 3, 8192]), st.sampled_from([None, 1, 2, 3]))
+def test_block_factors_are_the_dense_reference(block, pairs, chunk_rows, live_max):
     n, thetas = block
     scenarios = [GhzScenario(n, alpha) for alpha, _ in pairs]
     ws = [_weight(sc, w) for sc, (_, w) in zip(scenarios, pairs)]
-    parties = np.ascontiguousarray(thetas.T)
+    pieces = []
     with pytest.MonkeyPatch.context() as patch:
-        # Every block with a two-pattern row splits: the theta = 0 row is
-        # one.  Short chunks put the sorted rows of one block in several.
+        # Every block splits: the theta = 0 row is a two-pattern row.
+        # Short chunks put the dense rows of one block in several.
         patch.setattr(epr2, "_SPLIT_ROW_COST", 0)
         patch.setattr(epr2, "_CERT_MAX_ROWS", chunk_rows)
-        split = epr2._two_pattern_rows(scenarios, epr2._block(parties))
-        got = _pass_extrema(scenarios, ws, thetas)
-    assert (split is None) == (n in (3, 7))
+        pieces = _count_two_pattern_pieces(patch)
+        got = block_extrema(scenarios, ws, thetas, live_max=live_max)
+    assert pieces
     assert got == [epr2._residual_extrema(sc, w, thetas) for sc, w in zip(scenarios, ws)]
 
 
@@ -110,7 +95,7 @@ def _count_two_pattern_pieces(monkeypatch):
     original = epr2._two_pattern_factors
 
     def counted(*args):
-        pieces.append(1)
+        pieces.append(args[2].copy())
         return original(*args)
 
     monkeypatch.setattr(epr2, "_two_pattern_factors", counted)
@@ -128,7 +113,9 @@ def test_batch_certificates_are_the_dense_minima(n, monkeypatch):
     samples, seed = 5000, 11
     pieces = _count_two_pattern_pieces(monkeypatch)
     certificates = certify(scenarios, ws, samples=samples, seed=seed)
-    assert bool(pieces) == (4 <= n <= 6)
+    # Five scenarios carry a weight: at 3 parties they save too few
+    # entries for any block to sort.
+    assert bool(pieces) == (n >= 4)
     rows = list(certification_rows(n, samples, seed))
     for sc, w, cert in zip(scenarios, ws, certificates):
         assert cert.min_residual == min(epr2._residual_extrema(sc, w, t)[0] for t in rows)
@@ -155,6 +142,7 @@ def test_a_key_equal_to_the_bound_is_a_two_pattern_row(monkeypatch):
     # Rows sort by their second-smallest |cos t_j|; the suffix starts at
     # the first key >= |cos t0|, so a key equal to it reads two patterns.
     monkeypatch.setattr(epr2, "_SPLIT_ROW_COST", 0)
+    pieces = _count_two_pattern_pieces(monkeypatch)
     sc = GhzScenario(4, 0.3)
     c0 = abs(cos_theta0(sc))
     below = float(np.nextafter(c0, 0.0))
@@ -163,37 +151,95 @@ def test_a_key_equal_to_the_bound_is_a_two_pattern_row(monkeypatch):
                          [0.2, 0.9, -0.9, 0.9]])
     parties = np.arccos(cos_rows).T.copy()
     block = epr2._block(parties)._replace(cosines=cos_rows.T.copy())
-    _, ends, _, least = epr2._two_pattern_rows([sc], block)
-    assert ends == [1]
-    assert least.tolist() == [below, 0.1, 0.2]
+    buffers = epr2._certification_buffers(epr2._chunk_rows(4), 4)
+    groups = epr2._LiveGroups([sc], buffers[0].size)
+    dense_rows = []
+    for _, pq_worst, _ in epr2._block_factors([sc], block, 1, groups, buffers):
+        dense_rows += [pq_worst.shape[1]] if pq_worst.shape[0] == 16 else []
+    # The rows' smallest |cos t_j|, in the order of their keys.
+    assert [least.tolist() for least in pieces] == [[0.1, 0.2]]
+    assert dense_rows == [1]
 
 
-def test_blocks_that_cannot_split_stay_chunk_sized():
-    # A single scenario at 4 or 5 parties saves at most 2^n - 2 entries a
-    # row, no more than the split costs, so it keeps the dense blocks.
-    for n in (4, 5):
-        assert not epr2._may_split(n, 1)
-        assert epr2._block_rows(n, 1) == epr2._chunk_rows(n)
-        assert epr2._block_rows(n, 3) == max(epr2._chunk_rows(n), epr2._SPLIT_BLOCK_ROWS)
-    assert epr2._may_split(6, 1)
-    assert not epr2._may_split(3, 100) and not epr2._may_split(7, 100)
+def test_blocks_are_whole_chunks_that_fit_the_two_pattern_factors():
+    # A block's (2, n, rows) K factors fill at most one kernel buffer, of
+    # 2^n entries a chunk row, and a block holds whole chunks.
+    for n in range(2, 13):
+        chunk, rows = epr2._chunk_rows(n), epr2._block_rows(n)
+        assert rows % chunk == 0
+        assert 2 * n * rows <= chunk << n
+        assert rows == chunk or 2 * n * (rows + chunk) > chunk << n
+    assert [epr2._block_rows(n) for n in (3, 5, 8, 12)] == [8192, 6144, 4096, 2720]
+
+
+def _count_sorts(monkeypatch):
+    sorts = []
+    original = np.argsort
+
+    def counted(a, *args, **kwargs):
+        sorts.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return sorts
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_single_scenario_below_six_parties_never_sorts(n, monkeypatch):
+    # One scenario saves at most 2^n - 2 <= 30 entries a row, no more than
+    # a sort costs, so no block is sorted.
+    sorts = _count_sorts(monkeypatch)
+    certify(GhzScenario(n, 0.3), 0.2, samples=5000, seed=3)
+    assert sorts == []
+
+
+def test_an_eleven_alpha_batch_at_three_parties_sorts(monkeypatch):
+    # Eleven scenarios save up to 66 entries a row.
+    sorts = _count_sorts(monkeypatch)
+    pieces = _count_two_pattern_pieces(monkeypatch)
+    scenarios = [GhzScenario(3, alpha) for alpha in np.linspace(0.0, math.pi / 4, 11)]
+    certify(scenarios, [0.5] * 11, samples=5000, seed=3)
+    assert sorts and pieces
+
+
+def test_a_block_near_alpha_zero_stays_dense(monkeypatch):
+    # At alpha = 1e-6 and 8 parties, |cos t0| = 0.94: almost every sample
+    # row has more unsaturated parties than the live groups take, so each
+    # sample block runs the dense kernel on all of its rows.  A fifth of
+    # the grid rows are saturated, and the grid block splits.
+    pieces = _count_two_pattern_pieces(monkeypatch)
+    ends = []
+    original = epr2._dense_factors
+
+    def recorded(scenarios, block, block_ends, buffers):
+        ends.append((block.cosines.shape[1], list(block_ends)))
+        return original(scenarios, block, block_ends, buffers)
+
+    monkeypatch.setattr(epr2, "_dense_factors", recorded)
+    certify(GhzScenario(8, 1e-6), 0.5, samples=6000, seed=3)
+    assert len(pieces) == 1 and ends[0][1][0] < epr2.DIAG_GRID_POINTS
+    assert len(ends) == 3 and all(block_ends == [rows] for rows, block_ends in ends[1:])
 
 
 def test_alpha_free_half_runs_once_per_chunk_of_a_sorted_block(monkeypatch):
-    # K is built once per chunk of each sorted block, however many
-    # scenarios share it.
-    calls = []
-    original = epr2._alpha_free_factors
+    # K is built once per chunk of each sorted block's dense prefix,
+    # however many scenarios share it.
+    calls, chunks = [], []
+    original_k, original_dense = epr2._alpha_free_factors, epr2._dense_factors
 
     def counted(*args):
         calls.append(1)
-        return original(*args)
+        return original_k(*args)
+
+    def recorded(scenarios, block, ends, buffers):
+        chunks.append(-(-max(ends) // epr2._chunk_rows(6)))
+        return original_dense(scenarios, block, ends, buffers)
 
     monkeypatch.setattr(epr2, "_alpha_free_factors", counted)
-    n, samples = 6, 10_000
-    scenarios = [GhzScenario(n, alpha) for alpha in (0.0, 0.2, math.pi / 4)]
-    certify(scenarios, [1.0, 0.3, 0.05], samples=samples, seed=7)
-    chunk = epr2._chunk_rows(n)
-    blocks = certification_rows(n, samples, 7, epr2._block_rows(n, len(scenarios)))
-    assert len(calls) == sum(-(-len(block) // chunk) for block in blocks)
-    assert len(calls) > epr2.DIAG_GRID_POINTS // chunk
+    monkeypatch.setattr(epr2, "_dense_factors", recorded)
+    pieces = _count_two_pattern_pieces(monkeypatch)
+    scenarios = [GhzScenario(6, alpha) for alpha in (0.0, 0.2, math.pi / 4)]
+    certify(scenarios, [1.0, 0.3, 0.05], samples=10_000, seed=7)
+    assert pieces
+    assert len(calls) == sum(chunks)
+    assert len(calls) > epr2.DIAG_GRID_POINTS // epr2._chunk_rows(6)
