@@ -115,10 +115,6 @@ def _pattern(bits):
     return (bits.astype(np.intp) << np.arange(n - 1, -1, -1)[:, None]).sum(axis=0)
 
 
-def _buffers(entries):
-    return tuple(np.empty(entries) for _ in range(3))
-
-
 @PROPERTIES
 @given(batches(n_min=2))
 def test_two_pattern_products_are_the_dense_k_entries(batch):

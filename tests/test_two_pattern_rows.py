@@ -19,7 +19,7 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _party_terms, certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import block_extrema, block_pieces, certification_rows
+from certification_rows import block_extrema, certification_rows
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -78,7 +78,6 @@ def test_block_factors_are_the_dense_reference(block, pairs, chunk_rows, live_ma
     n, thetas = block
     scenarios = [GhzScenario(n, alpha) for alpha, _ in pairs]
     ws = [_weight(sc, w) for sc, (_, w) in zip(scenarios, pairs)]
-    pieces = []
     with pytest.MonkeyPatch.context() as patch:
         # Every block splits: the theta = 0 row is a two-pattern row.
         # Short chunks put the dense rows of one block in several.
