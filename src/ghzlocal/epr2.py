@@ -918,7 +918,7 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     with few unsaturated parties are evaluated only at patterns with
     P_L > 0, by one rule at every n (:func:`_block_factors`): when enough
     rows of a block have at most one, those rows are read at their two
-    live patterns, and, from 6 parties on, a row with a few more at all
+    live patterns, and, from 7 parties on, a row with a few more at all
     its 2^u live patterns.  The other patterns have residual P_Q >= 0, so
     the value is the one of the full evaluation, bit for bit.
 
