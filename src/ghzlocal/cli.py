@@ -157,11 +157,16 @@ def _rows_svg(rows, n_list) -> str:
 
 
 def _write_out(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or to the file ``out``; a file that cannot be
+    written is a usage error (ValueError)."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from None
 
 
 def _resolve_alpha(args) -> float:

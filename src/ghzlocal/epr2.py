@@ -350,16 +350,6 @@ def _block_cosines(parties: np.ndarray, bound: float, out: np.ndarray) -> np.nda
     return out
 
 
-def _alpha_free_factors(half_cos: np.ndarray, half_sin: np.ndarray, buffers):
-    """K of one dense chunk from its (n, rows) half-angle trigonometry: the part no alpha changes.
-
-    ``K = kron_j (cos h_j, sin h_j)`` with h = theta / 2 is a (2^n, rows)
-    view of the first :func:`_certification_buffers` buffer; the third
-    buffer is scratch, free again on return.
-    """
-    return _kron_rows(half_cos, half_sin, buffers[0], buffers[2])
-
-
 def _alpha_factors(scenario: GhzScenario, k: np.ndarray, terms: np.ndarray,
                    buffers, consume_k: bool):
     """(worst-phase P_Q, P_L) of one scenario from K and its (n, rows) :func:`_party_terms`.
@@ -405,7 +395,7 @@ def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
     """(worst-phase P_Q, P_L) at theta rows (rows, n) on the dense kernel."""
     block = _block(np.ascontiguousarray(thetas.T))
     terms = _party_terms(cos_theta0(scenario), block.cosines)
-    k = _alpha_free_factors(block.half_cos, block.half_sin, buffers)
+    k = _kron_rows(block.half_cos, block.half_sin, buffers[0], buffers[2])
     return _alpha_factors(scenario, k, terms, buffers, True)
 
 
@@ -472,8 +462,8 @@ def _dense_factors(scenarios, block: _Block, ends, buffers):
     chunk = _chunk_rows(n)
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
-        k = _alpha_free_factors(block.half_cos[:, start:stop], block.half_sin[:, start:stop],
-                                buffers)
+        k = _kron_rows(block.half_cos[:, start:stop], block.half_sin[:, start:stop],
+                       buffers[0], buffers[2])
         active = [i for i, end in enumerate(ends) if end > start]
         for i in active:
             part = slice(start, min(ends[i], stop))
@@ -488,8 +478,9 @@ def _live_max_unsaturated(n: int, entries: int) -> int:
     Each of a row's 2^u live patterns costs about as much as 32 entries
     of the dense kernel (measured from 6 to 12 parties: 15 to 45, with
     and without the chunk's K), so the rows with ``32 * 2^u <= 2^n`` run
-    :func:`_live_group` at no more than their dense cost; and the row's
-    (3, 2^u, n) factors must fit a buffer of ``entries``.
+    :func:`_live_factors` at no more than their dense cost; and one row's
+    (3, 2^u, n) factors must fit a buffer of ``entries``, so that each of
+    its slices holds at least one row.
     """
     return min((1 << n) // 32, entries // (3 * n)).bit_length() - 1
 
@@ -529,11 +520,11 @@ def _pattern_factors(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.n
     at -1, Kr the other, and P_L ``(1 +- t_j) / 2``, exactly 1.0 at a
     forced outcome.  The forced factors fill the (3, patterns, n, rows)
     factors in the first :func:`_certification_buffers` buffer, which
-    must hold that many entries, and only the sparse unsaturated entries
-    are then written by index.  Each product runs over the parties left
-    to right, into the second buffer, and the cos(a) / sin(a) scale comes
-    last, so every entry is bit-identical to the dense entry of its
-    pattern.
+    must hold that many entries (:func:`_live_factors` slices its rows to
+    fit), and only the sparse unsaturated entries are then written by
+    index.  Each product runs over the parties left to right, into the
+    second buffer, and the cos(a) / sin(a) scale comes last, so every
+    entry is bit-identical to the dense entry of its pattern.
     """
     n, rows = terms.shape
     patterns = minus.shape[0]
@@ -557,74 +548,39 @@ def _pattern_factors(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.n
     return k, pl
 
 
-def _live_group(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.ndarray,
-                terms: np.ndarray, u: int, buffers):
-    """(worst-phase P_Q, P_L) at the live patterns of rows with u unsaturated parties.
+def _live_factors(scenario: GhzScenario, block: _Block, columns: np.ndarray, buffers):
+    """(worst-phase P_Q, P_L) of a block's rows at ``columns``, at their live patterns only.
 
-    Takes the (n, rows) half-angle trigonometry and :func:`_party_terms`
-    of those rows and returns (2^u, rows) arrays, whose pattern index
-    holds the outcomes of the unsaturated parties, the first of them in
-    the most significant bit (1 for -1).  A saturated party (term +-1)
-    has one P_L factor exactly 0, so its outcome is forced; every other
-    pattern has P_L = 0.  The entries are those of :func:`_pattern_factors`,
-    bit-identical to the dense ones; the (3, 2^u, n, rows) factors must
-    fit the first buffer.
+    Takes the rows' cosines once and computes their :func:`_party_terms`
+    and unsaturated mask once.  A saturated party (term +-1) has one P_L
+    factor exactly 0, so its outcome is forced; every other pattern of a
+    row with u unsaturated parties has P_L = 0.  The rows of each u run
+    :func:`_pattern_factors` in slices whose (3, 2^u, n, rows) factors fit
+    the first buffer, and each piece is a (2^u, rows) pair whose pattern
+    index holds the outcomes of the unsaturated parties, the first of them
+    in the most significant bit (1 for -1): the dense entries, bit for bit.
     """
-    n, rows = terms.shape
-    # The unsaturated entries row by row, so the m-th is the (m mod u)-th
-    # unsaturated party of its row and reads bit u - 1 - m mod u.
-    row, party = np.nonzero(np.abs(terms.T) < 1.0)
-    place = u - 1 - np.arange(row.size) % u
-    minus = (np.arange(2**u)[:, None] >> place) & 1 == 1
-    return _pattern_factors(scenario, half_cos, half_sin, terms, party * rows + row, minus,
-                            buffers)
+    n = scenario.n
+    terms = _party_terms(cos_theta0(scenario), block.cosines.take(columns, axis=1))
+    unsaturated = np.abs(terms) < 1.0
+    counts = np.count_nonzero(unsaturated, axis=0)
+    for u in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == u)
+        size = buffers[0].size // (3 * n << u)
+        # The unsaturated entries row by row, so the m-th is the (m mod u)-th
+        # unsaturated party of its row and reads bit u - 1 - m mod u.
+        place = u - 1 - np.arange(min(size, rows.size) * u) % u
+        minus = (np.arange(2**u)[:, None] >> place) & 1 == 1
+        for start in range(0, rows.size, size):
+            part = rows[start:start + size]
+            row, party = np.nonzero(unsaturated.T[part])
+            half_cos, half_sin = (a.take(columns[part], axis=1)
+                                  for a in (block.half_cos, block.half_sin))
+            yield _pattern_factors(scenario, half_cos, half_sin, terms.take(part, axis=1),
+                                   party * part.size + row, minus[:, :row.size], buffers)
 
 
-class _LiveGroups:
-    """Rows with two or more unsaturated parties, collected over blocks.
-
-    The rows wait per (scenario index, u) as their columns of the block's
-    half-angle trigonometry and terms, in a (3, n, rows) store as large as
-    a :func:`_live_group` call whose (3, 2^u, n, rows) factors fill a
-    kernel buffer of ``entries``; a full store runs that call, so a call
-    spans many blocks' rows.
-    """
-
-    def __init__(self, scenarios, entries: int):
-        self.scenarios, self.entries = scenarios, entries
-        self.waiting = {}
-
-    def add(self, i: int, block: _Block, columns: np.ndarray, buffers):
-        """Add the block's rows at ``columns``, each with at least two
-        unsaturated parties of scenario i; yields (index, worst-phase P_Q,
-        P_L) of every store that fills."""
-        scenario = self.scenarios[i]
-        n = scenario.n
-        block = block.take(columns)
-        terms = _party_terms(cos_theta0(scenario), block.cosines)
-        unsaturated = np.count_nonzero(np.abs(terms) < 1.0, axis=0)
-        for u in np.unique(unsaturated).tolist():
-            rows = np.flatnonzero(unsaturated == u)
-            store, count = self.waiting.get((i, u)) or (
-                np.empty((3, n, self.entries // (3 * n << u))), 0)
-            while rows.size:
-                part, rows = rows[:store.shape[2] - count], rows[store.shape[2] - count:]
-                for source, target in zip((block.half_cos, block.half_sin, terms), store):
-                    target[:, count:count + part.size] = source.take(part, axis=1)
-                count += part.size
-                if count == store.shape[2]:
-                    yield i, *_live_group(scenario, *store, u, buffers)
-                    count = 0
-            self.waiting[i, u] = store, count
-
-    def rest(self, buffers):
-        """(index, worst-phase P_Q, P_L) of the rows still waiting."""
-        for (i, u), (store, count) in self.waiting.items():
-            if count:
-                yield i, *_live_group(self.scenarios[i], *store[:, :, :count], u, buffers)
-
-
-def _block_factors(scenarios, block: _Block, live_max: int, groups: _LiveGroups, buffers):
+def _block_factors(scenarios, block: _Block, live_max: int, buffers):
     """(index, worst-phase P_Q, P_L) pieces of every scenario over one block.
 
     A party is saturated for a scenario when its ``|cos t_j|`` reaches the
@@ -639,8 +595,10 @@ def _block_factors(scenarios, block: _Block, live_max: int, groups: _LiveGroups,
     block's ``|cos t_j|``, must fit a kernel buffer.  The other rows are
     sorted again for live_max >= 2, by their (live_max + 1)-th smallest
     ``|cos t_j|``: a scenario's rows with at most live_max unsaturated
-    parties join ``groups``, and the rest, again a prefix, run the dense
-    kernel on each chunk's shared K.
+    parties run :func:`_live_factors` here, and the rest, again a prefix,
+    run the dense kernel on each chunk's shared K.  Every row is read
+    within its block, so nothing outlives the call but the pieces it
+    yields.
 
     A block splits only when the rows that skip the dense kernel, summed
     over the scenarios, save more than ``_SPLIT_ROW_COST`` dense entries
@@ -687,11 +645,12 @@ def _block_factors(scenarios, block: _Block, live_max: int, groups: _LiveGroups,
             if ends[i] < rows:
                 yield i, *_two_pattern_factors(scenario, products[:, ends[i] - first:],
                                                least[ends[i] - first:])
-    for i, bound in enumerate(bounds.tolist()):
+    for i, (scenario, bound) in enumerate(zip(scenarios, bounds.tolist())):
         tail = prefix[dense[i]:]
         columns = tail[second[tail] < bound]
         if columns.size:
-            yield from groups.add(i, block, columns, buffers)
+            for piece in _live_factors(scenario, block, columns, buffers):
+                yield i, *piece
     yield from _dense_factors(scenarios, block.take(prefix[:max(dense)]), dense, buffers)
 
 
@@ -705,17 +664,15 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
     The stand-ins change no entry that is read: each clips to the term
     of the cosine it replaces, and keeps every party's side of each
     scenario's ``|cos t0|``.  Each block runs :func:`_block_factors`, at
-    every n; the rows it sends to the live groups wait over blocks.  A
-    piece's arrays are only valid until the next piece is drawn.
+    every n, and keeps no row for later blocks, so the memory of a pass
+    does not grow with its scenarios.  A piece's arrays are only valid
+    until the next piece is drawn.
     """
     n = scenarios[0].n
     bound = max(abs(cos_theta0(sc)) for sc in scenarios)
-    entries = buffers[0].size
-    live_max = max(1, _live_max_unsaturated(n, entries))
-    groups = _LiveGroups(scenarios, entries)
+    live_max = max(1, _live_max_unsaturated(n, buffers[0].size))
     for block in _certification_blocks(n, samples, seed, _block_rows(n), bound):
-        yield from _block_factors(scenarios, block, live_max, groups, buffers)
-    yield from groups.rest(buffers)
+        yield from _block_factors(scenarios, block, live_max, buffers)
 
 
 def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
@@ -919,8 +876,9 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     P_L > 0, by one rule at every n (:func:`_block_factors`): when enough
     rows of a block have at most one, those rows are read at their two
     live patterns, and, from 7 parties on, a row with a few more at all
-    its 2^u live patterns.  The other patterns have residual P_Q >= 0, so
-    the value is the one of the full evaluation, bit for bit.
+    its 2^u live patterns, within its block.  The other patterns have
+    residual P_Q >= 0, so the value is the one of the full evaluation,
+    bit for bit.
 
     Given equal-length sequences of scenarios that share one party count
     and of real weights, certifies every pair in one pass over the
@@ -930,7 +888,8 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     ``cos theta`` only where some scenario may leave a party unsaturated,
     so every one in a batch that reaches alpha = 0), one sort of each
     block with the alpha-free products of its two-pattern rows, and each
-    chunk's alpha-free Kronecker product K.  A
+    chunk's alpha-free Kronecker product K; no row is kept past its
+    block, so the memory of the pass does not grow with the scenarios.  A
     single scenario takes a single real weight; any other pairing is
     refused with ValueError, and every weight is checked before anything
     is computed.

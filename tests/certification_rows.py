@@ -5,7 +5,6 @@ tests hold it to dense references taken over this plain stream, and run
 ``epr2._block_factors`` on blocks of rows of their own.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -31,12 +30,11 @@ def certification_rows(n: int, samples: int, seed: int, rows: int | None = None)
 def block_pieces(scenarios, thetas, live_max=None, bound=None):
     """Copies of the (index, worst-phase P_Q, P_L) pieces of one block of (rows, n) angles.
 
-    The block's cosines are those of ``epr2._block`` under ``bound``.  One
-    ``epr2._block_factors`` call reads it, and the rows it leaves waiting
-    in the live groups are drawn too.  The kernel buffers hold at least
-    one chunk and the block's two-pattern factors; ``live_max`` defaults
-    to the one ``epr2._factor_pieces`` takes, and is capped below n and so
-    that a live group's factors fit those buffers.
+    The block's cosines are those of ``epr2._block`` under ``bound``, and
+    one ``epr2._block_factors`` call reads every row of it.  The kernel
+    buffers hold at least one chunk and the block's two-pattern factors;
+    ``live_max`` defaults to the one ``epr2._factor_pieces`` takes, and is
+    capped below n and so that a live row's factors fit those buffers.
     """
     n = scenarios[0].n
     buffers = epr2._certification_buffers(max(epr2._chunk_rows(n), len(thetas)), n,
@@ -45,11 +43,9 @@ def block_pieces(scenarios, thetas, live_max=None, bound=None):
     if live_max is None:
         live_max = epr2._live_max_unsaturated(n, entries)
     live_max = max(1, min(live_max, n - 1, (entries // (3 * n)).bit_length() - 1))
-    groups = epr2._LiveGroups(scenarios, entries)
     block = epr2._block(np.ascontiguousarray(thetas.T), bound)
-    pieces = itertools.chain(epr2._block_factors(scenarios, block, live_max, groups, buffers),
-                             groups.rest(buffers))
-    return [(i, pq.copy(), pl.copy()) for i, pq, pl in pieces]
+    return [(i, pq.copy(), pl.copy())
+            for i, pq, pl in epr2._block_factors(scenarios, block, live_max, buffers)]
 
 
 def block_extrema(scenarios, ws, thetas, **kwargs):
@@ -63,3 +59,25 @@ def block_extrema(scenarios, ws, thetas, **kwargs):
         ratios[i] = min(ratios[i], epr2._min_ratio(pq_worst.copy(), pl.copy()))
         residuals[i] = min(residuals[i], epr2._min_residual(pq_worst, pl, ws[i]))
     return list(zip(residuals, ratios))
+
+
+def count_k_builds(monkeypatch):
+    """A list whose sum counts the alpha-free Kronecker products K the kernel builds.
+
+    Every ``epr2._kron_rows`` call adds 1, and every ``epr2._alpha_factors``
+    call, which builds its scenario's P_L with one of them, takes 1 away.
+    """
+    calls = []
+    kron_rows, alpha_factors = epr2._kron_rows, epr2._alpha_factors
+
+    def counted_kron_rows(*args):
+        calls.append(1)
+        return kron_rows(*args)
+
+    def counted_alpha_factors(*args):
+        calls.append(-1)
+        return alpha_factors(*args)
+
+    monkeypatch.setattr(epr2, "_kron_rows", counted_kron_rows)
+    monkeypatch.setattr(epr2, "_alpha_factors", counted_alpha_factors)
+    return calls

@@ -370,6 +370,20 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ("point", "--n", "2", "--alpha", "0.1"),
+        ("scan", "--n", "2", "--alpha-steps", "3"),
+        ("certify", "--n", "2", "--alpha", "0.1", "--w", "0.5"),
+    ])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *command, "--samples", "1000", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out") and str(path) in err
+        assert len(err.splitlines()) == 1
+        assert not path.parent.exists()
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "row.json"
         code = cli.main([

@@ -36,7 +36,7 @@ from ghzlocal.epr2 import (
     theta0,
 )
 
-from certification_rows import certification_rows
+from certification_rows import certification_rows, count_k_builds
 
 
 def _dense_residual_extrema(scenario, w, thetas):
@@ -845,18 +845,27 @@ class TestCertifySequence:
     def test_alpha_free_half_runs_once_per_chunk(self, monkeypatch):
         # The chunk size is read at call time, and the alpha-free half runs
         # once per chunk however many scenarios share the pass.
-        calls = []
-        original = epr2._alpha_free_factors
-
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(epr2, "_alpha_free_factors", counted)
+        builds = count_k_builds(monkeypatch)
         monkeypatch.setattr(epr2, "_CERT_MAX_ROWS", 512)
         scenarios = [GhzScenario(3, alpha) for alpha in self.ALPHAS]
         certify(scenarios, self.WEIGHTS, samples=10_000, seed=7)
-        assert len(calls) == 4 + 20
+        assert sum(builds) == 4 + 20
+
+    def test_batch_memory_does_not_grow_with_the_scenarios(self):
+        # Each block's rows are read within that block, so 100 scenarios at
+        # 8 parties, whose rows take every path, peak below twice the memory
+        # of one.
+        def peak(alphas):
+            scenarios = [GhzScenario(8, float(alpha)) for alpha in alphas]
+            tracemalloc.start()
+            try:
+                certify(scenarios, [0.5] * len(scenarios), samples=2048, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alphas = np.linspace(0.05, math.pi / 4 - 0.05, 100)
+        assert peak(alphas) < 2 * peak(alphas[:1])
 
     def test_refuses_mixed_party_counts(self):
         with pytest.raises(ValueError, match="one party count"):

@@ -1,9 +1,9 @@
 """Tests of the certification pass's row-dense pieces against the dense kernel.
 
 The rows with at most one unsaturated party are read at two patterns from
-alpha-free products; the rows with a few more add their live patterns in
-groups; the angles get their cosine only where a scenario of the batch
-may leave a party unsaturated.  These tests hold each piece to the dense
+alpha-free products; the rows with a few more add their live patterns
+within their block; the angles get their cosine only where a scenario
+of the batch may leave a party unsaturated.  These tests hold each piece to the dense
 reference bit for bit, and pin the angle hash, the shared grid
 trigonometry and the w = 0 skip.
 """
@@ -98,7 +98,7 @@ def test_block_cosines_at_the_band_edges(alpha):
 
 
 # ---------------------------------------------------------------------------
-# the two-pattern pass and the live groups
+# the two-pattern pass and the live rows
 
 
 def _dense(scenario, parties):
@@ -132,7 +132,7 @@ def test_two_pattern_products_are_the_dense_k_entries(batch):
     forced = _pattern(block.cosines < 0.0)
     flipped = forced ^ _pattern(magnitudes == least)
     complement = (1 << n) - 1
-    k = epr2._alpha_free_factors(block.half_cos, block.half_sin, buffers)
+    k = epr2._kron_rows(block.half_cos, block.half_sin, buffers[0], buffers[2])
     columns = np.arange(rows)
     for got, pattern in zip(products, (forced, flipped, complement - forced,
                                        complement - flipped)):
@@ -150,7 +150,7 @@ def test_two_pattern_products_are_the_dense_k_entries(batch):
 @PROPERTIES
 @given(batches(n_min=2), st.sampled_from([None, 1, 2, 3]))
 def test_pass_and_groups_cover_every_positive_dense_entry(batch, live_max):
-    # The two-pattern rows, the live groups and the dense rows of a block,
+    # The two-pattern rows, the live rows and the dense rows of a block,
     # split for every row that can skip the dense kernel, read only dense
     # entries, and together every entry with P_L > 0.
     scenarios, parties = batch

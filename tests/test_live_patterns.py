@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import epr2
-from ghzlocal.epr2 import _certification_factors, _party_terms, certify
-from ghzlocal.qcore import GhzScenario, cos_theta0
+from ghzlocal.epr2 import _certification_factors, certify
+from ghzlocal.qcore import GhzScenario
 
 from certification_rows import certification_rows
 
@@ -44,32 +44,28 @@ def _dense(scenario, thetas):
                                   epr2._certification_buffers(len(thetas), scenario.n))
 
 
-def _live(scenario, thetas):
-    """Every live entry's (P_Q, P_L), one group per count of unsaturated parties."""
-    n = scenario.n
+def _live(scenario, thetas, slice_rows):
+    """Every live entry's (P_Q, P_L), read by the live path from all the rows.
+
+    The buffers fit the factors of ``slice_rows`` rows at all 2^n patterns,
+    so the rows whose parties are all unsaturated run in slices of that many.
+    """
+    n, rows = scenario.n, len(thetas)
     block = epr2._block(np.ascontiguousarray(thetas.T))
-    terms = _party_terms(cos_theta0(scenario), block.cosines)
-    unsaturated = np.count_nonzero(np.abs(terms) < 1.0, axis=0)
-    pq, pl = [], []
-    for u in np.flatnonzero(np.bincount(unsaturated)).tolist():
-        rows = np.flatnonzero(unsaturated == u)
-        buffers = tuple(np.empty(3 * n * rows.size << u) for _ in range(3))
-        group = epr2._live_group(scenario, block.half_cos.take(rows, axis=1),
-                                 block.half_sin.take(rows, axis=1), terms.take(rows, axis=1),
-                                 u, buffers)
-        pq.append(group[0].ravel())
-        pl.append(group[1].ravel())
-    return np.concatenate(pq), np.concatenate(pl)
+    buffers = epr2._certification_buffers(3 * n * slice_rows, n)
+    pieces = [(pq.ravel().copy(), pl.ravel().copy())
+              for pq, pl in epr2._live_factors(scenario, block, np.arange(rows), buffers)]
+    return tuple(np.concatenate(entries) for entries in zip(*pieces))
 
 
 @PROPERTIES
-@given(theta_rows(), alphas, weights)
-def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w):
+@given(theta_rows(), alphas, weights, st.sampled_from([1, 2, 6]))
+def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w, slice_rows):
     n, thetas = rows
     scenario = GhzScenario(n, alpha)
     pq, pl = _dense(scenario, thetas)
     positive = pl > 0.0
-    live_pq, live_pl = _live(scenario, thetas)
+    live_pq, live_pl = _live(scenario, thetas, slice_rows)
     assert live_pl.size == np.count_nonzero(positive)
     assert np.all(live_pl > 0.0)
     # Same values, possibly in another order: compare the sorted entries.

@@ -3,8 +3,8 @@
 At every n, one sort of a block by its rows' second-smallest
 |cos theta_j| puts the rows with at most one unsaturated party in a
 suffix, read at two patterns from alpha-free products that the batch
-shares; the rows with a few more join the live groups, and the rest run
-the dense kernel.  These tests hold that pass to the dense reference,
+shares; the rows with a few more are read at their live patterns, and
+the rest run the dense kernel.  These tests hold that pass to the dense reference,
 bit for bit, and pin which blocks split.
 """
 
@@ -19,7 +19,7 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _party_terms, certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import block_extrema, certification_rows
+from certification_rows import block_extrema, certification_rows, count_k_builds
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -151,9 +151,8 @@ def test_a_key_equal_to_the_bound_is_a_two_pattern_row(monkeypatch):
     parties = np.arccos(cos_rows).T.copy()
     block = epr2._block(parties)._replace(cosines=cos_rows.T.copy())
     buffers = epr2._certification_buffers(epr2._chunk_rows(4), 4)
-    groups = epr2._LiveGroups([sc], buffers[0].size)
     dense_rows = []
-    for _, pq_worst, _ in epr2._block_factors([sc], block, 1, groups, buffers):
+    for _, pq_worst, _ in epr2._block_factors([sc], block, 1, buffers):
         dense_rows += [pq_worst.shape[1]] if pq_worst.shape[0] == 16 else []
     # The rows' smallest |cos t_j|, in the order of their keys.
     assert [least.tolist() for least in pieces] == [[0.1, 0.2]]
@@ -203,7 +202,7 @@ def test_an_eleven_alpha_batch_at_three_parties_sorts(monkeypatch):
 
 def test_a_block_near_alpha_zero_stays_dense(monkeypatch):
     # At alpha = 1e-6 and 8 parties, |cos t0| = 0.94: almost every sample
-    # row has more unsaturated parties than the live groups take, so each
+    # row has more unsaturated parties than the live path takes, so each
     # sample block runs the dense kernel on all of its rows.  A fifth of
     # the grid rows are saturated, and the grid block splits.
     pieces = _count_two_pattern_pieces(monkeypatch)
@@ -223,22 +222,18 @@ def test_a_block_near_alpha_zero_stays_dense(monkeypatch):
 def test_alpha_free_half_runs_once_per_chunk_of_a_sorted_block(monkeypatch):
     # K is built once per chunk of each sorted block's dense prefix,
     # however many scenarios share it.
-    calls, chunks = [], []
-    original_k, original_dense = epr2._alpha_free_factors, epr2._dense_factors
-
-    def counted(*args):
-        calls.append(1)
-        return original_k(*args)
+    chunks = []
+    original = epr2._dense_factors
 
     def recorded(scenarios, block, ends, buffers):
         chunks.append(-(-max(ends) // epr2._chunk_rows(6)))
-        return original_dense(scenarios, block, ends, buffers)
+        return original(scenarios, block, ends, buffers)
 
-    monkeypatch.setattr(epr2, "_alpha_free_factors", counted)
+    builds = count_k_builds(monkeypatch)
     monkeypatch.setattr(epr2, "_dense_factors", recorded)
     pieces = _count_two_pattern_pieces(monkeypatch)
     scenarios = [GhzScenario(6, alpha) for alpha in (0.0, 0.2, math.pi / 4)]
     certify(scenarios, [1.0, 0.3, 0.05], samples=10_000, seed=7)
     assert pieces
-    assert len(calls) == sum(chunks)
-    assert len(calls) > epr2.DIAG_GRID_POINTS // epr2._chunk_rows(6)
+    assert sum(builds) == sum(chunks)
+    assert sum(builds) > epr2.DIAG_GRID_POINTS // epr2._chunk_rows(6)
