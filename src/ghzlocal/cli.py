@@ -15,10 +15,14 @@ identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import pickle
 import sys
-from dataclasses import asdict, dataclass
+import threading
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,38 +62,153 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def _scan_rows(scenarios, samples: int, seed: int, grid_points: int) -> list[ScanRow]:
-    """Build the rows of scenarios that share one n.
+def _bound_rows(scenarios, grid_points: int) -> list[ScanRow]:
+    """Each scenario's row at its lower bound, with both upper bounds.
 
-    Each lower bound is certified at the requested sample count, all of
-    them in one :func:`certify` call; a row whose bound fails has its weight
-    lowered to the largest sample-certified ratio and is flagged
-    (certified=false), which makes the command's exit code 3.  A product
-    state (alpha = 0) is left out of that call: its certificate passes at
-    every setting, since rounding keeps each of its residuals above
-    ``-16 n 2^-53`` (proved at :func:`ghzlocal.epr2._alpha_zero_rounding`),
-    far inside ``CERT_TOLERANCE``.
+    The row reads certified until :func:`_scan_rows` checks its bound.
     """
-    ws = [lower_bound(scenario, grid_points=grid_points) for scenario in scenarios]
+    return [ScanRow(
+        n=scenario.n,
+        alpha=scenario.alpha,
+        w_lower=lower_bound(scenario, grid_points=grid_points),
+        w_upper_chen=chen_upper(scenario) if scenario.n >= 3 else None,
+        mabk_implied=_IMPLIED_NAMES[mabk_implied_upper(scenario)],
+        certified=True,
+    ) for scenario in scenarios]
+
+
+def _fallbacks(scenarios, ws, samples: int, seed: int) -> list[float | None]:
+    """Certify the weights ``ws`` of scenarios that share one n, in one
+    :func:`certify` call.
+
+    Returns, per scenario, None where its weight is certified, else the
+    largest sample-certified ratio.  A product state (alpha = 0) is left
+    out of the call: its certificate passes at every setting, since
+    rounding keeps each of its residuals above ``-16 n 2^-53`` (proved at
+    :func:`ghzlocal.epr2._alpha_zero_rounding`), far inside
+    ``CERT_TOLERANCE``.
+    """
     sampled = [i for i, scenario in enumerate(scenarios) if scenario.alpha != 0.0]
-    violated = [False] * len(scenarios)
     certificates = certify([scenarios[i] for i in sampled], [ws[i] for i in sampled],
                            samples=samples, seed=seed)
+    fallbacks = [None] * len(scenarios)
     for i, certificate in zip(sampled, certificates):
-        violated[i] = certificate.violated
-    rows = []
-    for scenario, w, failed in zip(scenarios, ws, violated):
-        if failed:
-            w = sampled_min_ratio(scenario, samples=samples, seed=seed)
-        rows.append(ScanRow(
-            n=scenario.n,
-            alpha=scenario.alpha,
-            w_lower=w,
-            w_upper_chen=chen_upper(scenario) if scenario.n >= 3 else None,
-            mabk_implied=_IMPLIED_NAMES[mabk_implied_upper(scenario)],
-            certified=not failed,
-        ))
-    return rows
+        if certificate.violated:
+            fallbacks[i] = sampled_min_ratio(scenarios[i], samples=samples, seed=seed)
+    return fallbacks
+
+
+def _worker_count(groups: int) -> int:
+    """Processes that certify ``groups`` groups: one per usable CPU, at most
+    one per group.  1 (the serial loop) where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or where another thread runs,
+    since a fork copies only the calling thread."""
+    if groups < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    return min(cpus, groups)
+
+
+def _shares(jobs, workers: int) -> list[list[int]]:
+    """Job indices split into ``workers`` shares: the largest job first, by
+    ``n x scenarios sampled``, each to the share with the least work."""
+    def cost(job):
+        scenarios, _ = job
+        return scenarios[0].n * sum(scenario.alpha != 0.0 for scenario in scenarios)
+
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(jobs)), key=lambda i: -cost(jobs[i])):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += cost(jobs[i])
+    return shares
+
+
+def _fork_share(jobs, share, samples: int, seed: int) -> tuple[int, int]:
+    """Fork a child that runs :func:`_fallbacks` on the jobs of ``share``
+    and writes their results, or the exception raised, pickled to a pipe.
+    Returns the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                try:
+                    result = [_fallbacks(*jobs[i], samples, seed) for i in share]
+                except Exception as exc:
+                    result = exc
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _certify_groups(jobs, samples: int, seed: int) -> list[list[float | None]]:
+    """:func:`_fallbacks` of each ``(scenarios, ws)`` job, in order.
+
+    Given two groups or more, and more than one usable CPU, the jobs are
+    split (:func:`_shares`): the calling process runs the share with the
+    largest job, and one forked child per other share runs it and sends
+    its result back.  The certificates do not depend on the process that
+    computes them, so the output is byte for byte the serial one.  An
+    exception raised in a child is raised here; a child that exits without
+    a result is a RuntimeError.  Every child is reaped before this returns.
+    """
+    workers = _worker_count(len(jobs))
+    if workers < 2:
+        return [_fallbacks(*job, samples, seed) for job in jobs]
+    own, *others = _shares(jobs, workers)
+    results = [None] * len(jobs)
+    children = []  # (share, pid, read end) of each child not yet reaped
+    try:
+        for share in others:
+            children.append((share, *_fork_share(jobs, share, samples, seed)))
+        for i in own:
+            results[i] = _fallbacks(*jobs[i], samples, seed)
+        while children:
+            share, pid, read = children.pop()
+            try:
+                with open(read, "rb") as pipe:
+                    data = pipe.read()
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status != 0:
+                raise RuntimeError(f"scan worker {pid} exited without a result "
+                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            for i, fallbacks in zip(share, result):
+                results[i] = fallbacks
+    finally:
+        for _, pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _scan_rows(groups, bounded, samples: int, seed: int) -> list[ScanRow]:
+    """The rows of ``bounded`` (one list of :func:`_bound_rows` per group of
+    scenarios that share one n), certified.
+
+    Each group's lower bounds are certified at the requested sample count
+    in one :func:`certify` call, groups in parallel processes where they
+    can be (:func:`_certify_groups`); a row whose bound fails has its
+    weight lowered to the largest sample-certified ratio and is flagged
+    (certified=false), which makes the command's exit code 3.
+    """
+    jobs = [(scenarios, [row.w_lower for row in rows])
+            for scenarios, rows in zip(groups, bounded)]
+    return [row if w is None else replace(row, w_lower=w, certified=False)
+            for rows, fallbacks in zip(bounded, _certify_groups(jobs, samples, seed))
+            for row, w in zip(rows, fallbacks)]
 
 
 def _rows_csv(rows) -> str:
@@ -156,17 +275,30 @@ def _rows_svg(rows, n_list) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_out(text: str, out: str | None) -> None:
-    """Write ``text`` to stdout, or to the file ``out``; a file that cannot be
-    written is a usage error (ValueError)."""
+@contextlib.contextmanager
+def _output(out: str | None):
+    """A ``write(text)`` to standard output, or to the file ``out``, which
+    is opened on entry; a file that cannot be opened or written is a usage
+    error (ValueError).  The commands enter it after every input check and
+    before certifying, so a bad path costs no run and a refused input
+    neither creates nor truncates the file."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
     try:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
+        handle = open(out, "w", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from None
+
+    def write(text: str) -> None:
+        try:
+            handle.write(text)
+            handle.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from None
+
+    with handle:
+        yield write
 
 
 def _resolve_alpha(args) -> float:
@@ -180,34 +312,44 @@ def _resolve_alpha(args) -> float:
 
 
 def cmd_point(args) -> int:
-    scenario = GhzScenario(args.n, _resolve_alpha(args))
-    (row,) = _scan_rows([scenario], args.samples, args.seed, args.grid_points)
-    _write_out(json.dumps(asdict(row), indent=2) + "\n", args.out)
+    groups = [[GhzScenario(args.n, _resolve_alpha(args))]]
+    bounded = [_bound_rows(groups[0], args.grid_points)]
+    with _output(args.out) as write:
+        (row,) = _scan_rows(groups, bounded, args.samples, args.seed)
+        write(json.dumps(asdict(row), indent=2) + "\n")
     return 0 if row.certified else 3
 
 
 def cmd_scan(args) -> int:
+    """Rows of every (n, alpha) of the grid, as CSV, JSON or SVG.
+
+    Every input is checked before anything is certified: each scenario,
+    then ``--grid-points`` in the lower bounds, then ``--out``.  Each entry
+    of ``--n``, repeated ones included, is one group certified in one pass;
+    two groups or more run in parallel processes where the machine allows
+    (:func:`_certify_groups`), with output byte for byte the serial one.
+    """
     n_list = args.n
     alphas = np.linspace(0.0, math.pi / 4, args.alpha_steps)
-    # Every scenario is validated before any row is computed.  Each entry
-    # of n_list, repeated ones included, is one group certified in one pass.
     groups = [[GhzScenario(n, float(alpha)) for alpha in alphas] for n in n_list]
-    rows = [row for scenarios in groups
-            for row in _scan_rows(scenarios, args.samples, args.seed, args.grid_points)]
-    if args.format == "csv":
-        text = _rows_csv(rows)
-    elif args.format == "json":
-        text = json.dumps([asdict(row) for row in rows], indent=2) + "\n"
-    else:
-        text = _rows_svg(rows, n_list)
-    _write_out(text, args.out)
+    bounded = [_bound_rows(scenarios, args.grid_points) for scenarios in groups]
+    with _output(args.out) as write:
+        rows = _scan_rows(groups, bounded, args.samples, args.seed)
+        if args.format == "csv":
+            write(_rows_csv(rows))
+        elif args.format == "json":
+            write(json.dumps([asdict(row) for row in rows], indent=2) + "\n")
+        else:
+            write(_rows_svg(rows, n_list))
     return 0 if all(row.certified for row in rows) else 3
 
 
 def cmd_certify(args) -> int:
     scenario = GhzScenario(args.n, _resolve_alpha(args))
+    # certify() checks w, so --out is opened after it.
     certificate = certify(scenario, args.w, samples=args.samples, seed=args.seed)
-    _write_out(json.dumps(asdict(certificate), indent=2) + "\n", args.out)
+    with _output(args.out) as write:
+        write(json.dumps(asdict(certificate), indent=2) + "\n")
     return 3 if certificate.violated else 0
 
 

@@ -74,43 +74,50 @@ def test_the_bound_holds_at_every_setting(case, alpha, w):
 # the CLI's choice of scenarios
 
 
-def _recorded_certify(monkeypatch):
-    """Wrap ``cli.certify``; returns the list of scenario lists it was given."""
-    calls = []
+def _recorded_certify(monkeypatch, tmp_path):
+    """Wrap ``cli.certify``; returns a function that gives the list of
+    scenario lists it was given.  Each call appends a line to a file under
+    ``tmp_path``, so the calls of the processes a scan forks are recorded."""
+    log = tmp_path / "certify.log"
+    log.touch()
     original = cli.certify
 
     def recorded(scenarios, ws, **kwargs):
-        calls.append(list(scenarios))
+        with open(log, "a") as handle:
+            handle.write(json.dumps([[sc.n, sc.alpha] for sc in scenarios]) + "\n")
         return original(scenarios, ws, **kwargs)
 
     monkeypatch.setattr(cli, "certify", recorded)
-    return calls
+    return lambda: [[GhzScenario(n, alpha) for n, alpha in json.loads(line)]
+                    for line in log.read_text().splitlines()]
 
 
-def test_scan_samples_every_scenario_but_alpha_zero_in_order(capsys, monkeypatch):
-    calls = _recorded_certify(monkeypatch)
+def test_scan_samples_every_scenario_but_alpha_zero_in_order(capsys, monkeypatch, tmp_path):
+    calls = _recorded_certify(monkeypatch, tmp_path)
     assert cli.main(["scan", "--n", "3,7", "--alpha-steps", "4", "--samples", "2000"]) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
     alphas = [float(a) for a in np.linspace(0.0, math.pi / 4, 4)]
-    assert calls == [[GhzScenario(n, a) for a in alphas[1:]] for n in (3, 7)]
+    # Groups may certify in parallel processes, so only their order can vary.
+    assert sorted(calls(), key=lambda scenarios: scenarios[0].n) == [
+        [GhzScenario(n, a) for a in alphas[1:]] for n in (3, 7)]
     assert [line.split(",")[5] for line in lines] == ["true"] * 8
     assert [line.split(",")[:3] for line in lines[::4]] == [["3", "0", "1"], ["7", "0", "1"]]
 
 
 @pytest.mark.parametrize("alpha", ["0", "-0.0", "-1e-7"])
-def test_point_at_alpha_zero_samples_nothing(alpha, capsys, monkeypatch):
+def test_point_at_alpha_zero_samples_nothing(alpha, capsys, monkeypatch, tmp_path):
     # -1e-7 snaps to 0.0; -0.0 stays -0.0, which equals 0.0.
-    calls = _recorded_certify(monkeypatch)
+    calls = _recorded_certify(monkeypatch, tmp_path)
     assert cli.main(["point", "--n", "5", f"--alpha={alpha}", "--samples", "2000"]) == 0
     row = json.loads(capsys.readouterr().out)
-    assert calls == [[]]
+    assert calls() == [[]]
     assert (row["w_lower"], row["certified"]) == (1.0, True)
 
 
-def test_point_away_from_alpha_zero_samples_its_scenario(capsys, monkeypatch):
-    calls = _recorded_certify(monkeypatch)
+def test_point_away_from_alpha_zero_samples_its_scenario(capsys, monkeypatch, tmp_path):
+    calls = _recorded_certify(monkeypatch, tmp_path)
     assert cli.main(["point", "--n", "5", "--alpha", "1e-12", "--samples", "2000"]) == 0
-    assert calls == [[GhzScenario(5, 1e-12)]]
+    assert calls() == [[GhzScenario(5, 1e-12)]]
     assert json.loads(capsys.readouterr().out)["certified"] is True
 
 

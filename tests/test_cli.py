@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -16,22 +18,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def count_calls(monkeypatch, *names):
-    """Wrap each named ``cli`` function with a call counter; returns the counts."""
-    calls = dict.fromkeys(names, 0)
+def count_calls(monkeypatch, tmp_path, *names):
+    """Wrap each named ``cli`` function with a call counter; returns a
+    function that gives the counts.  Each call appends a line to a file
+    under ``tmp_path``, so the calls of the processes a scan forks count."""
+    log = tmp_path / "calls.log"
+    log.touch()
 
     def counted(name):
         original = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with open(log, "a") as handle:
+                handle.write(name + "\n")
             return original(*args, **kwargs)
 
         return wrapper
 
     for name in names:
         monkeypatch.setattr(cli, name, counted(name))
-    return calls
+    return lambda: {name: log.read_text().split().count(name) for name in names}
 
 
 class TestPoint:
@@ -98,17 +104,17 @@ class TestPoint:
         assert row["w_lower"] < 0.9
         assert abs(row["w_lower"] - (1.0 - math.sin(math.pi / 3))) < 0.05
 
-    def test_fallback_runs_one_certify_and_one_ratio_scan(self, capsys, monkeypatch):
+    def test_fallback_runs_one_certify_and_one_ratio_scan(self, capsys, monkeypatch, tmp_path):
         # The fallen-back row is flagged whatever a second verdict would
         # say, so the fallback weight is not certified again.
         monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
-        calls = count_calls(monkeypatch, "certify", "sampled_min_ratio")
+        calls = count_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
         code, out, _ = run_cli(
             capsys, "point", "--n", "3", "--alpha", "0.3", "--samples", "2000",
         )
         assert code == 3
         assert json.loads(out)["certified"] is False
-        assert calls == {"certify": 1, "sampled_min_ratio": 1}
+        assert calls() == {"certify": 1, "sampled_min_ratio": 1}
 
 
 class TestScan:
@@ -146,20 +152,20 @@ class TestScan:
         assert [r[5] for r in rows] == ["true", "false"]
         assert float(rows[1][2]) < 0.9
 
-    def test_one_certify_per_n_entry(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "certify", "sampled_min_ratio")
+    def test_one_certify_per_n_entry(self, capsys, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
         code, _, _ = run_cli(
             capsys, "scan", "--n", "2,3,2", "--alpha-steps", "4",
             "--samples", "2000",
         )
         assert code == 0
-        assert calls == {"certify": 3, "sampled_min_ratio": 0}
+        assert calls() == {"certify": 3, "sampled_min_ratio": 0}
 
-    def test_ratio_scan_only_on_rows_that_fell_back(self, capsys, monkeypatch):
+    def test_ratio_scan_only_on_rows_that_fell_back(self, capsys, monkeypatch, tmp_path):
         # 0.9 certifies at alpha = 0 only (P_L = P_Q there), so two of the
         # three rows of each n fall back.
         monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
-        calls = count_calls(monkeypatch, "certify", "sampled_min_ratio")
+        calls = count_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
         code, out, _ = run_cli(
             capsys, "scan", "--n", "2,3", "--alpha-steps", "3",
             "--samples", "2000",
@@ -167,7 +173,7 @@ class TestScan:
         assert code == 3
         assert [line.split(",")[5] for line in out.splitlines()[1:]] == [
             "true", "false", "false"] * 2
-        assert calls == {"certify": 2, "sampled_min_ratio": 4}
+        assert calls() == {"certify": 2, "sampled_min_ratio": 4}
 
     def test_repeated_n_rows_follow_the_given_order(self, capsys):
         def data_rows(n_list):
@@ -258,6 +264,120 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--n", "2", "--alpha-steps", "1")
         assert code == 2
         assert "alpha-steps" in err
+
+
+def certify_pids(monkeypatch, tmp_path, fail=lambda scenarios: None):
+    """Wrap ``cli.certify`` to log the pid of each call to a file under
+    ``tmp_path``, then call ``fail(scenarios)``; returns a function that
+    gives the set of pids."""
+    log = tmp_path / "pids.log"
+    log.touch()
+    original = cli.certify
+
+    def logged(scenarios, ws, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        fail(scenarios)
+        return original(scenarios, ws, **kwargs)
+
+    monkeypatch.setattr(cli, "certify", logged)
+    return lambda: set(map(int, log.read_text().split()))
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelScan:
+    """Groups certified in forked processes: the serial loop's bytes, errors
+    and exit codes, and no child left behind."""
+
+    @pytest.mark.parametrize("n_list, cpus, fmt", [
+        ("2,3,2", 2, "csv"),
+        ("3,7", 2, "csv"),
+        ("2,3,4,5,2", 2, "json"),  # more groups than CPUs
+        ("5,4,3,2", 3, "csv"),
+    ])
+    def test_output_is_the_serial_output(self, capsys, monkeypatch, tmp_path,
+                                         n_list, cpus, fmt):
+        argv = ["scan", "--n", n_list, "--alpha-steps", "5", "--samples", "3000",
+                "--seed", "11", "--format", fmt]
+        use_cpus(monkeypatch, 1)
+        serial = run_cli(capsys, *argv)
+        use_cpus(monkeypatch, cpus)
+        pids = certify_pids(monkeypatch, tmp_path)
+        assert run_cli(capsys, *argv) == serial
+        assert serial[0] == 0
+        assert len(pids()) == min(cpus, len(n_list.split(",")))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("raising_n", [2, 3])  # a child's group, the caller's
+    def test_a_value_error_is_the_serial_usage_error(self, capsys, monkeypatch, tmp_path,
+                                                     raising_n):
+        def fail(scenarios):
+            if scenarios[0].n == raising_n:
+                raise ValueError("w must lie in [0, 1], got 2")
+
+        argv = ["scan", "--n", "2,3", "--alpha-steps", "3", "--samples", "1000"]
+        pids = certify_pids(monkeypatch, tmp_path, fail)
+        use_cpus(monkeypatch, 1)
+        serial = run_cli(capsys, *argv)
+        assert serial == (2, "", "error: w must lie in [0, 1], got 2\n")
+        use_cpus(monkeypatch, 2)
+        (tmp_path / "pids.log").write_text("")
+        assert run_cli(capsys, *argv) == serial
+        assert len(pids()) == 2
+        assert_no_child_left()
+
+    def test_a_child_without_a_result_is_an_error(self, capsys, monkeypatch, tmp_path):
+        parent = os.getpid()
+
+        def die(scenarios):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        use_cpus(monkeypatch, 2)
+        certify_pids(monkeypatch, tmp_path, die)
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            cli.main(["scan", "--n", "2,3", "--alpha-steps", "3", "--samples", "1000"])
+        assert capsys.readouterr().out == ""
+        assert_no_child_left()
+
+    def test_serial_without_fork_affinity_or_a_single_thread(self, capsys, monkeypatch,
+                                                             tmp_path):
+        argv = ["scan", "--n", "2,3", "--alpha-steps", "3", "--samples", "1000"]
+        use_cpus(monkeypatch, 2)
+        pids = certify_pids(monkeypatch, tmp_path)
+        expected = run_cli(capsys, *argv)
+        assert len(pids()) == 2
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            (tmp_path / "pids.log").write_text("")
+            assert run_cli(capsys, *argv) == expected
+            assert pids() == {os.getpid()}
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "sched_getaffinity")
+            (tmp_path / "pids.log").write_text("")
+            assert run_cli(capsys, *argv) == expected
+            assert pids() == {os.getpid()}
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            (tmp_path / "pids.log").write_text("")
+            assert run_cli(capsys, *argv) == expected
+            assert pids() == {os.getpid()}
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert_no_child_left()
 
 
 class TestCertifyCommand:
@@ -393,3 +513,26 @@ class TestUsageErrors:
         capsys.readouterr()
         assert code == 0
         assert json.loads(path.read_text())["n"] == 2
+
+    def test_unwritable_out_is_refused_before_certifying(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, tmp_path, "certify")
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "scan", "--n", "2,3", "--alpha-steps", "3",
+                                 "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out")
+        assert calls() == {"certify": 0}
+
+    @pytest.mark.parametrize("bad", [
+        ("--n", "2,13", "--alpha-steps", "3"),
+        ("--n", "2,3", "--alpha-steps", "3", "--grid-points", "5"),
+        ("--n", "2,3", "--alpha-steps", "1"),
+    ])
+    def test_refused_input_leaves_out_untouched(self, tmp_path, capsys, bad):
+        kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
+        kept.write_text("keep\n")
+        for path in (kept, missing):
+            code, _, err = run_cli(capsys, "scan", *bad, "--out", str(path))
+            assert code == 2 and err.startswith("error: ")
+        assert kept.read_text() == "keep\n"
+        assert not missing.exists()
