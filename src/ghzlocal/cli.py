@@ -44,6 +44,10 @@ _IMPLIED_NAMES = {0.0: "zero", 1.0: "one", None: "unknown"}
 
 CSV_HEADER = "n,alpha,w_lower,w_upper_chen,mabk_implied,certified"
 
+# Largest --alpha-steps that scan accepts: it keeps every row until it
+# prints, about 0.6 KiB per alpha, so 100000 steps peak near 90 MiB.
+_MAX_ALPHA_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -497,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_n_list, required=True,
                    help="comma-separated party counts, e.g. 2,3,4,5")
     p.add_argument("--alpha-steps", type=int, required=True,
-                   help="number of alpha grid points on [0, pi/4] (at least 2)")
+                   help="number of alpha grid points on [0, pi/4] (2 to 100000)")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
@@ -526,6 +530,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     if getattr(args, "alpha_steps", None) is not None and args.alpha_steps < 2:
         print("error: --alpha-steps must be at least 2", file=sys.stderr)
+        return 2
+    if getattr(args, "alpha_steps", 0) > _MAX_ALPHA_STEPS:
+        print(f"error: --alpha-steps must be at most {_MAX_ALPHA_STEPS}", file=sys.stderr)
         return 2
     if getattr(args, "samples", 0) < 0:
         print("error: --samples must be nonnegative", file=sys.stderr)

@@ -58,6 +58,11 @@ _CERT_MAX_ROWS = 8192
 # far beyond the rounding of cos and acos.
 _COS_MARGIN = 1e-12
 
+# A certify row is skipped when a lower bound on its residual clears every
+# weight of the batch by this much (:func:`_surviving_rows` derives it):
+# far beyond the rounding of the kernel and of the bound.
+_ROW_BOUND_MARGIN = 2.0**-30
+
 # Sorting a block, taking its columns and forming its two-pattern products
 # costs about as much as this many dense entries per row (measured at 4 to
 # 6 parties, with margin for the two-pattern rows' own work), so a block
@@ -340,14 +345,20 @@ def _block_cosines(parties: np.ndarray, bound: float, out: np.ndarray) -> np.nda
     cosine, and all of them when ``x >= 1``, as in a batch that reaches
     alpha = 0.  Writes into the C-contiguous ``out``.
     """
-    x = bound + _COS_MARGIN
-    if x >= 1.0:
+    edge = _saturation_edge(bound)
+    if edge < 0.0:
         return np.cos(parties, out=out)
-    edge = math.acos(x) - _COS_MARGIN
     np.copysign(1.0, np.subtract(math.pi / 2, parties, out=out), out=out)
     middle = np.flatnonzero((parties > edge) & (parties < math.pi - edge))
     out.reshape(-1)[middle] = np.cos(parties.reshape(-1)[middle])
     return out
+
+
+def _saturation_edge(bound: float) -> float:
+    """``acos(bound + _COS_MARGIN) - _COS_MARGIN``, the edge of :func:`_block_cosines`,
+    or ``-inf`` when ``bound + _COS_MARGIN >= 1``, where no angle is certain to saturate."""
+    x = bound + _COS_MARGIN
+    return math.acos(x) - _COS_MARGIN if x < 1.0 else -math.inf
 
 
 def _alpha_factors(scenario: GhzScenario, k: np.ndarray, terms: np.ndarray,
@@ -654,7 +665,7 @@ def _block_factors(scenarios, block: _Block, live_max: int, buffers):
     yield from _dense_factors(scenarios, block.take(prefix[:max(dense)]), dense, buffers)
 
 
-def _factor_pieces(scenarios, samples: int, seed: int, buffers):
+def _factor_pieces(scenarios, samples: int, seed: int, buffers, ws=None):
     """(index, worst-phase P_Q, P_L) pieces of every scenario over every row.
 
     The rows come in blocks of :func:`_block_rows`, each with its
@@ -667,11 +678,15 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers):
     every n, and keeps no row for later blocks, so the memory of a pass
     does not grow with its scenarios.  A piece's arrays are only valid
     until the next piece is drawn.
+
+    With the weights ``ws`` of a certificate, the rows whose residual
+    :func:`_surviving_rows` proves positive at every weight give no piece.
     """
     n = scenarios[0].n
     bound = max(abs(cos_theta0(sc)) for sc in scenarios)
     live_max = max(1, _live_max_unsaturated(n, buffers[0].size))
-    for block in _certification_blocks(n, samples, seed, _block_rows(n), bound):
+    weighted = (scenarios, ws) if ws else None
+    for block in _certification_blocks(n, samples, seed, _block_rows(n), bound, weighted):
         yield from _block_factors(scenarios, block, live_max, buffers)
 
 
@@ -733,8 +748,76 @@ def _block_rows(n: int) -> int:
     return _chunk_rows(n) * max(1, (1 << n) // (2 * n))
 
 
+def _surviving_rows(parties: np.ndarray, scenarios, ws, spare) -> np.ndarray:
+    """Indices of the rows of (n, rows) angles whose residual is not proven
+    positive for every scenario at its weight in ``ws``.
+
+    The bound runs on the raw angles, before any trigonometry, in
+    ``spare``, two flat buffers of at least ``parties.size`` entries.
+    With ``d_j = min(t_j, pi - t_j) / 2`` in [0, pi/4] and h_j = t_j / 2, a
+    pattern with P_L > 0 takes, per party:
+
+    * outside the band of :func:`_block_cosines` (``2 d_j`` at most its
+      edge, so t_j is at most the edge or at least ``fl(pi - edge)``), the
+      forced outcome, as the party is saturated for every scenario: K
+      factor ``cos d_j >= 1 - d_j^2 / 2`` and Kr factor ``sin d_j <= d_j``;
+    * in the band, either outcome: K factor ``cos h_j`` or ``sin h_j``, at
+      least ``sin d_j >= d_j - d_j^3 / 6``, and Kr factor at most 1.
+
+    The products of these are ``K_lo <= K`` and ``Kr_hi >= Kr``, so with
+    ``v = cos a K_lo - sin a Kr_hi > 0`` the bracket ``cos a K - sin a Kr``
+    is at least v, P_Q at least v^2, and, as P_L <= 1, the residual
+    ``P_Q - w P_L`` at least ``v^2 - w``.  Every other pattern has
+    P_L = 0 and residual P_Q >= 0.  A row is skipped when ``v > 0`` and
+    ``v^2 - w > _ROW_BOUND_MARGIN`` for every scenario; the others are
+    returned, and every row once fewer than half can still be skipped, so
+    that such a block runs whole.  The band is that of the batch's largest
+    ``|cos t0|``, which holds every party that any scenario may leave
+    unsaturated.
+
+    The margin, 2^-30 = 9.3e-10, covers the rounding on both sides, with
+    u = 2^-53 and to first order in u.  The kernel's K and Kr are within
+    ``(5n - 1) u`` of the products of the exact half-angle values (as in
+    :func:`_alpha_zero_rounding`); with the same ``fl(cos a)`` and
+    ``fl(sin a)`` as the bound, its bracket is within ``(10n + 1) u`` and
+    its P_Q at most ``(20n + 3) u`` below the exact square.  Its P_L is a
+    product of factors ``0.5 * fl(1 +- t) <= 1``, so ``fl(w P_L) <= w``.
+    The bound's d_j is within u of the exact one (``math.pi`` lies 1.2e-16
+    below pi, and ``math.pi - t`` is exact from pi/2 on), each of its
+    factors, whose slope in d is at most 1, within 4u, so v is within
+    ``(10n + 1) u`` and its square within ``(20n + 3) u``.  A skipped row's
+    computed P_Q therefore exceeds w by at least
+    ``2^-30 - (40n + 6) u``, with ``486 u = 5.4e-14`` at 12 parties, and
+    each of its computed residuals is positive: the minimum it would have
+    joined stays as it is.
+    """
+    n, rows = parties.shape
+    bound = max(abs(cos_theta0(sc)) for sc in scenarios)
+    d = np.subtract(math.pi, parties, out=spare[0][:parties.size].reshape(n, rows))
+    np.minimum(parties, d, out=d)
+    band = np.flatnonzero(d > _saturation_edge(bound))
+    d *= 0.5
+    k = np.square(d, out=spare[1][:parties.size].reshape(n, rows))
+    k *= -0.5
+    k += 1.0
+    inner = d.reshape(-1)[band]
+    k.reshape(-1)[band] = inner * (1.0 - inner * inner / 6.0)
+    d.reshape(-1)[band] = 1.0
+    k_lo, kr_hi = np.multiply.reduce(k, axis=0), np.multiply.reduce(d, axis=0)
+    skipped = np.arange(rows)
+    # The largest weight first: it leaves the fewest rows to the others.
+    for w, sc in sorted(zip(ws, scenarios), key=lambda pair: -pair[0]):
+        v = math.cos(sc.alpha) * k_lo[skipped] - math.sin(sc.alpha) * kr_hi[skipped]
+        skipped = skipped[(v > 0.0) & (v * v - w > _ROW_BOUND_MARGIN)]
+        if 2 * skipped.size < rows:
+            return np.arange(rows)
+    kept = np.ones(rows, dtype=bool)
+    kept[skipped] = False
+    return np.flatnonzero(kept)
+
+
 def _certification_blocks(n: int, samples: int, seed: int, rows: int,
-                          bound: float | None = None):
+                          bound: float | None = None, weighted=None):
     """The :class:`_Block` of each chunk of ``rows`` rows: the diagonal grid, then the samples.
 
     The grid of ``DIAG_GRID_POINTS`` angles runs from 0 to pi, and sample
@@ -745,11 +828,24 @@ def _certification_blocks(n: int, samples: int, seed: int, rows: int,
     are hashed, and every block's arrays written, into buffers reused from
     block to block, so a block is only valid until the next is drawn.
     ``bound`` is that of :func:`_block`.
+
+    With ``weighted``, the (scenarios, weights) of a certificate, a
+    chunk's rows that :func:`_surviving_rows` proves positive are left out
+    before their trigonometry, and the rest compacted in the same buffers;
+    a chunk left with no row yields no block.  The first sample chunk of
+    which more than half the rows survive is yielded whole, and so is
+    every chunk after it: the rows are then not worth bounding.
     """
     buffers = tuple(np.empty(n * rows) for _ in range(3))
     grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
     for start in range(0, DIAG_GRID_POINTS, rows):
         angles = grid[start:start + rows]
+        if weighted:
+            parties = buffers[2][:n * angles.size].reshape(n, -1)
+            parties[...] = angles
+            angles = angles[_surviving_rows(parties, *weighted, buffers)]
+            if not angles.size:
+                continue
         block = _Block(*(b[:n * angles.size].reshape(n, -1) for b in buffers))
         for values, out in zip(_block(angles), block):
             out[...] = values
@@ -760,6 +856,17 @@ def _certification_blocks(n: int, samples: int, seed: int, rows: int,
     hashing = buffers[2], buffers[0].view(np.uint64), buffers[1].view(np.uint64)
     for start in range(0, samples, rows):
         parties = _certification_parties(seed, start, min(rows, samples - start), n, hashing)
+        if weighted:
+            kept = _surviving_rows(parties, *weighted, buffers)
+            if 2 * kept.size > parties.shape[1]:
+                weighted = None
+            elif not kept.size:
+                continue
+            else:
+                survivors = np.take(parties, kept, axis=1, mode="clip",
+                                    out=buffers[0][:n * kept.size].reshape(n, -1))
+                parties = buffers[2][:survivors.size].reshape(n, -1)
+                parties[...] = survivors
         yield _block(parties, bound, buffers)
 
 
@@ -769,10 +876,11 @@ def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
     The scenarios share one n.  Every minimum starts at 0.0, the exact
     residual of the grid row theta = 0 at each pattern that mixes the two
     outcomes: there both K products hold a factor sin 0 = 0 and P_L one
-    (1 - 1) / 2 = 0.  That row is always evaluated, and every entry that
-    :func:`_block_factors` skips has a residual P_Q >= 0, so each value is
-    the dense kernel's minimum.  At w = 0 every residual is P_Q >= 0, so that
-    minimum is 0.0 and no row is evaluated for it.
+    (1 - 1) / 2 = 0.  That row, when :func:`_surviving_rows` skips it, has
+    no residual below that 0.0; nor has any other row it skips, and every
+    entry that :func:`_block_factors` skips has a residual P_Q >= 0, so
+    each value is the dense kernel's minimum.  At w = 0 every residual is
+    P_Q >= 0, so that minimum is 0.0 and no row is evaluated for it.
     """
     residuals = [0.0] * len(scenarios)
     evaluated = [i for i, w in enumerate(ws) if w != 0.0]
@@ -780,7 +888,8 @@ def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:
         return residuals
     n = scenarios[0].n
     buffers = _certification_buffers(_chunk_rows(n), n, len(evaluated))
-    pieces = _factor_pieces([scenarios[i] for i in evaluated], samples, seed, buffers)
+    pieces = _factor_pieces([scenarios[i] for i in evaluated], samples, seed, buffers,
+                            [ws[i] for i in evaluated])
     for k, pq_worst, pl in pieces:
         i = evaluated[k]
         residuals[i] = min(residuals[i], _min_residual(pq_worst, pl, ws[i]))
@@ -871,14 +980,18 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     must be integers (numpy integers included), ``samples`` nonnegative.
 
     ``min_residual`` is never positive: the grid row theta = 0 has exact
-    zeros, so it is exactly 0.0 at w = 0, where no row is evaluated.  Rows
-    with few unsaturated parties are evaluated only at patterns with
-    P_L > 0, by one rule at every n (:func:`_block_factors`): when enough
-    rows of a block have at most one, those rows are read at their two
-    live patterns, and, from 7 parties on, a row with a few more at all
-    its 2^u live patterns, within its block.  The other patterns have
-    residual P_Q >= 0, so the value is the one of the full evaluation,
-    bit for bit.
+    zeros, so it is exactly 0.0 at w = 0, where no row is evaluated.  A
+    row whose residual a bound from its raw angles proves positive at
+    every weight is skipped before its trigonometry
+    (:func:`_surviving_rows`), until a sample block keeps more than half
+    its rows; the grid row theta = 0 may be one of them, and its zeros are
+    the 0.0 every minimum starts at.  Rows with few unsaturated parties
+    are evaluated only at patterns with P_L > 0, by one rule at every n
+    (:func:`_block_factors`): when enough rows of a block have at most
+    one, those rows are read at their two live patterns, and, from 7
+    parties on, a row with a few more at all its 2^u live patterns, within
+    its block.  The other patterns have residual P_Q >= 0, so the value is
+    the one of the full evaluation, bit for bit.
 
     Given equal-length sequences of scenarios that share one party count
     and of real weights, certifies every pair in one pass over the

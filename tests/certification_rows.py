@@ -12,6 +12,31 @@ import numpy as np
 from ghzlocal import epr2
 
 
+# Offsets from the edges acos(c) and pi - acos(c) of a scenario's band.
+BAND_EDGE_OFFSETS = (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12)
+
+
+def ulps_from(x: float, k: int) -> float:
+    """x moved by k ulps."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+def special_angles(bounds):
+    """0, pi, pi/2 a few ulps either way, and each band edge with its offsets.
+
+    ``bounds`` holds the ``|cos t0|`` whose band edges are wanted.
+    """
+    half_pi = math.pi / 2
+    specials = [0.0, math.pi, half_pi] + [ulps_from(half_pi, k) for k in (-3, -2, -1, 1, 2, 3)]
+    for c in bounds:
+        edge = math.acos(min(c, 1.0))
+        specials += [edge + d for d in BAND_EDGE_OFFSETS]
+        specials += [math.pi - edge + d for d in BAND_EDGE_OFFSETS]
+    return [min(max(t, 0.0), math.pi) for t in specials]
+
+
 def certification_rows(n: int, samples: int, seed: int, rows: int | None = None):
     """Theta row chunks of the diagonal grid, then of the sample stream.
 

@@ -265,6 +265,29 @@ class TestScan:
         assert code == 2
         assert "alpha-steps" in err
 
+    @pytest.mark.parametrize("steps", ["100001", str(10**12)])
+    def test_rejects_more_steps_than_the_limit_before_certifying(self, steps, tmp_path, capsys,
+                                                                  monkeypatch):
+        # scan keeps every row until it prints, so its memory grows with the
+        # steps: above the limit it refuses, before --out or any certify call.
+        calls = count_calls(monkeypatch, tmp_path, "certify")
+        path = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, "scan", "--n", "3", "--alpha-steps", steps,
+                                 "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: --alpha-steps must be at most 100000\n"
+        assert calls() == {"certify": 0}
+        assert not path.exists()
+
+    def test_accepts_the_step_limit(self, monkeypatch, capsys):
+        # The limit itself passes the check: the scan starts on its scenarios.
+        def started(n, alpha):
+            raise ValueError("scan started")
+
+        monkeypatch.setattr(cli, "GhzScenario", started)
+        code, _, err = run_cli(capsys, "scan", "--n", "3", "--alpha-steps", "100000")
+        assert (code, err) == (2, "error: scan started\n")
+
 
 def certify_pids(monkeypatch, tmp_path, fail=lambda scenarios: None):
     """Wrap ``cli.certify`` to log the pid of each call to a file under

@@ -19,32 +19,13 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import _party_terms, certify
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import block_pieces, certification_rows
+from certification_rows import block_pieces, certification_rows, special_angles
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-HALF_PI = math.pi / 2
 # Both ends of the domain and 1e-12 or 1e-15 off them.
 EDGE_ALPHAS = [0.0, 1e-12, math.pi / 4 - 1e-15, math.pi / 4]
 alphas = st.one_of(st.sampled_from(EDGE_ALPHAS), st.floats(0.0, math.pi / 4, allow_nan=False))
-# Offsets from the edges acos(c) and pi - acos(c) of a scenario's band.
-OFFSETS = (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12)
-
-
-def _ulps_from(x, k):
-    """x moved by k ulps."""
-    for _ in range(abs(k)):
-        x = float(np.nextafter(x, math.copysign(math.inf, k)))
-    return x
-
-
-def _special_angles(bounds):
-    """0, pi, pi/2 a few ulps either way, and each band edge with its offsets."""
-    specials = [0.0, math.pi, HALF_PI] + [_ulps_from(HALF_PI, k) for k in (-3, -2, -1, 1, 2, 3)]
-    for c in bounds:
-        edge = math.acos(min(c, 1.0))
-        specials += [edge + d for d in OFFSETS] + [math.pi - edge + d for d in OFFSETS]
-    return [min(max(t, 0.0), math.pi) for t in specials]
 
 
 @st.composite
@@ -52,7 +33,7 @@ def batches(draw, n_min=7, n_max=12, rows_max=6):
     """(scenarios, (n, rows) angles) with angles at the batch's band edges."""
     n = draw(st.integers(n_min, n_max))
     scenarios = [GhzScenario(n, a) for a in draw(st.lists(alphas, min_size=1, max_size=4))]
-    specials = _special_angles([abs(cos_theta0(sc)) for sc in scenarios])
+    specials = special_angles([abs(cos_theta0(sc)) for sc in scenarios])
     angle = st.one_of(st.sampled_from(specials), st.floats(0.0, math.pi, allow_nan=False))
     rows = draw(st.integers(1, rows_max))
     parties = draw(st.lists(angle, min_size=n * rows, max_size=n * rows))
@@ -92,7 +73,7 @@ def test_block_cosines_at_the_band_edges(alpha):
     # keeps on the side of their computed cosines.
     sc = GhzScenario(8, alpha)
     c0 = cos_theta0(sc)
-    parties = np.array(_special_angles([abs(c0)]) * 8).reshape(8, -1)
+    parties = np.array(special_angles([abs(c0)]) * 8).reshape(8, -1)
     cosines = epr2._block_cosines(parties, abs(c0), np.empty(parties.shape))
     assert _party_terms(c0, cosines).tobytes() == _party_terms(c0, np.cos(parties)).tobytes()
 

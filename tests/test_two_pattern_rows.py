@@ -204,7 +204,9 @@ def test_a_block_near_alpha_zero_stays_dense(monkeypatch):
     # At alpha = 1e-6 and 8 parties, |cos t0| = 0.94: almost every sample
     # row has more unsaturated parties than the live path takes, so each
     # sample block runs the dense kernel on all of its rows.  A fifth of
-    # the grid rows are saturated, and the grid block splits.
+    # the grid rows are saturated, and the grid block splits.  At w = 1 no
+    # row can be skipped before its trigonometry (v^2 <= cos^2 a < 1), so
+    # every row reaches the kernel.
     pieces = _count_two_pattern_pieces(monkeypatch)
     ends = []
     original = epr2._dense_factors
@@ -214,7 +216,7 @@ def test_a_block_near_alpha_zero_stays_dense(monkeypatch):
         return original(scenarios, block, block_ends, buffers)
 
     monkeypatch.setattr(epr2, "_dense_factors", recorded)
-    certify(GhzScenario(8, 1e-6), 0.5, samples=6000, seed=3)
+    certify(GhzScenario(8, 1e-6), 1.0, samples=6000, seed=3)
     assert len(pieces) == 1 and ends[0][1][0] < epr2.DIAG_GRID_POINTS
     assert len(ends) == 3 and all(block_ends == [rows] for rows, block_ends in ends[1:])
 
