@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import GhzScenario, ghz_state
+from .qcore import GhzScenario, _integer, ghz_state
 
 # A scenario violates the (normalized) MABK inequality when its maximized
 # value exceeds 1 + MABK_TOLERANCE.
@@ -232,8 +232,9 @@ def mabk_quantum_max(scenario: GhzScenario, restarts: int = 8,
     deterministic equatorial start (see :func:`_equatorial_start`), then
     ``restarts`` random starts whose streams are spawned from the seed.  The
     aggregate is the maximum over all starts, so identical arguments
-    reproduce the identical report.
+    reproduce the identical report.  ``restarts`` must be a positive integer.
     """
+    restarts = _integer("restarts", restarts)
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
     support = ghz_state(scenario)[[0, -1]]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +24,7 @@ from .qcore import (
     GhzScenario,
     MeasurementContext,
     OutcomePattern,
+    _integer,
     cos_theta0,
     diagonal_prob,
     joint_prob_ghz,
@@ -200,8 +200,10 @@ def lower_bound(scenario: GhzScenario, grid_points: int = 10000) -> float:
     there, ``P_Q(pi - theta0)``, which equals
     ``cos^2(2a) / (cos(a)^(2/n) + sin(a)^(2/n))^n``: ``1 - sin(2a)`` for
     n = 2, 1 for product states, 0 for maximal entanglement.
-    ``grid_points`` must lie in [1000, 10**7]; the bound does not depend on it.
+    ``grid_points`` must be an integer in [1000, 10**7]; the bound does not
+    depend on it.
     """
+    grid_points = _integer("grid_points", grid_points)
     if not 1000 <= grid_points <= _MAX_GRID_POINTS:
         raise ValueError(
             f"grid_points must lie in [1000, {_MAX_GRID_POINTS}], got {grid_points}"
@@ -832,20 +834,34 @@ def _certification_blocks(n: int, samples: int, seed: int, rows: int,
     With ``weighted``, the (scenarios, weights) of a certificate, a
     chunk's rows that :func:`_surviving_rows` proves positive are left out
     before their trigonometry, and the rest compacted in the same buffers;
-    a chunk left with no row yields no block.  The first sample chunk of
-    which more than half the rows survive is yielded whole, and so is
-    every chunk after it: the rows are then not worth bounding.
+    a chunk left with no row yields no block.  The first chunk, grid or
+    sample, of which more than half the rows survive is yielded whole, and
+    so is every chunk after it: the rows are then not worth bounding.
     """
     buffers = tuple(np.empty(n * rows) for _ in range(3))
+
+    def survivors(parties):
+        """The rows of ``parties`` left by the bound, or None for every row,
+        which ends the bounding."""
+        nonlocal weighted
+        if weighted:
+            kept = _surviving_rows(parties, *weighted, buffers)
+            if 2 * kept.size <= parties.shape[1]:
+                return kept
+            weighted = None
+        return None
+
     grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
     for start in range(0, DIAG_GRID_POINTS, rows):
         angles = grid[start:start + rows]
         if weighted:
             parties = buffers[2][:n * angles.size].reshape(n, -1)
             parties[...] = angles
-            angles = angles[_surviving_rows(parties, *weighted, buffers)]
-            if not angles.size:
-                continue
+            kept = survivors(parties)
+            if kept is not None:
+                if not kept.size:
+                    continue
+                angles = angles[kept]
         block = _Block(*(b[:n * angles.size].reshape(n, -1) for b in buffers))
         for values, out in zip(_block(angles), block):
             out[...] = values
@@ -856,17 +872,14 @@ def _certification_blocks(n: int, samples: int, seed: int, rows: int,
     hashing = buffers[2], buffers[0].view(np.uint64), buffers[1].view(np.uint64)
     for start in range(0, samples, rows):
         parties = _certification_parties(seed, start, min(rows, samples - start), n, hashing)
-        if weighted:
-            kept = _surviving_rows(parties, *weighted, buffers)
-            if 2 * kept.size > parties.shape[1]:
-                weighted = None
-            elif not kept.size:
+        kept = survivors(parties)
+        if kept is not None:
+            if not kept.size:
                 continue
-            else:
-                survivors = np.take(parties, kept, axis=1, mode="clip",
-                                    out=buffers[0][:n * kept.size].reshape(n, -1))
-                parties = buffers[2][:survivors.size].reshape(n, -1)
-                parties[...] = survivors
+            compacted = np.take(parties, kept, axis=1, mode="clip",
+                                out=buffers[0][:n * kept.size].reshape(n, -1))
+            parties = buffers[2][:compacted.size].reshape(n, -1)
+            parties[...] = compacted
         yield _block(parties, bound, buffers)
 
 
@@ -938,14 +951,6 @@ def _alpha_zero_rounding(n: int) -> float:
     return 16 * n * 2.0**-53
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int, or ValueError when it is not integral."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _certify_pairs(scenario, w) -> tuple[list, list]:
     """(scenarios, weights) of a certify call, or ValueError naming the expected form.
 
@@ -983,15 +988,15 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     zeros, so it is exactly 0.0 at w = 0, where no row is evaluated.  A
     row whose residual a bound from its raw angles proves positive at
     every weight is skipped before its trigonometry
-    (:func:`_surviving_rows`), until a sample block keeps more than half
-    its rows; the grid row theta = 0 may be one of them, and its zeros are
-    the 0.0 every minimum starts at.  Rows with few unsaturated parties
-    are evaluated only at patterns with P_L > 0, by one rule at every n
-    (:func:`_block_factors`): when enough rows of a block have at most
-    one, those rows are read at their two live patterns, and, from 7
-    parties on, a row with a few more at all its 2^u live patterns, within
-    its block.  The other patterns have residual P_Q >= 0, so the value is
-    the one of the full evaluation, bit for bit.
+    (:func:`_surviving_rows`), until a block, the grid's included, keeps
+    more than half its rows; the grid row theta = 0 may be one of them,
+    and its zeros are the 0.0 every minimum starts at.  Rows with few
+    unsaturated parties are evaluated only at patterns with P_L > 0, by
+    one rule at every n (:func:`_block_factors`): when enough rows of a
+    block have at most one, those rows are read at their two live
+    patterns, and, from 7 parties on, a row with a few more at all its 2^u
+    live patterns, within its block.  The other patterns have residual
+    P_Q >= 0, so the value is the one of the full evaluation, bit for bit.
 
     Given equal-length sequences of scenarios that share one party count
     and of real weights, certifies every pair in one pass over the

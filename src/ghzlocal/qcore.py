@@ -31,6 +31,15 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy integers included), or ValueError naming
+    ``name`` when it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GhzScenario:
     """Party count and mixing angle of the state cos(a)|0..0> + sin(a)|1..1>.
@@ -45,10 +54,7 @@ class GhzScenario:
     alpha: float
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(f"party count must be an integer, got {self.n!r}") from None
+        object.__setattr__(self, "n", _integer("party count", self.n))
         if not (2 <= self.n <= MAX_PARTIES):
             raise ValueError(f"party count must be in [2, {MAX_PARTIES}], got {self.n}")
         if not (0.0 <= self.alpha <= math.pi / 4 + 1e-15):

@@ -205,6 +205,13 @@ class TestMabk:
         with pytest.raises(ValueError):
             mabk_quantum_max(GhzScenario(2, 0.1), restarts=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+    def test_rejects_non_integral_restarts(self, bad):
+        sc = GhzScenario(3, 0.5)
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            mabk_quantum_max(sc, restarts=bad)
+        assert mabk_quantum_max(sc, restarts=np.int64(2)) == mabk_quantum_max(sc, restarts=2)
+
     def test_corner_value_matches_dense_operator(self):
         # The dense oracle: <psi| M |psi> with the full 2^n x 2^n operator.
         rng = np.random.default_rng(7)

@@ -11,33 +11,13 @@ import pytest
 
 from ghzlocal import cli
 
+from cli_calls import assert_no_child_left, record_calls, use_cpus
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def count_calls(monkeypatch, tmp_path, *names):
-    """Wrap each named ``cli`` function with a call counter; returns a
-    function that gives the counts.  Each call appends a line to a file
-    under ``tmp_path``, so the calls of the processes a scan forks count."""
-    log = tmp_path / "calls.log"
-    log.touch()
-
-    def counted(name):
-        original = getattr(cli, name)
-
-        def wrapper(*args, **kwargs):
-            with open(log, "a") as handle:
-                handle.write(name + "\n")
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(cli, name, counted(name))
-    return lambda: {name: log.read_text().split().count(name) for name in names}
 
 
 class TestPoint:
@@ -108,13 +88,13 @@ class TestPoint:
         # The fallen-back row is flagged whatever a second verdict would
         # say, so the fallback weight is not certified again.
         monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
-        calls = count_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
+        calls = record_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
         code, out, _ = run_cli(
             capsys, "point", "--n", "3", "--alpha", "0.3", "--samples", "2000",
         )
         assert code == 3
         assert json.loads(out)["certified"] is False
-        assert calls() == {"certify": 1, "sampled_min_ratio": 1}
+        assert [call.name for call in calls()] == ["certify", "sampled_min_ratio"]
 
 
 class TestScan:
@@ -153,19 +133,19 @@ class TestScan:
         assert float(rows[1][2]) < 0.9
 
     def test_one_certify_per_n_entry(self, capsys, monkeypatch, tmp_path):
-        calls = count_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
+        calls = record_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
         code, _, _ = run_cli(
             capsys, "scan", "--n", "2,3,2", "--alpha-steps", "4",
             "--samples", "2000",
         )
         assert code == 0
-        assert calls() == {"certify": 3, "sampled_min_ratio": 0}
+        assert [call.name for call in calls()] == ["certify"] * 3
 
     def test_ratio_scan_only_on_rows_that_fell_back(self, capsys, monkeypatch, tmp_path):
         # 0.9 certifies at alpha = 0 only (P_L = P_Q there), so two of the
         # three rows of each n fall back.
         monkeypatch.setattr(cli, "lower_bound", lambda sc, grid_points: 0.9)
-        calls = count_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
+        calls = record_calls(monkeypatch, tmp_path, "certify", "sampled_min_ratio")
         code, out, _ = run_cli(
             capsys, "scan", "--n", "2,3", "--alpha-steps", "3",
             "--samples", "2000",
@@ -173,7 +153,8 @@ class TestScan:
         assert code == 3
         assert [line.split(",")[5] for line in out.splitlines()[1:]] == [
             "true", "false", "false"] * 2
-        assert calls() == {"certify": 2, "sampled_min_ratio": 4}
+        assert sorted(call.name for call in calls()) == (
+            ["certify"] * 2 + ["sampled_min_ratio"] * 4)
 
     def test_repeated_n_rows_follow_the_given_order(self, capsys):
         def data_rows(n_list):
@@ -270,13 +251,13 @@ class TestScan:
                                                                   monkeypatch):
         # scan keeps every row until it prints, so its memory grows with the
         # steps: above the limit it refuses, before --out or any certify call.
-        calls = count_calls(monkeypatch, tmp_path, "certify")
+        calls = record_calls(monkeypatch, tmp_path, "certify")
         path = tmp_path / "rows.csv"
         code, out, err = run_cli(capsys, "scan", "--n", "3", "--alpha-steps", steps,
                                  "--out", str(path))
         assert (code, out) == (2, "")
         assert err == "error: --alpha-steps must be at most 100000\n"
-        assert calls() == {"certify": 0}
+        assert calls() == []
         assert not path.exists()
 
     def test_accepts_the_step_limit(self, monkeypatch, capsys):
@@ -287,34 +268,6 @@ class TestScan:
         monkeypatch.setattr(cli, "GhzScenario", started)
         code, _, err = run_cli(capsys, "scan", "--n", "3", "--alpha-steps", "100000")
         assert (code, err) == (2, "error: scan started\n")
-
-
-def certify_pids(monkeypatch, tmp_path, fail=lambda scenarios: None):
-    """Wrap ``cli.certify`` to log the pid of each call to a file under
-    ``tmp_path``, then call ``fail(scenarios)``; returns a function that
-    gives the set of pids."""
-    log = tmp_path / "pids.log"
-    log.touch()
-    original = cli.certify
-
-    def logged(scenarios, ws, **kwargs):
-        with open(log, "a") as handle:
-            handle.write(f"{os.getpid()}\n")
-        fail(scenarios)
-        return original(scenarios, ws, **kwargs)
-
-    monkeypatch.setattr(cli, "certify", logged)
-    return lambda: set(map(int, log.read_text().split()))
-
-
-def use_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParallelScan:
@@ -334,10 +287,10 @@ class TestParallelScan:
         use_cpus(monkeypatch, 1)
         serial = run_cli(capsys, *argv)
         use_cpus(monkeypatch, cpus)
-        pids = certify_pids(monkeypatch, tmp_path)
+        calls = record_calls(monkeypatch, tmp_path, "certify")
         assert run_cli(capsys, *argv) == serial
         assert serial[0] == 0
-        assert len(pids()) == min(cpus, len(n_list.split(",")))
+        assert len({call.pid for call in calls()}) == min(cpus, len(n_list.split(",")))
         assert_no_child_left()
 
     @pytest.mark.parametrize("raising_n", [2, 3])  # a child's group, the caller's
@@ -348,14 +301,14 @@ class TestParallelScan:
                 raise ValueError("w must lie in [0, 1], got 2")
 
         argv = ["scan", "--n", "2,3", "--alpha-steps", "3", "--samples", "1000"]
-        pids = certify_pids(monkeypatch, tmp_path, fail)
+        calls = record_calls(monkeypatch, tmp_path, "certify", before=fail)
         use_cpus(monkeypatch, 1)
         serial = run_cli(capsys, *argv)
         assert serial == (2, "", "error: w must lie in [0, 1], got 2\n")
         use_cpus(monkeypatch, 2)
-        (tmp_path / "pids.log").write_text("")
+        calls(clear=True)
         assert run_cli(capsys, *argv) == serial
-        assert len(pids()) == 2
+        assert len({call.pid for call in calls()}) == 2
         assert_no_child_left()
 
     def test_a_child_without_a_result_is_an_error(self, capsys, monkeypatch, tmp_path):
@@ -366,7 +319,7 @@ class TestParallelScan:
                 os._exit(1)
 
         use_cpus(monkeypatch, 2)
-        certify_pids(monkeypatch, tmp_path, die)
+        record_calls(monkeypatch, tmp_path, "certify", before=die)
         with pytest.raises(RuntimeError, match="exited without a result"):
             cli.main(["scan", "--n", "2,3", "--alpha-steps", "3", "--samples", "1000"])
         assert capsys.readouterr().out == ""
@@ -376,24 +329,25 @@ class TestParallelScan:
                                                              tmp_path):
         argv = ["scan", "--n", "2,3", "--alpha-steps", "3", "--samples", "1000"]
         use_cpus(monkeypatch, 2)
-        pids = certify_pids(monkeypatch, tmp_path)
+        calls = record_calls(monkeypatch, tmp_path, "certify")
+
+        def pids():
+            return {call.pid for call in calls(clear=True)}
+
         expected = run_cli(capsys, *argv)
         assert len(pids()) == 2
         with monkeypatch.context() as patch:
             patch.delattr(os, "fork")
-            (tmp_path / "pids.log").write_text("")
             assert run_cli(capsys, *argv) == expected
             assert pids() == {os.getpid()}
         with monkeypatch.context() as patch:
             patch.delattr(os, "sched_getaffinity")
-            (tmp_path / "pids.log").write_text("")
             assert run_cli(capsys, *argv) == expected
             assert pids() == {os.getpid()}
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            (tmp_path / "pids.log").write_text("")
             assert run_cli(capsys, *argv) == expected
             assert pids() == {os.getpid()}
         finally:
@@ -538,13 +492,13 @@ class TestUsageErrors:
         assert json.loads(path.read_text())["n"] == 2
 
     def test_unwritable_out_is_refused_before_certifying(self, tmp_path, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, tmp_path, "certify")
+        calls = record_calls(monkeypatch, tmp_path, "certify")
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "scan", "--n", "2,3", "--alpha-steps", "3",
                                  "--out", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --out")
-        assert calls() == {"certify": 0}
+        assert calls() == []
 
     @pytest.mark.parametrize("bad", [
         ("--n", "2,13", "--alpha-steps", "3"),

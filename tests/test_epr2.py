@@ -574,6 +574,13 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             lower_bound(GhzScenario(2, 0.1), grid_points=500)
 
+    @pytest.mark.parametrize("bad", [5000.5, 5000.0, "5000", None])
+    def test_rejects_non_integral_grid_points(self, bad):
+        sc = GhzScenario(3, 0.3)
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            lower_bound(sc, grid_points=bad)
+        assert lower_bound(sc, grid_points=np.int64(5000)) == lower_bound(sc)
+
     def test_rejects_huge_grid_before_allocating(self):
         tracemalloc.start()
         try:

@@ -6,8 +6,9 @@ scenario's lower bound, and 0.5), and ``sampled_min_ratio`` at three
 alphas per party count, all recorded before certification ran one path
 at every n.  The alphas reach both ends of the domain, 1e-12 off them,
 and the interior, so the batches mix rows of every kind: dense, with a
-few unsaturated parties, and with at most one.  The n = 6, 7, 8 scan
-pins the same through the CLI, exit code included.
+few unsaturated parties, and with at most one.  The command lines that
+pin batches through the CLI, such as the n = 6, 7, 8 scan, are listed in
+``data/pinned_commands.txt`` (``test_pinned_commands.py``).
 """
 
 import json
@@ -15,7 +16,6 @@ import pathlib
 
 import pytest
 
-from ghzlocal import cli
 from ghzlocal.epr2 import certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario
 
@@ -41,10 +41,3 @@ def test_sampled_min_ratio_is_pinned(case):
     scenario = GhzScenario(case["n"], case["alpha"])
     got = sampled_min_ratio(scenario, samples=case["samples"], seed=RECORD["seed"])
     assert repr(got) == case["value"]
-
-
-def test_scan_at_six_to_eight_parties_is_pinned(capsys):
-    argv = ["scan", "--n", "6,7,8", "--alpha-steps", "11", "--samples", "8192", "--seed", "13"]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == (
-        DATA / "scan_n6-7-8_steps11_samples8192_seed13.csv").read_text()

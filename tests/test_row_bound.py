@@ -203,13 +203,12 @@ def test_a_mid_range_point_skips_almost_every_row(alpha, blocks_read, monkeypatc
 
 
 def test_a_block_with_most_rows_left_runs_whole_and_ends_the_bounding(monkeypatch):
-    # At 3 parties a batch's smallest alpha needs most rows: the grid and
-    # the first sample block keep more than half, and run whole, and no
-    # later block is bounded.
+    # At 3 parties a batch's smallest alpha needs most rows: the grid keeps
+    # more than half, and runs whole, and no later block is bounded.
     scenarios = [GhzScenario(3, alpha) for alpha in (0.05, 0.3, 0.6)]
     kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
     certify(scenarios, [lower_bound(sc) for sc in scenarios], samples=3 * 8192, seed=3)
-    assert bounded == [epr2.DIAG_GRID_POINTS, 8192]
+    assert bounded == [epr2.DIAG_GRID_POINTS]
     assert kernel == [epr2.DIAG_GRID_POINTS] + [8192] * 3
 
 
