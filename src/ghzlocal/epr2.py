@@ -53,7 +53,7 @@ DIAG_GRID_POINTS = 2001
 _CERT_CHUNK_BYTES = 512 * 2**10
 _CERT_MAX_ROWS = 8192
 
-# A sample angle gets its cosine only where a scenario of the batch may
+# A certify angle gets its cosine only where a scenario of the batch may
 # leave its party unsaturated (:func:`_block_cosines`), with this margin:
 # far beyond the rounding of cos and acos.
 _COS_MARGIN = 1e-12
@@ -140,17 +140,22 @@ def _diagonal_local_prob(scenario: GhzScenario, theta):
     return factor**scenario.n
 
 
-def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
-    """P_Q / P_L along the diagonal, all outcomes +1 (vectorized over thetas).
+def ratio_f(scenario: GhzScenario, theta):
+    """Quantum/local probability ratio along the diagonal, all outcomes +1.
 
-    ``+inf`` where P_L vanishes; where the evaluated P_L is exactly 0
-    within 1e-12 of the vanishing angle (when ``cos theta0 < 0``), the
-    exact limit :func:`_ratio_limit_at_theta0`.  Wherever P_L is positive
-    the ratio is the quotient itself, also inside a band
-    ``(pi - theta0, theta0)`` narrower than 1e-12.
-    A product state's P_L is its P_Q, so there the ratio is exactly 1 where P_Q > 0.
+    Returns ``+inf`` where the local model vanishes but P_Q does not (the
+    whole region beyond the vanishing angle).  At the vanishing angle itself
+    both vanish, and the value is the ratio's exact limit there:
+    ``1 - sin 2a`` for n = 2, ``+inf`` for n >= 3, 1 for a product state.
+    That limit is taken where the evaluated P_L is exactly 0 within 1e-12
+    of the vanishing angle (when ``cos theta0 < 0``); wherever P_L is
+    positive the ratio is the quotient itself, also inside a band
+    ``(pi - theta0, theta0)`` narrower than 1e-12.  A product state's P_L
+    is its P_Q, so there the ratio is exactly 1 where P_Q > 0.
+    ``theta`` may be a float or an array of angles, all in [0, pi]; the
+    result is a float or an array of the same shape.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.asarray(theta, dtype=float)
     pq = np.asarray(diagonal_prob(scenario, thetas))
     pl = pq if scenario.alpha == 0.0 else _diagonal_local_prob(scenario, thetas)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,19 +163,7 @@ def _diagonal_ratio(scenario: GhzScenario, thetas) -> np.ndarray:
     at_zero = (pl == 0.0) & (np.abs(thetas - theta0(scenario)) <= 1e-12)
     if cos_theta0(scenario) < 0.0 and at_zero.any():
         f = np.where(at_zero, _ratio_limit_at_theta0(scenario), f)
-    return f
-
-
-def ratio_f(scenario: GhzScenario, theta: float) -> float:
-    """Quantum/local probability ratio along the diagonal, all outcomes +1.
-
-    Returns ``+inf`` where the local model vanishes but P_Q does not (the
-    whole region beyond the vanishing angle).  At the vanishing angle itself
-    both vanish, and the value is the ratio's exact limit there:
-    ``1 - sin 2a`` for n = 2, ``+inf`` for n >= 3, 1 for a product state.
-    ``theta`` must lie in [0, pi].
-    """
-    return float(_diagonal_ratio(scenario, theta))
+    return float(f) if thetas.ndim == 0 else f
 
 
 def _ratio_limit_at_theta0(scenario: GhzScenario) -> float:
@@ -313,9 +306,9 @@ class _Block(NamedTuple):
         return _Block(*(a.take(columns, axis=1) for a in self))
 
 
-def _block(parties: np.ndarray, bound: float | None = None, buffers=None) -> _Block:
-    """The :class:`_Block` of (n, rows) angles: every cosine, or with ``bound``
-    those of :func:`_block_cosines`.
+def _block(parties: np.ndarray, bound: float, buffers=None) -> _Block:
+    """The :class:`_Block` of (n, rows) angles, with the cosines of
+    :func:`_block_cosines` under ``bound``: every one at ``bound = 1.0``.
 
     The three arrays are views of the flat ``buffers``, of at least
     ``parties.size`` entries each (fresh ones without them).  The angles
@@ -324,10 +317,7 @@ def _block(parties: np.ndarray, bound: float | None = None, buffers=None) -> _Bl
     """
     buffers = buffers or tuple(np.empty(parties.size) for _ in range(3))
     block = _Block(*(b[:parties.size].reshape(parties.shape) for b in buffers))
-    if bound is None:
-        np.cos(parties, out=block.cosines)
-    else:
-        _block_cosines(parties, bound, block.cosines)
+    _block_cosines(parties, bound, block.cosines)
     half = np.multiply(0.5, parties, out=block.half_sin)
     np.cos(half, out=block.half_cos)
     np.sin(half, out=block.half_sin)
@@ -363,6 +353,25 @@ def _saturation_edge(bound: float) -> float:
     return math.acos(x) - _COS_MARGIN if x < 1.0 else -math.inf
 
 
+def _worst_phase(alpha: float, k: np.ndarray, kr: np.ndarray, out: np.ndarray,
+                 spare: np.ndarray) -> np.ndarray:
+    """Worst-phase P_Q ``(cos a K - sin a Kr)^2``, entry by entry, in ``out``.
+
+    At the phase extremes cos(sum of phis) = +-1 the quantum probability is
+    the perfect square (cos(a) prod p_j +- prod r_j sin(a) prod q_j)^2 with
+    p_j, q_j the half-angle cosine/sine picked by each outcome sign, so the
+    worse of the two is this one, nonnegative by construction: K is the
+    product of the p_j, and Kr, K at the complement pattern, that of the
+    q_j.  ``sin a Kr`` is formed in ``spare`` first, so ``out`` may be ``k``
+    and ``spare`` may be ``kr``; every path computes each entry by these
+    same operations, so its entries are the dense ones, bit for bit.
+    """
+    np.multiply(kr, math.sin(alpha), out=spare)
+    np.multiply(k, math.cos(alpha), out=out)
+    out -= spare
+    return np.square(out, out=out)
+
+
 def _alpha_factors(scenario: GhzScenario, k: np.ndarray, terms: np.ndarray,
                    buffers, consume_k: bool):
     """(worst-phase P_Q, P_L) of one scenario from K and its (n, rows) :func:`_party_terms`.
@@ -374,42 +383,26 @@ def _alpha_factors(scenario: GhzScenario, k: np.ndarray, terms: np.ndarray,
     chunk consumes ``K``, so a single certificate runs on three buffers and
     copies nothing.  The third buffer is scratch, free again on return.
 
-    At the phase extremes cos(sum of phis) = +-1 the quantum probability is
-    the perfect square (cos(a) prod p_j +- prod r_j sin(a) prod q_j)^2 with
-    p_j, q_j the half-angle cosine/sine picked by each outcome sign, so the
-    worse of the two is (A - B)^2, nonnegative by construction.
-
     With t_j the :func:`_party_terms`, all three factors are Kronecker
     products of per-party pairs (+1 factor, -1 factor) in the pattern order
     of ``all_outcome_patterns``:
 
-    * ``A = cos(a) * K``
-    * ``B = sin(a) * kron_j (sin h_j, cos h_j)``, ``sin(a) * K`` with its
-      patterns reversed (pattern ``2^n - 1 - c`` complements every bit)
+    * ``K = kron_j (cos h_j, sin h_j)``
+    * ``Kr = kron_j (sin h_j, cos h_j)``, K with its patterns reversed
+      (pattern ``2^n - 1 - c`` complements every bit)
     * ``P_L = kron_j ((1 + t_j) / 2, (1 - t_j) / 2)``, built by :func:`_kron_rows`
 
-    Each product is taken over parties left to right and the cos(a) /
-    sin(a) scale is applied last.  That is the multiplication order of
-    ``np.prod(..., axis=-1)`` over the dense (rows, 2^n, n) factor array,
-    so every entry is bit-identical to that reference.
+    P_Q is their :func:`_worst_phase`.  Each product is taken over parties
+    left to right and the cos(a) / sin(a) scale is applied last.  That is
+    the multiplication order of ``np.prod(..., axis=-1)`` over the dense
+    (rows, 2^n, n) factor array, so every entry is bit-identical to that
+    reference.
     """
     pl_buf, spare = buffers[1:3]
     pq_worst = k if consume_k else buffers[3][:k.size].reshape(k.shape)
-    b = spare[:k.size].reshape(k.shape)
-    np.multiply(k[::-1], math.sin(scenario.alpha), out=b)
-    np.multiply(k, math.cos(scenario.alpha), out=pq_worst)
-    pq_worst -= b
-    np.square(pq_worst, out=pq_worst)
+    _worst_phase(scenario.alpha, k, k[::-1], pq_worst, spare[:k.size].reshape(k.shape))
     pl = _kron_rows(0.5 * (1.0 + terms), 0.5 * (1.0 - terms), pl_buf, spare)
     return pq_worst, pl
-
-
-def _certification_factors(scenario: GhzScenario, thetas: np.ndarray, buffers):
-    """(worst-phase P_Q, P_L) at theta rows (rows, n) on the dense kernel."""
-    block = _block(np.ascontiguousarray(thetas.T))
-    terms = _party_terms(cos_theta0(scenario), block.cosines)
-    k = _kron_rows(block.half_cos, block.half_sin, buffers[0], buffers[2])
-    return _alpha_factors(scenario, k, terms, buffers, True)
 
 
 def _two_pattern_products(block: _Block, least: np.ndarray, buffers) -> np.ndarray:
@@ -451,11 +444,9 @@ def _two_pattern_factors(scenario: GhzScenario, products: np.ndarray, least: np.
     party's factor, ``(1 +- |t|) / 2``, and 0.0 where a tie flips two
     saturated parties: the dense entries bit for bit.
     """
-    pq_worst = products[0:2] * math.cos(scenario.alpha)
-    pq_worst -= products[2:4] * math.sin(scenario.alpha)
-    np.square(pq_worst, out=pq_worst)
+    pq_worst, pl = np.empty((2, 2, products.shape[1]))
+    _worst_phase(scenario.alpha, products[0:2], products[2:4], pq_worst, pl)
     terms = _party_terms(cos_theta0(scenario), least)
-    pl = np.empty_like(pq_worst)
     np.add(1.0, terms, out=pl[0])
     np.subtract(1.0, terms, out=pl[1])
     pl *= 0.5
@@ -554,11 +545,7 @@ def _pattern_factors(scenario: GhzScenario, half_cos: np.ndarray, half_sin: np.n
         f.reshape(-1)[index] = np.where(minus, at_minus, at_plus)
     products = buffers[1][:3 * patterns * rows].reshape(3, patterns, rows)
     k, kr, pl = np.multiply.reduce(factors, axis=2, out=products)
-    kr *= math.sin(scenario.alpha)
-    k *= math.cos(scenario.alpha)
-    k -= kr
-    np.square(k, out=k)
-    return k, pl
+    return _worst_phase(scenario.alpha, k, kr, k, kr), pl
 
 
 def _live_factors(scenario: GhzScenario, block: _Block, columns: np.ndarray, buffers):
@@ -671,8 +658,8 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers, ws=None):
     """(index, worst-phase P_Q, P_L) pieces of every scenario over every row.
 
     The rows come in blocks of :func:`_block_rows`, each with its
-    trigonometry computed once for every scenario, and a sample block's
-    cosines only where a scenario may leave a party unsaturated
+    trigonometry computed once for every scenario, and its cosines only
+    where a scenario may leave a party unsaturated
     (:func:`_block_cosines`; every one when the batch reaches alpha = 0).
     The stand-ins change no entry that is read: each clips to the term
     of the cosine it replaces, and keeps every party's side of each
@@ -716,9 +703,10 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
     The dense reference of the certification kernel: every entry, live or
     not.  The residual is P_Q - w * P_L, the quantity :func:`certify`
     bounds; the ratio P_Q / P_L, taken where P_L is meaningfully positive,
-    is the one :func:`sampled_min_ratio` bounds.  Both are reductions of
-    :func:`_certification_factors`, so both values are bit-identical to
-    the dense (rows, 2^n, n) reference.  ``patterns``,
+    is the one :func:`sampled_min_ratio` bounds.  Both are reduced chunk by
+    chunk over :func:`_dense_factors` of every row, with every cosine
+    computed (``bound = 1.0``), from ``+inf``, so both values are
+    bit-identical to the dense (rows, 2^n, n) reference.  ``patterns``,
     when given, must be ``outcome_sign_matrix(n)``: the pattern order is
     fixed by the construction, and any other matrix is refused.
 
@@ -731,10 +719,13 @@ def _residual_extrema(scenario: GhzScenario, w: float, thetas: np.ndarray,
         raise ValueError(
             f"patterns must be outcome_sign_matrix({n}), shape {(2**n, n)}"
         )
-    buffers = _certification_buffers(len(thetas), n)
-    pq_worst, pl = _certification_factors(scenario, thetas, buffers)
-    min_ratio = _min_ratio(pq_worst.copy(), pl)
-    return _min_residual(pq_worst, pl, w), min_ratio
+    block = _block(np.ascontiguousarray(thetas.T), 1.0)
+    min_residual = min_ratio = math.inf
+    buffers = _certification_buffers(min(_chunk_rows(n), len(thetas)), n)
+    for _, pq_worst, pl in _dense_factors([scenario], block, [len(thetas)], buffers):
+        min_ratio = min(min_ratio, _min_ratio(pq_worst.copy(), pl))
+        min_residual = min(min_residual, _min_residual(pq_worst, pl, w))
+    return min_residual, min_ratio
 
 
 def _chunk_rows(n: int) -> int:
@@ -773,7 +764,8 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare) -> np.ndarray:
     P_L = 0 and residual P_Q >= 0.  A row is skipped when ``v > 0`` and
     ``v^2 - w > _ROW_BOUND_MARGIN`` for every scenario; the others are
     returned, and every row once fewer than half can still be skipped, so
-    that such a block runs whole.  The band is that of the batch's largest
+    that such a block runs whole and ends the bounding.  The band is that
+    of the batch's largest
     ``|cos t0|``, which holds every party that any scenario may leave
     unsaturated.
 
@@ -818,68 +810,52 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def _certification_blocks(n: int, samples: int, seed: int, rows: int,
-                          bound: float | None = None, weighted=None):
+def _certification_blocks(n: int, samples: int, seed: int, rows: int, bound: float,
+                          weighted=None):
     """The :class:`_Block` of each chunk of ``rows`` rows: the diagonal grid, then the samples.
 
     The grid of ``DIAG_GRID_POINTS`` angles runs from 0 to pi, and sample
-    i is row i of :func:`certification_thetas`; the last block of each
-    part has fewer rows.
-    A grid row repeats one angle n times, so its trigonometry is computed
-    once per grid point and repeated over the parties.  The sample angles
-    are hashed, and every block's arrays written, into buffers reused from
-    block to block, so a block is only valid until the next is drawn.
-    ``bound`` is that of :func:`_block`.
+    i is row i of :func:`certification_thetas`; the last chunk of each
+    part has fewer rows.  Every chunk takes one route: its (n, rows)
+    angles are written, a grid row's one angle to each party and a sample
+    row's hashed, into buffers reused from chunk to chunk, and
+    :func:`_block` computes its trigonometry there under ``bound``, so a
+    block is only valid until the next is drawn.
 
     With ``weighted``, the (scenarios, weights) of a certificate, a
     chunk's rows that :func:`_surviving_rows` proves positive are left out
     before their trigonometry, and the rest compacted in the same buffers;
     a chunk left with no row yields no block.  The first chunk, grid or
-    sample, of which more than half the rows survive is yielded whole, and
-    so is every chunk after it: the rows are then not worth bounding.
+    sample, that the bound leaves whole is yielded so, and so is every
+    chunk after it: the rows are then not worth bounding.
     """
     buffers = tuple(np.empty(n * rows) for _ in range(3))
+    # The angles sit in the buffer of the half-angle sines, where _block
+    # halves them in place; the hash runs in the other two.
+    hashing = buffers[2], buffers[0].view(np.uint64), buffers[1].view(np.uint64)
 
-    def survivors(parties):
-        """The rows of ``parties`` left by the bound, or None for every row,
-        which ends the bounding."""
-        nonlocal weighted
-        if weighted:
-            kept = _surviving_rows(parties, *weighted, buffers)
-            if 2 * kept.size <= parties.shape[1]:
-                return kept
-            weighted = None
-        return None
-
-    grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
-    for start in range(0, DIAG_GRID_POINTS, rows):
-        angles = grid[start:start + rows]
-        if weighted:
+    def chunks():
+        grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
+        for start in range(0, DIAG_GRID_POINTS, rows):
+            angles = grid[start:start + rows]
             parties = buffers[2][:n * angles.size].reshape(n, -1)
             parties[...] = angles
-            kept = survivors(parties)
-            if kept is not None:
-                if not kept.size:
-                    continue
-                angles = angles[kept]
-        block = _Block(*(b[:n * angles.size].reshape(n, -1) for b in buffers))
-        for values, out in zip(_block(angles), block):
-            out[...] = values
-        yield block
-    # The hash runs in the buffers of the cosines and of the half-angle
-    # cosines, and leaves the angles in that of the half-angle sines, where
-    # _block halves them in place.
-    hashing = buffers[2], buffers[0].view(np.uint64), buffers[1].view(np.uint64)
-    for start in range(0, samples, rows):
-        parties = _certification_parties(seed, start, min(rows, samples - start), n, hashing)
-        kept = survivors(parties)
-        if kept is not None:
-            if not kept.size:
+            yield parties
+        for start in range(0, samples, rows):
+            yield _certification_parties(seed, start, min(rows, samples - start), n, hashing)
+
+    for parties in chunks():
+        if weighted:
+            kept = _surviving_rows(parties, *weighted, buffers)
+            if kept.size == parties.shape[1]:
+                weighted = None
+            elif not kept.size:
                 continue
-            compacted = np.take(parties, kept, axis=1, mode="clip",
-                                out=buffers[0][:n * kept.size].reshape(n, -1))
-            parties = buffers[2][:compacted.size].reshape(n, -1)
-            parties[...] = compacted
+            else:
+                compacted = np.take(parties, kept, axis=1, mode="clip",
+                                    out=buffers[0][:n * kept.size].reshape(n, -1))
+                parties = buffers[2][:compacted.size].reshape(n, -1)
+                parties[...] = compacted
         yield _block(parties, bound, buffers)
 
 
@@ -1002,7 +978,7 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     and of real weights, certifies every pair in one pass over the
     settings and returns a list of :class:`DecompositionCertificate`, each
     equal to the matching single call; an empty pair of sequences gives
-    ``[]``.  The pass shares the angles, their trigonometry (a sample's
+    ``[]``.  The pass shares the angles, their trigonometry (a row's
     ``cos theta`` only where some scenario may leave a party unsaturated,
     so every one in a batch that reaches alpha = 0), one sort of each
     block with the alpha-free products of its two-pattern rows, and each

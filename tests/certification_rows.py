@@ -52,10 +52,25 @@ def certification_rows(n: int, samples: int, seed: int, rows: int | None = None)
         yield epr2._certification_parties(seed, start, min(chunk, samples - start), n).T
 
 
-def block_pieces(scenarios, thetas, live_max=None, bound=None):
+def dense_factors(scenario, thetas):
+    """The dense kernel's (2^n, rows) worst-phase P_Q and P_L at (rows, n) angles.
+
+    Copies of the ``epr2._dense_factors`` pieces over a block with every
+    cosine computed (``bound = 1.0``), joined over their chunks.
+    """
+    n = scenario.n
+    block = epr2._block(np.ascontiguousarray(thetas.T), 1.0)
+    buffers = epr2._certification_buffers(min(epr2._chunk_rows(n), len(thetas)), n)
+    pieces = [(pq.copy(), pl.copy())
+              for _, pq, pl in epr2._dense_factors([scenario], block, [len(thetas)], buffers)]
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*pieces))
+
+
+def block_pieces(scenarios, thetas, live_max=None, bound=1.0):
     """Copies of the (index, worst-phase P_Q, P_L) pieces of one block of (rows, n) angles.
 
-    The block's cosines are those of ``epr2._block`` under ``bound``, and
+    The block's cosines are those of ``epr2._block`` under ``bound``, by
+    default every one, and
     one ``epr2._block_factors`` call reads every row of it.  The kernel
     buffers hold at least one chunk and the block's two-pattern factors;
     ``live_max`` defaults to the one ``epr2._factor_pieces`` takes, and is

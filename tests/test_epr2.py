@@ -22,7 +22,6 @@ from ghzlocal.epr2 import (
     DecompositionCertificate,
     LocalModel,
     _diagonal_local_prob,
-    _diagonal_ratio,
     _party_terms,
     _residual_extrema,
     certification_thetas,
@@ -85,7 +84,7 @@ def _refine_minima(scenario, a, b, tol):
     """
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
-    fc, fd = _diagonal_ratio(scenario, c), _diagonal_ratio(scenario, d)
+    fc, fd = ratio_f(scenario, c), ratio_f(scenario, d)
     best = np.minimum(fc, fd)
     live, keep = np.arange(best.size), (b - a) > tol
     while keep.any():
@@ -94,7 +93,7 @@ def _refine_minima(scenario, a, b, tol):
         a = np.where(left, a, c)
         b = np.where(left, d, b)
         probe = np.where(left, b - (b - a) * _GOLDEN, a + (b - a) * _GOLDEN)
-        fprobe = _diagonal_ratio(scenario, probe)
+        fprobe = ratio_f(scenario, probe)
         c, d = np.where(left, probe, d), np.where(left, c, probe)
         fc, fd = np.where(left, fprobe, fd), np.where(left, fc, fprobe)
         best[live] = np.minimum(best[live], fprobe)
@@ -109,7 +108,7 @@ def _multi_bracket_lower_bound(scenario, grid_points=10000):
     minimum sits; it overshoots a kink by about its slope times 1e-10.
     """
     thetas = np.linspace(0.0, math.pi, grid_points)
-    f = _diagonal_ratio(scenario, thetas)
+    f = ratio_f(scenario, thetas)
     interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
     refined = _refine_minima(scenario, thetas[interior - 1], thetas[interior + 1],
                              1e-10)
@@ -464,7 +463,7 @@ class TestLowerBound:
             for alpha in (0.0, 0.1, 0.3, math.pi / 4):
                 sc = GhzScenario(n, alpha)
                 kink = math.pi - theta0(sc)
-                ref = float(_diagonal_ratio(sc, np.array([kink]))[0])
+                ref = float(ratio_f(sc, np.array([kink]))[0])
                 got = lower_bound(sc)
                 assert got == ref or abs(got - ref) <= 1e-15 * ref, (n, alpha)
 
@@ -474,7 +473,7 @@ class TestLowerBound:
         sc = GhzScenario(4, 0.2)
         w = lower_bound(sc)
         for a, b in ((0.1, 0.2), (1.0, 1.0004), (0.5, 2.5), (2.0, 2.1), (1.9, 1.90001)):
-            f = _diagonal_ratio(sc, np.linspace(a, b, 2001))
+            f = ratio_f(sc, np.linspace(a, b, 2001))
             assert f.min() >= w * (1.0 - 1e-12), (a, b)
         assert math.isinf(ratio_f(sc, 2.05))  # beyond theta0: +inf
 
@@ -508,7 +507,7 @@ class TestLowerBound:
         for alpha in np.linspace(0.0, math.pi / 4, 11):
             sc = GhzScenario(n, float(alpha))
             w = lower_bound(sc)
-            assert _diagonal_ratio(sc, thetas).min() >= w * (1.0 - 1e-12), alpha
+            assert ratio_f(sc, thetas).min() >= w * (1.0 - 1e-12), alpha
 
     def test_default_grid_minimum_sits_at_the_kink(self):
         # For n >= 3 and alpha > 0 the default grid has one interior minimum,
@@ -517,7 +516,7 @@ class TestLowerBound:
         for n in range(3, 13):
             for alpha in np.linspace(0.0, math.pi / 4, 102)[1:]:
                 sc = GhzScenario(n, float(alpha))
-                f = _diagonal_ratio(sc, thetas)
+                f = ratio_f(sc, thetas)
                 interior = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
                 i = int(np.argmin(f))
                 assert interior.tolist() == [i], (n, alpha)
@@ -527,9 +526,9 @@ class TestLowerBound:
     @pytest.mark.parametrize("n, alpha", [(2, 0.3), (5, 0.0)])
     def test_evaluates_one_grid_and_one_bracket(self, n, alpha, monkeypatch):
         points = []
-        original = epr2._diagonal_ratio
+        original = epr2.ratio_f
         monkeypatch.setattr(
-            epr2, "_diagonal_ratio",
+            epr2, "ratio_f",
             lambda sc, t: points.append(np.size(t)) or original(sc, t),
         )
         lower_bound(GhzScenario(n, alpha), grid_points=10000)
@@ -540,8 +539,10 @@ class TestLowerBound:
         for n, alpha in cases:
             sc = GhzScenario(n, alpha)
             grid = np.append(np.linspace(0.0, math.pi, 301), theta0(sc))
-            got = _diagonal_ratio(sc, grid)
+            got = ratio_f(sc, grid)
             want = [ratio_f(sc, float(t)) for t in grid]
+            # A float gives a Python float, an array an array of its shape.
+            assert all(type(value) is float for value in want) and got.shape == grid.shape
             assert np.allclose(got, want, rtol=1e-15, atol=0.0)
             assert got[-1] == ratio_f(sc, theta0(sc))
 
@@ -695,6 +696,19 @@ class TestCertify:
             sc = GhzScenario(n, alpha)
             for w in (0.0, 0.5, 1.0):
                 assert _residual_extrema(sc, w, rows) == _dense_residual_extrema(sc, w, rows)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_oracle_reduces_across_chunks(self, n):
+        # _residual_extrema reduces its rows chunk by chunk, from +inf: over
+        # more rows than one chunk, and with no row of exact zeros, both of
+        # its values are the np.prod reference's, also where they lie above 0.
+        rows = certification_thetas(n + 20, 0, 2 * epr2._chunk_rows(n) + 3, n)
+        for alpha in (0.2, 0.5):
+            sc = GhzScenario(n, alpha)
+            for w in (0.0, 0.05, 1.0):
+                got = _residual_extrema(sc, w, rows)
+                assert got == _dense_residual_extrema(sc, w, rows)
+                assert got[1] > 0.0 and (w > 0.0 or got[0] > 0.0)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_buffered_kron_matches_broadcast_reference(self, n):

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import epr2
-from ghzlocal.epr2 import _party_terms, certify
+from ghzlocal.epr2 import _party_terms, certify, lower_bound
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import block_pieces, certification_rows, special_angles
+from certification_rows import (block_pieces, certification_rows, dense_factors,
+                                special_angles)
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -84,10 +85,7 @@ def test_block_cosines_at_the_band_edges(alpha):
 
 def _dense(scenario, parties):
     """Dense (2^n, rows) worst-phase P_Q and P_L of (n, rows) angles."""
-    thetas = parties.T
-    buffers = epr2._certification_buffers(len(thetas), scenario.n)
-    pq, pl = epr2._certification_factors(scenario, thetas, buffers)
-    return pq.copy(), pl.copy()
+    return dense_factors(scenario, parties.T)
 
 
 def _pattern(bits):
@@ -216,22 +214,45 @@ def test_hash_in_buffers_is_the_stream(seed, start, count):
         assert epr2._certification_parties(seed, start, count, n).tobytes() == expected
 
 
+@pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("n, rows", [(3, 512), (5, 700), (8, 1280), (12, 896)])
-def test_blocks_are_the_trigonometry_of_their_rows(n, rows):
-    # Grid rows share one angle's trigonometry over their parties; sample
-    # blocks are hashed and computed in reused buffers; both are the
-    # values np.cos and np.sin give on the rows themselves.
+def test_blocks_are_the_trigonometry_of_their_rows(n, rows, weighted):
+    # Grid and sample chunks take one route: their angles are written into
+    # reused buffers (a grid row's one angle to every party, a sample's
+    # hashed there), bounded when a certificate gives weights, and their
+    # trigonometry computed in place.  Each block is what np.cos and
+    # np.sin give on the rows the bound leaves: every cosine at bound 1.0,
+    # and with the scenario's bound cosines that give the same terms.
     samples, seed = 2000, 5
-    blocks = epr2._certification_blocks(n, samples, seed, rows)
-    chunks = certification_rows(n, samples, seed, rows)
-    count = 0
-    for block, thetas in zip(blocks, chunks, strict=True):
+    sc = GhzScenario(n, 0.3)
+    c0 = cos_theta0(sc)
+    weights = ([sc], [lower_bound(sc)]) if weighted else None
+    blocks = epr2._certification_blocks(n, samples, seed, rows, abs(c0) if weighted else 1.0,
+                                        weights)
+    spare = [np.empty(n * rows) for _ in range(2)]
+    read = 0
+    for thetas in certification_rows(n, samples, seed, rows):
         parties = np.ascontiguousarray(thetas.T)
+        if weights:
+            kept = epr2._surviving_rows(parties, *weights, spare)
+            if kept.size == parties.shape[1]:
+                weights = None
+            elif not kept.size:
+                continue
+            parties = parties[:, kept]
+        block = next(blocks)
         half = 0.5 * parties
-        for got, expected in zip(block, (np.cos(parties), np.cos(half), np.sin(half)), strict=True):
-            assert got.tobytes() == expected.tobytes()
-        count += 1
-    assert count == -(-epr2.DIAG_GRID_POINTS // rows) - (-samples // rows)
+        assert block.half_cos.tobytes() == np.cos(half).tobytes()
+        assert block.half_sin.tobytes() == np.sin(half).tobytes()
+        if weighted:
+            got, expected = _party_terms(c0, block.cosines), _party_terms(c0, np.cos(parties))
+        else:
+            got, expected = block.cosines, np.cos(parties)
+        assert got.tobytes() == expected.tobytes()
+        read += parties.shape[1]
+    assert next(blocks, None) is None
+    # At the lower bound the bound skips rows at every n.
+    assert (read < epr2.DIAG_GRID_POINTS + samples) == weighted
 
 
 # ---------------------------------------------------------------------------

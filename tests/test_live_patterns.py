@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import epr2
-from ghzlocal.epr2 import _certification_factors, certify
+from ghzlocal.epr2 import certify
 from ghzlocal.qcore import GhzScenario
 
-from certification_rows import certification_rows
+from certification_rows import certification_rows, dense_factors
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -38,10 +38,6 @@ def theta_rows(draw, n_max=12):
     return n, np.array(rows, dtype=float)
 
 
-def _dense(scenario, thetas):
-    """Dense (2^n, rows) worst-phase P_Q and P_L of the rows."""
-    return _certification_factors(scenario, thetas,
-                                  epr2._certification_buffers(len(thetas), scenario.n))
 
 
 def _live(scenario, thetas, slice_rows):
@@ -51,7 +47,7 @@ def _live(scenario, thetas, slice_rows):
     so the rows whose parties are all unsaturated run in slices of that many.
     """
     n, rows = scenario.n, len(thetas)
-    block = epr2._block(np.ascontiguousarray(thetas.T))
+    block = epr2._block(np.ascontiguousarray(thetas.T), 1.0)
     buffers = epr2._certification_buffers(3 * n * slice_rows, n)
     pieces = [(pq.ravel().copy(), pl.ravel().copy())
               for pq, pl in epr2._live_factors(scenario, block, np.arange(rows), buffers)]
@@ -63,7 +59,7 @@ def _live(scenario, thetas, slice_rows):
 def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w, slice_rows):
     n, thetas = rows
     scenario = GhzScenario(n, alpha)
-    pq, pl = _dense(scenario, thetas)
+    pq, pl = dense_factors(scenario, thetas)
     positive = pl > 0.0
     live_pq, live_pl = _live(scenario, thetas, slice_rows)
     assert live_pl.size == np.count_nonzero(positive)
@@ -84,7 +80,7 @@ def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w,
 def test_dense_minimum_where_p_l_vanishes_is_zero_with_the_zero_row(rows, alpha, w):
     n, thetas = rows
     thetas = np.vstack((np.zeros(n), thetas))
-    pq, pl = _dense(GhzScenario(n, alpha), thetas)
+    pq, pl = dense_factors(GhzScenario(n, alpha), thetas)
     dead = pl == 0.0
     assert dead.any()
     assert np.min(pq[dead] - w * pl[dead]) == 0.0
@@ -113,8 +109,11 @@ def test_certify_reads_only_live_patterns_at_interior_alphas(n, monkeypatch):
     # The rows with few unsaturated parties are read at their live
     # patterns only: the dense kernel sees only the rest, and the
     # certificate is unchanged.
+    # The dense references run first: they read their rows through
+    # _dense_factors too.
     sc = GhzScenario(n, 0.3)
     expected = epr2._residual_extrema(sc, 0.2, epr2.certification_thetas(3, 0, 256, n))[0]
+    expected = min(0.0, expected, _grid_minimum(sc, 0.2))
     dense_rows = []
     original = epr2._dense_factors
 
@@ -124,5 +123,5 @@ def test_certify_reads_only_live_patterns_at_interior_alphas(n, monkeypatch):
 
     monkeypatch.setattr(epr2, "_dense_factors", counted)
     cert = certify(sc, 0.2, samples=256, seed=3)
-    assert cert.min_residual == min(0.0, expected, _grid_minimum(sc, 0.2))
+    assert cert.min_residual == expected
     assert sum(dense_rows) < (epr2.DIAG_GRID_POINTS + 256) // 2

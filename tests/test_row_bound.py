@@ -18,7 +18,7 @@ from ghzlocal import epr2
 from ghzlocal.epr2 import certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import special_angles, ulps_from
+from certification_rows import dense_factors, special_angles, ulps_from
 
 PROPERTIES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -108,8 +108,7 @@ def test_every_skipped_row_is_positive_under_the_dense_oracle(batch):
         for sc, w in evaluated:
             angles = thetas[row:row + 1]
             assert epr2._residual_extrema(sc, w, angles)[0] >= 0.0
-            pq, pl = epr2._certification_factors(sc, angles,
-                                                 epr2._certification_buffers(1, sc.n))
+            pq, pl = dense_factors(sc, angles)
             live = pl > 0.0
             assert np.all(pq[live] - w * pl[live] > 0.0)
 

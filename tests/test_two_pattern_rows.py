@@ -149,7 +149,7 @@ def test_a_key_equal_to_the_bound_is_a_two_pattern_row(monkeypatch):
                          [below, -below, 0.9, 0.9],
                          [0.2, 0.9, -0.9, 0.9]])
     parties = np.arccos(cos_rows).T.copy()
-    block = epr2._block(parties)._replace(cosines=cos_rows.T.copy())
+    block = epr2._block(parties, 1.0)._replace(cosines=cos_rows.T.copy())
     buffers = epr2._certification_buffers(epr2._chunk_rows(4), 4)
     dense_rows = []
     for _, pq_worst, _ in epr2._block_factors([sc], block, 1, buffers):
