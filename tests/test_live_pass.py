@@ -214,9 +214,20 @@ def test_hash_in_buffers_is_the_stream(seed, start, count):
         assert epr2._certification_parties(seed, start, count, n).tobytes() == expected
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("n, rows", [(3, 512), (5, 700), (8, 1280), (12, 896)])
-def test_blocks_are_the_trigonometry_of_their_rows(n, rows, weighted):
+BLOCK_SHAPES = [(3, 512), (5, 700), (8, 1280), (12, 896)]
+
+
+@pytest.mark.parametrize("n, rows", BLOCK_SHAPES)
+def test_blocks_are_the_trigonometry_of_their_rows(n, rows):
+    _check_blocks(n, rows, weighted=False)
+
+
+@pytest.mark.parametrize("n, rows", BLOCK_SHAPES)
+def test_bounded_blocks_are_the_trigonometry_of_their_kept_rows(n, rows):
+    _check_blocks(n, rows, weighted=True)
+
+
+def _check_blocks(n, rows, weighted):
     # Grid and sample chunks take one route: their angles are written into
     # reused buffers (a grid row's one angle to every party, a sample's
     # hashed there), bounded when a certificate gives weights, and their
