@@ -58,10 +58,29 @@ _CERT_MAX_ROWS = 8192
 # far beyond the rounding of cos and acos.
 _COS_MARGIN = 1e-12
 
-# A certify row is skipped when a lower bound on its residual clears every
-# weight of the batch by this much (:func:`_surviving_rows` derives it):
-# far beyond the rounding of the kernel and of the bound.
-_ROW_BOUND_MARGIN = 2.0**-30
+# A certify row is skipped for a scenario when a lower bound on the ratio
+# P_Q / P_L at each of its patterns, formed in float32, clears the
+# scenario's weight by this much, relative, and its bracket clears 0 by
+# as much (:func:`_surviving_rows` derives it): far beyond the rounding of
+# the kernel and of the bound.
+_ROW_BOUND_MARGIN = 2.0**-14
+
+# Bounding a row costs about as much as this many dense entries for each
+# scenario, so a pass bounds its blocks only while the entries that the
+# bound proves save more (:func:`_surviving_rows`): never at 2 parties,
+# whose rows hold 4 entries.
+_BOUND_ROW_COST = 4
+
+# pi - math.pi: (math.pi - t) + _PI_LOW is within a rounding of pi - t.
+_PI_LOW = 1.2246467991473532e-16
+
+# The largest |cos t0| for which :func:`_surviving_rows` proves rows: a
+# scenario closer to a product state is not bounded.
+_BOUNDED_COS_T0 = 1.0 - 2.0**-40
+
+# Scenarios that :func:`_surviving_rows` bounds together: their
+# (scenarios, rows) float32 arrays stay below 512 KiB.
+_BOUND_GROUP = 16
 
 # Sorting a block, taking its columns and forming its two-pattern products
 # costs about as much as this many dense entries per row (measured at 4 to
@@ -668,15 +687,29 @@ def _factor_pieces(scenarios, samples: int, seed: int, buffers, ws=None):
     does not grow with its scenarios.  A piece's arrays are only valid
     until the next piece is drawn.
 
-    With the weights ``ws`` of a certificate, the rows whose residual
-    :func:`_surviving_rows` proves positive at every weight give no piece.
+    With the weights ``ws`` of a certificate, a scenario reads only the
+    rows that :func:`_surviving_rows` leaves it: the scenarios that read
+    every row of a block run :func:`_block_factors` on it, and the others
+    the dense kernel on their prefix of its rows.
     """
     n = scenarios[0].n
     bound = max(abs(cos_theta0(sc)) for sc in scenarios)
     live_max = max(1, _live_max_unsaturated(n, buffers[0].size))
     weighted = (scenarios, ws) if ws else None
-    for block in _certification_blocks(n, samples, seed, _block_rows(n), bound, weighted):
-        yield from _block_factors(scenarios, block, live_max, buffers)
+    for block, ends in _certification_blocks(n, samples, seed, _block_rows(n), bound, weighted):
+        if ends is None:
+            yield from _block_factors(scenarios, block, live_max, buffers)
+            continue
+        rows = block.cosines.shape[1]
+        every = [i for i, end in enumerate(ends) if end == rows]
+        some = [i for i, end in enumerate(ends) if 0 < end < rows]
+        if every:
+            pieces = _block_factors([scenarios[i] for i in every], block, live_max, buffers)
+            yield from ((every[k], pq_worst, pl) for k, pq_worst, pl in pieces)
+        if some:
+            pieces = _dense_factors([scenarios[i] for i in some], block,
+                                    [ends[i] for i in some], buffers)
+            yield from ((some[k], pq_worst, pl) for k, pq_worst, pl in pieces)
 
 
 def _min_residual(pq_worst: np.ndarray, pl: np.ndarray, w: float) -> float:
@@ -741,98 +774,301 @@ def _block_rows(n: int) -> int:
     return _chunk_rows(n) * max(1, (1 << n) // (2 * n))
 
 
-def _surviving_rows(parties: np.ndarray, scenarios, ws, spare) -> np.ndarray:
-    """Indices of the rows of (n, rows) angles whose residual is not proven
-    positive for every scenario at its weight in ``ws``.
+def _cosine_gaps(angles: np.ndarray, scratch: np.ndarray, out):
+    """``x = min(t, pi - t)`` of raw angles, and bounds on ``1 - |cos t|``, in float32.
 
-    The bound runs on the raw angles, before any trigonometry, in
-    ``spare``, two flat buffers of at least ``parties.size`` entries.
-    With ``d_j = min(t_j, pi - t_j) / 2`` in [0, pi/4] and h_j = t_j / 2, a
-    pattern with P_L > 0 takes, per party:
+    Returns ``(x, gap_lo, gap_hi)``, float32 arrays shaped like ``angles``
+    in three of the four arrays ``out`` (the fourth is scratch), with
+    ``gap_lo <= 1 - cos x <= gap_hi`` up to a few float32 roundings each:
+    the Taylor series ``x^2/2 - x^4/24 + x^6/720 - x^8/40320 + ...``, whose
+    terms alternate and shrink on [0, pi/2], cut after its third and
+    fourth terms.  Both stay within relative roundings of their
+    polynomials, and ``1 - cos x = 2 sin^2(x/2)`` keeps its relative
+    accuracy near x = 0.  x is formed in the float64 ``scratch``, with
+    ``pi - t`` taken as ``(math.pi - t) + _PI_LOW``, exact before the
+    addition from pi/2 on, and then rounded once to float32.
+    """
+    x, x2, gap_lo, gap_hi = out
+    np.subtract(math.pi, angles, out=scratch)
+    scratch += _PI_LOW
+    np.minimum(angles, scratch, out=scratch)
+    x[...] = scratch
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, -1.0 / 720.0, out=gap_hi)
+    gap_hi += 1.0 / 24.0
+    gap_hi *= x2
+    np.subtract(0.5, gap_hi, out=gap_hi)
+    gap_hi *= x2
+    np.square(x2, out=gap_lo)
+    np.square(gap_lo, out=gap_lo)
+    gap_lo *= -1.0 / 40320.0
+    gap_lo += gap_hi
+    return x, gap_lo, gap_hi
 
-    * outside the band of :func:`_block_cosines` (``2 d_j`` at most its
-      edge, so t_j is at most the edge or at least ``fl(pi - edge)``), the
-      forced outcome, as the party is saturated for every scenario: K
-      factor ``cos d_j >= 1 - d_j^2 / 2`` and Kr factor ``sin d_j <= d_j``;
-    * in the band, either outcome: K factor ``cos h_j`` or ``sin h_j``, at
-      least ``sin d_j >= d_j - d_j^3 / 6``, and Kr factor at most 1.
 
-    The products of these are ``K_lo <= K`` and ``Kr_hi >= Kr``, so with
-    ``v = cos a K_lo - sin a Kr_hi > 0`` the bracket ``cos a K - sin a Kr``
-    is at least v, P_Q at least v^2, and, as P_L <= 1, the residual
-    ``P_Q - w P_L`` at least ``v^2 - w``.  Every other pattern has
-    P_L = 0 and residual P_Q >= 0.  A row is skipped when ``v > 0`` and
-    ``v^2 - w > _ROW_BOUND_MARGIN`` for every scenario; the others are
-    returned, and every row once fewer than half can still be skipped, so
-    that such a block runs whole and ends the bounding.  The band is that
-    of the batch's largest
-    ``|cos t0|``, which holds every party that any scenario may leave
-    unsaturated.
+def _band_edge(gamma: float) -> float:
+    """:func:`_saturation_edge` of ``gamma`` lowered by 2^-20 relative: a float32
+    x above it may leave a party unsaturated for that ``|cos t0|``; at or
+    below it, the party is saturated whatever the rounding of x."""
+    return _saturation_edge(gamma) * (1.0 - 2.0**-20)
 
-    The margin, 2^-30 = 9.3e-10, covers the rounding on both sides, with
-    u = 2^-53 and to first order in u.  The kernel's K and Kr are within
-    ``(5n - 1) u`` of the products of the exact half-angle values (as in
-    :func:`_alpha_zero_rounding`); with the same ``fl(cos a)`` and
-    ``fl(sin a)`` as the bound, its bracket is within ``(10n + 1) u`` and
-    its P_Q at most ``(20n + 3) u`` below the exact square.  Its P_L is a
-    product of factors ``0.5 * fl(1 +- t) <= 1``, so ``fl(w P_L) <= w``.
-    The bound's d_j is within u of the exact one (``math.pi`` lies 1.2e-16
-    below pi, and ``math.pi - t`` is exact from pi/2 on), each of its
-    factors, whose slope in d is at most 1, within 4u, so v is within
-    ``(10n + 1) u`` and its square within ``(20n + 3) u``.  A skipped row's
-    computed P_Q therefore exceeds w by at least
-    ``2^-30 - (40n + 6) u``, with ``486 u = 5.4e-14`` at 12 parties, and
-    each of its computed residuals is positive: the minimum it would have
+
+def _ratio_bound(x, edge: float, tan2, cot2, out) -> np.ndarray:
+    """``(Kr / K)^2`` bound of each party: ``cot^2 d`` beyond the :func:`_band_edge`
+    ``edge``, where it may be unsaturated, else ``tan^2 d``, in ``out``.
+
+    ``(x - edge) * 2^110`` exceeds every ``cot^2 d`` of the band (at most
+    ``4 / x^2``, and ``x - edge`` at least a float32 ulp of ``edge >=
+    1.4e-8`` when edge is finite) and is at most 0 outside it, so the
+    choice needs no mask.
+    """
+    np.subtract(x, edge, out=out)
+    out *= 2.0**110
+    np.minimum(out, cot2, out=out)
+    return np.maximum(out, tan2, out=out)
+
+
+def _clears(y: np.ndarray, lhs, rhs) -> np.ndarray:
+    """Where ``y > 0`` and ``lhs * y^2 > rhs``, the ratio bound's test; overwrites ``y``."""
+    positive = y > 0.0
+    np.square(y, out=y)
+    y *= lhs
+    return np.greater(y, rhs) & positive
+
+
+def _bracket(cos_a, sin_a, ratio) -> np.ndarray:
+    """``cos a - sin a R`` for (scenarios, 1) columns ``cos_a``, ``sin_a`` and a row of R."""
+    y = np.multiply.outer(-sin_a.ravel(), ratio)
+    y += cos_a
+    return y
+
+
+def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = False):
+    """The rows of (n, rows) angles that some scenario needs, and how far each reads,
+    or None where bounding them does not pay.
+
+    Returns ``(kept, ends)``: the rows whose residual the bound below does
+    not prove positive for every scenario at its weight in ``ws``,
+    ordered by the last scenario, in the order of falling weight, that
+    needs them, and, per scenario, how many leading rows of ``kept`` it
+    reads: every row it needs, and otherwise only rows that a scenario of
+    smaller weight needs.  The bound runs on the raw angles, before any
+    trigonometry, in ``spare``, three flat float64 buffers of at least
+    ``parties.size`` entries.  It pays while the entries it proves, 2^n
+    for each row and scenario, outnumber ``_BOUND_ROW_COST`` for each row
+    and scenario it tests; a block where they do not is not bounded
+    (None): at 2 parties none is.  With ``diagonal``, every party of a
+    row holds one angle (the diagonal grid), and the row is bounded by
+    outcome count (:func:`_diagonal_proven`).
+
+    **The ratio bound.**  With ``x_j = min(t_j, pi - t_j) = 2 d_j`` and
+    ``c_j = |cos t_j| = cos x_j``, party j has, at the outcome of its
+    cosine's sign (its forced one), K = cos d_j, Kr = sin d_j and P_L
+    factor ``(1 + tau_j) / 2`` with ``tau_j = min(c_j / |cos t0|, 1)``, and
+    at the other one K = sin d_j, Kr = cos d_j and ``(1 - tau_j) / 2``,
+    which is 0 when the party is saturated (tau_j = 1).  As
+    ``P_Q = K^2 (cos a - sin a Kr / K)^2``, every pattern with P_L > 0 has
+
+        ``P_Q / P_L >= G (cos a - sin a R)^2``  when  ``cos a - sin a R > 0``,
+
+    with ``K^2 / P_L >= G = prod g_j`` and ``Kr / K <= R = prod r_j``.  A
+    party that the scenario saturates, with x_j at most its
+    :func:`_band_edge`, has ``g_j = cos^2 d_j = (1 + c_j) / 2`` and
+    ``r_j = tan d_j``; any other has ``g_j = 2 cos^2 d_j / (1 + tau_j)`` and
+    ``r_j = cot d_j``.  Its other outcome's ``2 sin^2 d_j / (1 - tau_j)``
+    is no smaller, since ``tau_j >= c_j``, which the kernel's rounded tau
+    keeps while ``|cos t0| <= _BOUNDED_COS_T0 = 1 - 2^-40``; a scenario
+    closer to a product state proves no row.  The factors come from
+    :func:`_cosine_gaps`, ``gap_lo <= 1 - c <= gap_hi``, in float32:
+    ``2 cos^2 d >= 2 - gap_hi``, ``tan^2 d <= gap_hi / (2 - gap_hi)``,
+    ``cot^2 d <= (2 - gap_lo) / gap_lo``, and tau at most ``(1 + 2^-20 -
+    gap_lo) / |cos t0|``.  A row is proven for a scenario when, with
+    E = ``_ROW_BOUND_MARGIN`` = 2^-14, ``y = cos a - E - sin a R > 0`` and
+    ``G y^2 > w (1 + E)``.
+
+    **The margin.**  With v = 2^-24 and u = 2^-53, to first order: the
+    float32 x is within v relative of the exact one (the float64
+    ``pi - t`` is exact up to u), every float32 gap, tan^2 and cot^2
+    within 22v relative of its polynomial, and the absolute 2^-20 above
+    exceeds the gaps' rounding, so the bound's tau is at least the
+    kernel's, whose cosine is within 4 ulp.  So the float32 R is at most
+    (12n + 1) v below the exact bound and G at most (13n + 3) v above it,
+    and the bracket, which stays below cos a <= 1, at most (24n + 7) v
+    above; the kernel's own K, Kr and P_L (float64, within (5n - 1) u and
+    (2n - 1) u) add below 13n u.  At 12 parties these come to 295v =
+    1.8e-5 on the bracket and 162v = 9.7e-6 relative on G, each below E
+    = 6.1e-5.  So a proven row's computed P_Q exceeds ``(1 + u) w P_L``,
+    and each of its computed residuals ``fl(P_Q - fl(w P_L))`` is positive
+    (every P_L > 0 here is far from underflow): the minimum it would have
     joined stays as it is.
     """
     n, rows = parties.shape
-    bound = max(abs(cos_theta0(sc)) for sc in scenarios)
-    d = np.subtract(math.pi, parties, out=spare[0][:parties.size].reshape(n, rows))
-    np.minimum(parties, d, out=d)
-    band = np.flatnonzero(d > _saturation_edge(bound))
-    d *= 0.5
-    k = np.square(d, out=spare[1][:parties.size].reshape(n, rows))
-    k *= -0.5
-    k += 1.0
-    inner = d.reshape(-1)[band]
-    k.reshape(-1)[band] = inner * (1.0 - inner * inner / 6.0)
-    d.reshape(-1)[band] = 1.0
-    k_lo, kr_hi = np.multiply.reduce(k, axis=0), np.multiply.reduce(d, axis=0)
-    skipped = np.arange(rows)
-    # The largest weight first: it leaves the fewest rows to the others.
-    for w, sc in sorted(zip(ws, scenarios), key=lambda pair: -pair[0]):
-        v = math.cos(sc.alpha) * k_lo[skipped] - math.sin(sc.alpha) * kr_hi[skipped]
-        skipped = skipped[(v > 0.0) & (v * v - w > _ROW_BOUND_MARGIN)]
-        if 2 * skipped.size < rows:
-            return np.arange(rows)
-    kept = np.ones(rows, dtype=bool)
-    kept[skipped] = False
-    return np.flatnonzero(kept)
+    if (1 << n) <= _BOUND_ROW_COST:
+        return None
+    shape = (rows,) if diagonal else (n, rows)
+    size = math.prod(shape)
+    # Two float32 arrays in each buffer; the first holds x in float64
+    # until it is rounded.
+    arrays = [b.view(np.float32)[k * size:(k + 1) * size].reshape(shape)
+              for b in spare[1:3] + spare[:1] for k in (0, 1)]
+    ranks = _weight_ranks(ws)
+    gammas = [abs(cos_theta0(sc)) for sc in scenarios]
+    need = np.zeros(rows, np.intp)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, gap_lo, gap_hi = _cosine_gaps(parties[0] if diagonal else parties,
+                                         spare[0][:size].reshape(shape), arrays[:4])
+        two_cos2 = np.subtract(2.0, gap_hi, out=arrays[1])
+        tan2 = np.divide(gap_hi, two_cos2, out=arrays[4])
+        cot2 = np.subtract(2.0, gap_lo, out=arrays[5])
+        cot2 /= gap_lo
+        if diagonal:
+            bounds = x, gap_lo, gap_hi, two_cos2, tan2, cot2
+        else:
+            # Every party's least K^2 / P_L, cos^2 d, and, for every
+            # scenario, its largest Kr / K: cot d in the batch's band.
+            wide = _band_edge(max((g for g in gammas if g <= _BOUNDED_COS_T0), default=0.0))
+            lhs = np.multiply.reduce(two_cos2, axis=0)
+            lhs *= 0.5**n
+            ratio = np.sqrt(np.multiply.reduce(_ratio_bound(x, wide, tan2, cot2, gap_hi),
+                                               axis=0))
+            bounds = x, gap_lo, tan2, cot2, lhs, ratio
+        # Smallest weight first: a row that one needs is read by every
+        # scenario of larger weight, which need not test it.
+        order = sorted(range(len(ws)), key=lambda i: -ranks[i])
+        for start in range(0, len(order), _BOUND_GROUP):
+            group = [i for i in order[start:start + _BOUND_GROUP] if gammas[i] <= _BOUNDED_COS_T0]
+            if group:
+                columns = (np.array([math.cos(scenarios[i].alpha) - _ROW_BOUND_MARGIN
+                                     for i in group], np.float32)[:, None],
+                           np.array([math.sin(scenarios[i].alpha) for i in group],
+                                    np.float32)[:, None],
+                           np.array([ws[i] * (1.0 + _ROW_BOUND_MARGIN) for i in group],
+                                    np.float32)[:, None],
+                           [gammas[i] for i in group])
+                proven = (_diagonal_proven if diagonal else _sample_proven)(*bounds, *columns, n)
+            for i in order[start:start + _BOUND_GROUP]:
+                left = need == 0
+                if gammas[i] <= _BOUNDED_COS_T0:
+                    left &= ~proven(group.index(i), left)
+                need[left] = ranks[i]
+    reach = np.cumsum(np.bincount(need, minlength=len(ws) + 1)[::-1])[::-1]
+    if (len(ws) * rows - int(reach[1:].sum())) << n <= _BOUND_ROW_COST * len(ws) * rows:
+        return None
+    kept = np.flatnonzero(need)
+    if len(ws) > 1:
+        kept = kept[np.argsort(-need[kept], kind="stable")]
+    return kept, reach[ranks].tolist()
+
+
+def _weight_ranks(ws) -> list[int]:
+    """Each weight's place, from 1, in the order of falling weight (ties by index)."""
+    ranks = [0] * len(ws)
+    for place, i in enumerate(sorted(range(len(ws)), key=lambda i: -ws[i]), 1):
+        ranks[i] = place
+    return ranks
+
+
+def _sample_proven(x, gap_lo, tan2, cot2, lhs, ratio, cos_a, sin_a, rhs, gammas, n):
+    """``proven(k, rows)``: where the ratio bound proves the boolean ``rows`` of
+    sample rows for the group's k-th scenario.
+
+    A first test, for the whole group at once, takes every party's
+    smallest ``K^2 / P_L`` and the batch's largest ``Kr / K`` (``lhs`` and
+    ``ratio``); the rows it leaves take the scenario's own factors.
+    """
+    passed = _clears(_bracket(cos_a, sin_a, ratio), lhs, rhs)
+
+    def proven(k, rows):
+        result = passed[k] & rows
+        columns = np.flatnonzero(rows & ~passed[k])
+        if not columns.size:
+            return result
+        xs, gaps, tans, cots = (a.take(columns, axis=1) for a in (x, gap_lo, tan2, cot2))
+        r2 = np.multiply.reduce(_ratio_bound(xs, _band_edge(gammas[k]), tans, cots, xs), axis=0)
+        y = cos_a[k] - sin_a[k] * np.sqrt(r2, out=r2)
+        # 1 + tau, with tau from the cosine's upper bound 1 - gap_lo.
+        tau = np.subtract(1.0 + 2.0**-20, gaps, out=gaps)
+        tau *= 1.0 / gammas[k] if gammas[k] else math.inf
+        np.minimum(tau, 1.0, out=tau)
+        tau += 1.0
+        factor = np.multiply.reduce(tau, axis=0)
+        factor *= rhs[k] * 0.5**n
+        result[columns] = _clears(y, lhs[columns], factor)
+        return result
+
+    return proven
+
+
+def _power(a: np.ndarray, k: int) -> np.ndarray:
+    """``a^k`` for an integer ``k >= 1``, by repeated squaring."""
+    result, base = None, a
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
+def _diagonal_proven(x, gap_lo, gap_hi, two_cos2, tan2, cot2, cos_a, sin_a, rhs, gammas, n):
+    """:func:`_sample_proven` for rows whose parties share one angle, by outcome count.
+
+    Such a row's patterns fall into the counts k = 0..n of parties at
+    the forced outcome, each with ``G = g_f^k g_o^(n - k)`` and
+    ``R = tan^k d cot^(n - k) d``, where ``g_f = 2 cos^2 d / (1 + tau)`` and
+    ``g_o = 2 sin^2 d / (1 - tau)``, tau at least ``(1 - 2^-20 - gap_hi) /
+    |cos t0|``; the count k = n alone has P_L > 0 where the party is
+    saturated.  log G is linear in k and ``cos a - sin a R`` concave, so
+    ``log(G (cos a - sin a R)^2)`` is concave wherever the bracket is
+    positive, and its least value over k is at k = 0 or k = n: the row
+    clears every count when it clears those two.
+    """
+    inverse = np.array([1.0 / g if g else math.inf for g in gammas], np.float32)
+    g_f = np.multiply.outer(inverse, 1.0 + 2.0**-20 - gap_lo)
+    np.minimum(g_f, 1.0, out=g_f)
+    g_f += 1.0
+    np.divide(two_cos2, g_f, out=g_f)
+    passed = _clears(_bracket(cos_a, sin_a, np.sqrt(_power(tan2, n))), _power(g_f, n), rhs)
+    c_lo = np.maximum(1.0 - 2.0**-20 - gap_hi, 0.0)
+    g_o = np.multiply.outer(inverse, c_lo)
+    band = np.less.outer(np.array([_band_edge(g) for g in gammas], np.float32), x)
+    band &= g_o < 1.0
+    np.subtract(1.0, g_o, out=g_o)
+    np.divide(gap_lo, g_o, out=g_o)
+    passed &= ~band | _clears(_bracket(cos_a, sin_a, np.sqrt(_power(cot2, n))),
+                              _power(g_o, n), rhs)
+    return lambda k, rows: passed[k] & rows
 
 
 def _certification_blocks(n: int, samples: int, seed: int, rows: int, bound: float,
                           weighted=None):
-    """The :class:`_Block` of each chunk of ``rows`` rows: the diagonal grid, then the samples.
+    """``(block, ends)`` of each chunk of ``rows`` rows: the diagonal grid, then the samples.
 
     The grid of ``DIAG_GRID_POINTS`` angles runs from 0 to pi, and sample
     i is row i of :func:`certification_thetas`; the last chunk of each
     part has fewer rows.  Every chunk takes one route: its (n, rows)
     angles are written, a grid row's one angle to each party and a sample
     row's hashed, into buffers reused from chunk to chunk, and
-    :func:`_block` computes its trigonometry there under ``bound``, so a
-    block is only valid until the next is drawn.
+    :func:`_block` computes its :class:`_Block` there under ``bound``, so
+    a block is only valid until the next is drawn.  ``ends`` is None when
+    every scenario reads every row of the block.
 
-    With ``weighted``, the (scenarios, weights) of a certificate, a
-    chunk's rows that :func:`_surviving_rows` proves positive are left out
-    before their trigonometry, and the rest compacted in the same buffers;
-    a chunk left with no row yields no block.  The first chunk, grid or
-    sample, that the bound leaves whole is yielded so, and so is every
-    chunk after it: the rows are then not worth bounding.
+    With ``weighted``, the (scenarios, weights) of a certificate, each
+    chunk is bounded first (:func:`_surviving_rows`): the rows that no
+    scenario needs are left out before their trigonometry, the rest
+    ordered by the last scenario that needs them and compacted in the
+    same buffers, and ``ends`` gives each scenario's share of them, a
+    prefix; a chunk left with no row yields no block.  The first chunk,
+    grid or sample, whose bounding does not pay is yielded whole, and so
+    is every chunk after it.
     """
     buffers = tuple(np.empty(n * rows) for _ in range(3))
     # The angles sit in the buffer of the half-angle sines, where _block
-    # halves them in place; the hash runs in the other two.
+    # halves them in place; the hash runs in the other two, and the bound
+    # in those and one more.
     hashing = buffers[2], buffers[0].view(np.uint64), buffers[1].view(np.uint64)
+    spare = buffers[:2] + ((np.empty(n * rows),) if weighted else ())
 
     def chunks():
         grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
@@ -840,23 +1076,28 @@ def _certification_blocks(n: int, samples: int, seed: int, rows: int, bound: flo
             angles = grid[start:start + rows]
             parties = buffers[2][:n * angles.size].reshape(n, -1)
             parties[...] = angles
-            yield parties
+            yield parties, True
         for start in range(0, samples, rows):
-            yield _certification_parties(seed, start, min(rows, samples - start), n, hashing)
+            yield _certification_parties(seed, start, min(rows, samples - start), n,
+                                         hashing), False
 
-    for parties in chunks():
+    for parties, diagonal in chunks():
+        ends = None
         if weighted:
-            kept = _surviving_rows(parties, *weighted, buffers)
-            if kept.size == parties.shape[1]:
+            reach = _surviving_rows(parties, *weighted, spare, diagonal)
+            if reach is None:
                 weighted = None
-            elif not kept.size:
-                continue
             else:
+                kept, ends = reach
+                if not kept.size:
+                    continue
+                if min(ends) == kept.size:
+                    ends = None
                 compacted = np.take(parties, kept, axis=1, mode="clip",
                                     out=buffers[0][:n * kept.size].reshape(n, -1))
                 parties = buffers[2][:compacted.size].reshape(n, -1)
                 parties[...] = compacted
-        yield _block(parties, bound, buffers)
+        yield _block(parties, bound, buffers), ends
 
 
 def _min_residuals(scenarios, ws, samples: int, seed: int) -> list[float]:

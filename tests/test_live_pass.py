@@ -232,26 +232,30 @@ def _check_blocks(n, rows, weighted):
     # reused buffers (a grid row's one angle to every party, a sample's
     # hashed there), bounded when a certificate gives weights, and their
     # trigonometry computed in place.  Each block is what np.cos and
-    # np.sin give on the rows the bound leaves: every cosine at bound 1.0,
-    # and with the scenario's bound cosines that give the same terms.
+    # np.sin give on the rows the bound leaves, in its order: every cosine
+    # at bound 1.0, and with the scenario's bound cosines that give the
+    # same terms.  A single scenario reads every row it is given.
     samples, seed = 2000, 5
     sc = GhzScenario(n, 0.3)
     c0 = cos_theta0(sc)
     weights = ([sc], [lower_bound(sc)]) if weighted else None
     blocks = epr2._certification_blocks(n, samples, seed, rows, abs(c0) if weighted else 1.0,
                                         weights)
-    spare = [np.empty(n * rows) for _ in range(2)]
+    spare = [np.empty(n * rows) for _ in range(3)]
     read = 0
-    for thetas in certification_rows(n, samples, seed, rows):
+    for chunk, thetas in enumerate(certification_rows(n, samples, seed, rows)):
         parties = np.ascontiguousarray(thetas.T)
         if weights:
-            kept = epr2._surviving_rows(parties, *weights, spare)
-            if kept.size == parties.shape[1]:
+            grid = chunk < -(-epr2.DIAG_GRID_POINTS // rows)
+            reach = epr2._surviving_rows(parties, *weights, spare, grid)
+            if reach is None:
                 weights = None
-            elif not kept.size:
+            elif not reach[0].size:
                 continue
-            parties = parties[:, kept]
-        block = next(blocks)
+            else:
+                parties = parties[:, reach[0]]
+        block, ends = next(blocks)
+        assert ends is None
         half = 0.5 * parties
         assert block.half_cos.tobytes() == np.cos(half).tobytes()
         assert block.half_sin.tobytes() == np.sin(half).tobytes()

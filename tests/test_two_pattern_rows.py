@@ -159,6 +159,33 @@ def test_a_key_equal_to_the_bound_is_a_two_pattern_row(monkeypatch):
     assert dense_rows == [1]
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_the_dense_rows_of_a_split_block_are_those_of_the_live_key(n, monkeypatch):
+    # Rows with two unsaturated parties (at pi/2, the rest near 0) have the
+    # smallest second key, but a row with every party unsaturated has the
+    # smallest (live_max + 1)-th key, and it alone runs the dense kernel:
+    # its 2^n live patterns would not fit the live path's buffer.  Every
+    # minimum is the dense oracle's.
+    monkeypatch.setattr(epr2, "_SPLIT_ROW_COST", 0)
+    scenarios = [GhzScenario(n, 0.3), GhzScenario(n, 0.5)]
+    ws = [0.5, lower_bound(scenarios[1])]
+    two = [math.pi / 2] * 2 + [0.1] * (n - 2)
+    thetas = np.array([two] * 5 + [[math.acos(0.01)] * n])
+    dense_rows = []
+    original = epr2._dense_factors
+
+    def recorded(scenarios, block, ends, buffers):
+        dense_rows.append(list(ends))
+        return original(scenarios, block, ends, buffers)
+
+    monkeypatch.setattr(epr2, "_dense_factors", recorded)
+    got = block_extrema(scenarios, ws, thetas)
+    assert dense_rows == [[1, 1]]
+    for sc, w, (residual, ratio) in zip(scenarios, ws, got):
+        oracle = epr2._residual_extrema(sc, w, thetas)
+        assert (repr(residual), repr(ratio)) == (repr(min(oracle[0], 0.0)), repr(oracle[1]))
+
+
 def test_blocks_are_whole_chunks_that_fit_the_two_pattern_factors():
     # A block's (2, n, rows) K factors fill at most one kernel buffer, of
     # 2^n entries a chunk row, and a block holds whole chunks.
@@ -223,7 +250,9 @@ def test_a_block_near_alpha_zero_stays_dense(monkeypatch):
 
 def test_alpha_free_half_runs_once_per_chunk_of_a_sorted_block(monkeypatch):
     # K is built once per chunk of each sorted block's dense prefix,
-    # however many scenarios share it.
+    # however many scenarios share it.  With the row bound off, every
+    # block of the batch runs whole, and sorts.
+    monkeypatch.setattr(epr2, "_surviving_rows", lambda *args: None)
     chunks = []
     original = epr2._dense_factors
 

@@ -65,7 +65,7 @@ MUTANTS = [
            (f"{TWO_PATTERN}::test_a_key_equal_to_the_bound_is_a_two_pattern_row",)),
     Mutant("dense-prefix-in-second-key-order", EPR2,
            "        prefix = prefix[inner]\n", "",
-           ("tests/test_golden_batches.py::test_batch_minima_are_pinned",)),
+           (f"{TWO_PATTERN}::test_the_dense_rows_of_a_split_block_are_those_of_the_live_key",)),
     # The live rows (_live_factors).
     Mutant("live-cells-party-major", EPR2,
            "row, party = np.nonzero(unsaturated.T[part])",
@@ -86,8 +86,8 @@ MUTANTS = [
            "            parties[...] = angles\n", "",
            (f"{LIVE_PASS}::test_blocks_are_the_trigonometry_of_their_rows",)),
     Mutant("bounding-never-ends", EPR2,
-           "            if kept.size == parties.shape[1]:\n                weighted = None\n",
-           "            if kept.size == parties.shape[1]:\n                pass\n",
+           "            if reach is None:\n                weighted = None\n",
+           "            if reach is None:\n                pass\n",
            (f"{ROW_BOUND}::test_a_block_with_most_rows_left_runs_whole_and_ends_the_bounding",)),
     # The dense reference (_residual_extrema).
     Mutant("oracle-minima-start-at-zero", EPR2,
@@ -110,21 +110,38 @@ MUTANTS = [
     Mutant("worker-count-one", CLI,
            "    return min(cpus, groups)\n", "    return 1\n",
            (f"{PARALLEL}::test_output_is_the_serial_output",)),
-    # The row bound (_surviving_rows).
-    Mutant("row-bound-d-squared-over-4", EPR2,
-           "    k *= -0.5\n", "    k *= -0.25\n",
+    # The ratio bound (_surviving_rows and its helpers).
+    Mutant("row-bound-gap-x4-over-12", EPR2,
+           "    gap_hi += 1.0 / 24.0\n", "    gap_hi += 1.0 / 12.0\n",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("row-bound-band-fix-up-dropped", EPR2,
-           "    k.reshape(-1)[band] = inner * (1.0 - inner * inner / 6.0)\n"
-           "    d.reshape(-1)[band] = 1.0\n", "",
-           (f"{ROW_BOUND}::test_the_bound_skips_the_all_zero_row_only_past_its_residual",)),
+    Mutant("row-bound-open-rows-proven", EPR2,
+           "        result[columns] = _clears(y, lhs[columns], factor)\n",
+           "        result[columns] = True\n",
+           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
     Mutant("row-bound-margin-sign-flipped", EPR2,
-           "v * v - w > _ROW_BOUND_MARGIN", "v * v - w > -_ROW_BOUND_MARGIN",
+           "math.cos(scenarios[i].alpha) - _ROW_BOUND_MARGIN",
+           "math.cos(scenarios[i].alpha) + _ROW_BOUND_MARGIN",
            (f"{ROW_BOUND}::test_the_bound_skips_the_all_zero_row_only_past_its_residual",)),
     Mutant("row-bound-band-smallest-cos-t0", EPR2,
-           "    bound = max(abs(cos_theta0(sc)) for sc in scenarios)\n    d = ",
-           "    bound = min(abs(cos_theta0(sc)) for sc in scenarios)\n    d = ",
+           "wide = _band_edge(max((g for g in gammas",
+           "wide = _band_edge(min((g for g in gammas",
+           (f"{ROW_BOUND}::test_a_band_party_takes_cot_d_though_the_least_ratio_is_forced",)),
+    Mutant("band-factor-tau-sign-swapped", EPR2,
+           "        tau += 1.0\n", "        np.subtract(1.0, tau, out=tau)\n",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
+    Mutant("band-ratio-without-cot", EPR2,
+           "    np.minimum(out, cot2, out=out)\n", "    np.minimum(out, tan2, out=out)\n",
+           (f"{ROW_BOUND}::test_a_band_party_takes_cot_d_though_the_least_ratio_is_forced",)),
+    Mutant("diagonal-forced-tau-sign-swapped", EPR2,
+           "    g_f += 1.0\n", "    np.subtract(1.0, g_f, out=g_f)\n",
+           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
+    Mutant("product-state-bounded", EPR2,
+           "_BOUNDED_COS_T0 = 1.0 - 2.0**-40", "_BOUNDED_COS_T0 = 1.0",
+           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
+    Mutant("reach-from-largest-weight", EPR2,
+           "    return kept, reach[ranks].tolist()\n",
+           "    return kept, [int(reach[1])] * len(ws)\n",
+           (f"{ROW_BOUND}::test_each_scenario_reads_a_prefix_by_weight",)),
 ]
 
 # Runs the selection in the interpreter that imported ghzlocal, after
