@@ -913,6 +913,11 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = 
               for b in spare[1:3] + spare[:1] for k in (0, 1)]
     ranks = _weight_ranks(ws)
     gammas = [abs(cos_theta0(sc)) for sc in scenarios]
+    # Per scenario, (scenarios, 1) columns: the margin comes off cos a and
+    # onto w.
+    cos_a = np.array([[math.cos(sc.alpha) - _ROW_BOUND_MARGIN] for sc in scenarios], np.float32)
+    sin_a = np.array([[math.sin(sc.alpha)] for sc in scenarios], np.float32)
+    rhs = np.array([[w * (1.0 + _ROW_BOUND_MARGIN)] for w in ws], np.float32)
     need = np.zeros(rows, np.intp)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x, gap_lo, gap_hi = _cosine_gaps(parties[0] if diagonal else parties,
@@ -935,20 +940,16 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = 
         # Smallest weight first: a row that one needs is read by every
         # scenario of larger weight, which need not test it.
         order = sorted(range(len(ws)), key=lambda i: -ranks[i])
+        test = _diagonal_proven if diagonal else _sample_proven
         for start in range(0, len(order), _BOUND_GROUP):
-            group = [i for i in order[start:start + _BOUND_GROUP] if gammas[i] <= _BOUNDED_COS_T0]
+            chunk = order[start:start + _BOUND_GROUP]
+            group = [i for i in chunk if gammas[i] <= _BOUNDED_COS_T0]
             if group:
-                columns = (np.array([math.cos(scenarios[i].alpha) - _ROW_BOUND_MARGIN
-                                     for i in group], np.float32)[:, None],
-                           np.array([math.sin(scenarios[i].alpha) for i in group],
-                                    np.float32)[:, None],
-                           np.array([ws[i] * (1.0 + _ROW_BOUND_MARGIN) for i in group],
-                                    np.float32)[:, None],
-                           [gammas[i] for i in group])
-                proven = (_diagonal_proven if diagonal else _sample_proven)(*bounds, *columns, n)
-            for i in order[start:start + _BOUND_GROUP]:
+                proven = test(*bounds, cos_a[group], sin_a[group], rhs[group],
+                              [gammas[i] for i in group], n)
+            for i in chunk:
                 left = need == 0
-                if gammas[i] <= _BOUNDED_COS_T0:
+                if i in group:
                     left &= ~proven(group.index(i), left)
                 need[left] = ranks[i]
     reach = np.cumsum(np.bincount(need, minlength=len(ws) + 1)[::-1])[::-1]
@@ -1203,13 +1204,17 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
 
     ``min_residual`` is never positive: the grid row theta = 0 has exact
     zeros, so it is exactly 0.0 at w = 0, where no row is evaluated.  A
-    row whose residual a bound from its raw angles proves positive at
-    every weight is skipped before its trigonometry
-    (:func:`_surviving_rows`), until a block, the grid's included, keeps
-    more than half its rows; the grid row theta = 0 may be one of them,
-    and its zeros are the 0.0 every minimum starts at.  Rows with few
-    unsaturated parties are evaluated only at patterns with P_L > 0, by
-    one rule at every n (:func:`_block_factors`): when enough rows of a
+    scenario skips every row whose residual a bound from the raw angles
+    proves positive at its weight, before the row's trigonometry
+    (:func:`_surviving_rows`): at every pattern with P_L > 0 the bound
+    holds P_Q / P_L above w, each party's K factor taken with its P_L
+    factor, and it proves a grid row by its outcome counts.  Rows are
+    bounded block by block, until a block, the grid's included, where
+    the entries proven do not pay for the bound, and never at 2 parties;
+    the grid row theta = 0 may be skipped, and its zeros are the 0.0
+    every minimum starts at.  Rows with few unsaturated parties are
+    evaluated only at patterns with P_L > 0, by one rule at every n
+    (:func:`_block_factors`): when enough rows of a
     block have at most one, those rows are read at their two live
     patterns, and, from 7 parties on, a row with a few more at all its 2^u
     live patterns, within its block.  The other patterns have residual
@@ -1223,11 +1228,12 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     ``cos theta`` only where some scenario may leave a party unsaturated,
     so every one in a batch that reaches alpha = 0), one sort of each
     block with the alpha-free products of its two-pattern rows, and each
-    chunk's alpha-free Kronecker product K; no row is kept past its
-    block, so the memory of the pass does not grow with the scenarios.  A
-    single scenario takes a single real weight; any other pairing is
-    refused with ValueError, and every weight is checked before anything
-    is computed.
+    chunk's alpha-free Kronecker product K; a scenario reads only the
+    rows that it, or a scenario of smaller weight, needs.  No row is kept
+    past its block, so the memory of the pass does not grow with the
+    scenarios.  A single scenario takes a single real weight; any other
+    pairing is refused with ValueError, and every weight is checked
+    before anything is computed.
     """
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     batch = not isinstance(scenario, GhzScenario)

@@ -119,8 +119,7 @@ MUTANTS = [
            "        result[columns] = True\n",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
     Mutant("row-bound-margin-sign-flipped", EPR2,
-           "math.cos(scenarios[i].alpha) - _ROW_BOUND_MARGIN",
-           "math.cos(scenarios[i].alpha) + _ROW_BOUND_MARGIN",
+           "math.cos(sc.alpha) - _ROW_BOUND_MARGIN", "math.cos(sc.alpha) + _ROW_BOUND_MARGIN",
            (f"{ROW_BOUND}::test_the_bound_skips_the_all_zero_row_only_past_its_residual",)),
     Mutant("row-bound-band-smallest-cos-t0", EPR2,
            "wide = _band_edge(max((g for g in gammas",
