@@ -911,7 +911,10 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = 
     # until it is rounded.
     arrays = [b.view(np.float32)[k * size:(k + 1) * size].reshape(shape)
               for b in spare[1:3] + spare[:1] for k in (0, 1)]
-    ranks = _weight_ranks(ws)
+    # Each scenario's place in falling weight, from 1 (ties by index).
+    by_weight = sorted(range(len(ws)), key=lambda i: -ws[i])
+    ranks = np.empty(len(ws), np.intp)
+    ranks[by_weight] = np.arange(1, len(ws) + 1)
     gammas = [abs(cos_theta0(sc)) for sc in scenarios]
     # Per scenario, (scenarios, 1) columns: the margin comes off cos a and
     # onto w.
@@ -939,7 +942,7 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = 
             bounds = x, gap_lo, tan2, cot2, lhs, ratio
         # Smallest weight first: a row that one needs is read by every
         # scenario of larger weight, which need not test it.
-        order = sorted(range(len(ws)), key=lambda i: -ranks[i])
+        order = by_weight[::-1]
         test = _diagonal_proven if diagonal else _sample_proven
         for start in range(0, len(order), _BOUND_GROUP):
             chunk = order[start:start + _BOUND_GROUP]
@@ -959,14 +962,6 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = 
     if len(ws) > 1:
         kept = kept[np.argsort(-need[kept], kind="stable")]
     return kept, reach[ranks].tolist()
-
-
-def _weight_ranks(ws) -> list[int]:
-    """Each weight's place, from 1, in the order of falling weight (ties by index)."""
-    ranks = [0] * len(ws)
-    for place, i in enumerate(sorted(range(len(ws)), key=lambda i: -ws[i]), 1):
-        ranks[i] = place
-    return ranks
 
 
 def _sample_proven(x, gap_lo, tan2, cot2, lhs, ratio, cos_a, sin_a, rhs, gammas, n):
