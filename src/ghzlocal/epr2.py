@@ -74,6 +74,11 @@ _BOUND_ROW_COST = 4
 # pi - math.pi: (math.pi - t) + _PI_LOW is within a rounding of pi - t.
 _PI_LOW = 1.2246467991473532e-16
 
+# The row bound's slack for its float32 rounding: added to (or taken
+# from) its bounds on |cos t|, and taken, relative, from its band edges;
+# far beyond the 22 float32 roundings of its cosine bounds.
+_FLOAT32_SLACK = 2.0**-20
+
 # The largest |cos t0| for which :func:`_surviving_rows` proves rows: a
 # scenario closer to a product state is not bounded.
 _BOUNDED_COS_T0 = 1.0 - 2.0**-40
@@ -810,7 +815,7 @@ def _band_edge(gamma: float) -> float:
     """:func:`_saturation_edge` of ``gamma`` lowered by 2^-20 relative: a float32
     x above it may leave a party unsaturated for that ``|cos t0|``; at or
     below it, the party is saturated whatever the rounding of x."""
-    return _saturation_edge(gamma) * (1.0 - 2.0**-20)
+    return _saturation_edge(gamma) * (1.0 - _FLOAT32_SLACK)
 
 
 def _ratio_bound(x, edge: float, tan2, cot2, out) -> np.ndarray:
@@ -983,7 +988,7 @@ def _sample_proven(x, gap_lo, tan2, cot2, lhs, ratio, cos_a, sin_a, rhs, gammas,
         r2 = np.multiply.reduce(_ratio_bound(xs, _band_edge(gammas[k]), tans, cots, xs), axis=0)
         y = cos_a[k] - sin_a[k] * np.sqrt(r2, out=r2)
         # 1 + tau, with tau from the cosine's upper bound 1 - gap_lo.
-        tau = np.subtract(1.0 + 2.0**-20, gaps, out=gaps)
+        tau = np.subtract(1.0 + _FLOAT32_SLACK, gaps, out=gaps)
         tau *= 1.0 / gammas[k] if gammas[k] else math.inf
         np.minimum(tau, 1.0, out=tau)
         tau += 1.0
@@ -1021,12 +1026,12 @@ def _diagonal_proven(x, gap_lo, gap_hi, two_cos2, tan2, cot2, cos_a, sin_a, rhs,
     clears every count when it clears those two.
     """
     inverse = np.array([1.0 / g if g else math.inf for g in gammas], np.float32)
-    g_f = np.multiply.outer(inverse, 1.0 + 2.0**-20 - gap_lo)
+    g_f = np.multiply.outer(inverse, 1.0 + _FLOAT32_SLACK - gap_lo)
     np.minimum(g_f, 1.0, out=g_f)
     g_f += 1.0
     np.divide(two_cos2, g_f, out=g_f)
     passed = _clears(_bracket(cos_a, sin_a, np.sqrt(_power(tan2, n))), _power(g_f, n), rhs)
-    c_lo = np.maximum(1.0 - 2.0**-20 - gap_hi, 0.0)
+    c_lo = np.maximum(1.0 - _FLOAT32_SLACK - gap_hi, 0.0)
     g_o = np.multiply.outer(inverse, c_lo)
     band = np.less.outer(np.array([_band_edge(g) for g in gammas], np.float32), x)
     band &= g_o < 1.0
