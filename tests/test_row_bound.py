@@ -163,7 +163,7 @@ def test_a_band_party_takes_cot_d_though_the_least_ratio_is_forced(alphas, ws, m
     scenarios = [GhzScenario(3, alpha) for alpha in alphas]
     thetas = np.array([[1.34, 1.35, 1.36]])
     assert epr2._residual_extrema(scenarios[0], ws[0], thetas)[1] > 0.29
-    assert [read.tolist() for read in _reads(scenarios, ws, thetas, False)][0] == [0]
+    assert _reads(scenarios, ws, thetas, False)[0].tolist() == [0]
 
 
 def _unpruned(scenarios, ws, samples, seed):
