@@ -58,33 +58,41 @@ _CERT_MAX_ROWS = 8192
 # far beyond the rounding of cos and acos.
 _COS_MARGIN = 1e-12
 
-# A certify row is skipped for a scenario when a lower bound on the ratio
-# P_Q / P_L at each of its patterns, formed in float32, clears the
-# scenario's weight by this much, relative, and its bracket clears 0 by
-# as much (:func:`_surviving_rows` derives it): far beyond the rounding of
-# the kernel and of the bound.
+# A certify row is skipped for a scenario when a lower bound on its least
+# ratio P_Q / P_L, formed in float32, clears the scenario's weight by this
+# much, relative, and its bracket clears 0 by as much
+# (:func:`_surviving_rows` derives it): far beyond the rounding of the
+# kernel and of the bound.
 _ROW_BOUND_MARGIN = 2.0**-14
 
 # Bounding a row costs about as much as this many dense entries for each
-# scenario, so a pass bounds its blocks only while the entries that the
-# bound proves save more (:func:`_surviving_rows`): never at 2 parties,
-# whose rows hold 4 entries.
-_BOUND_ROW_COST = 4
+# scenario (measured at 2 to 5 parties: 6 to 10 ns a row and scenario), so
+# a pass bounds its blocks only while the entries that the bound proves
+# save more (:func:`_surviving_rows`): at 2 parties, whose rows hold 4
+# entries, while it proves more than half of them.
+_BOUND_ROW_COST = 2
 
 # pi - math.pi: (math.pi - t) + _PI_LOW is within a rounding of pi - t.
 _PI_LOW = 1.2246467991473532e-16
 
-# The row bound's slack for its float32 rounding: added to (or taken
-# from) its bounds on |cos t|, and taken, relative, from its band edges;
-# far beyond the 22 float32 roundings of its cosine bounds.
+# The row bound's slack for its float32 rounding: added to its bound on
+# |cos t|; far beyond the 22 float32 roundings of its cosine bounds.
 _FLOAT32_SLACK = 2.0**-20
 
 # The largest |cos t0| for which :func:`_surviving_rows` proves rows: a
-# scenario closer to a product state is not bounded.
-_BOUNDED_COS_T0 = 1.0 - 2.0**-40
+# scenario closer to a product state is not bounded, since the kernel's
+# rounding of its tau moves its flipped patterns' ratios by more than the
+# margin (derived there).
+_BOUNDED_COS_T0 = 1.0 - 2.0**-19
 
-# Scenarios that :func:`_surviving_rows` bounds together: their
-# (scenarios, rows) float32 arrays stay below 512 KiB.
+# A row whose parties' x = min(t, pi - t) lie within this of each other
+# may lie next to a scenario's kink, and :func:`_surviving_rows` does not
+# prove it for a scenario whose tan a may lie within this, relative, of
+# the row's R.
+_KINK_WIDTH = 2.0**-8
+
+# Scenarios that :func:`_surviving_rows` bounds together: their three
+# (scenarios, rows) float32 arrays stay within 1.5 MiB.
 _BOUND_GROUP = 16
 
 # Sorting a block, taking its columns and forming its two-pattern products
@@ -811,44 +819,7 @@ def _cosine_gaps(angles: np.ndarray, scratch: np.ndarray, out):
     return x, gap_lo, gap_hi
 
 
-def _band_edge(gamma: float) -> float:
-    """:func:`_saturation_edge` of ``gamma`` lowered by 2^-20 relative: a float32
-    x above it may leave a party unsaturated for that ``|cos t0|``; at or
-    below it, the party is saturated whatever the rounding of x."""
-    return _saturation_edge(gamma) * (1.0 - _FLOAT32_SLACK)
-
-
-def _ratio_bound(x, edge: float, tan2, cot2, out) -> np.ndarray:
-    """``(Kr / K)^2`` bound of each party: ``cot^2 d`` beyond the :func:`_band_edge`
-    ``edge``, where it may be unsaturated, else ``tan^2 d``, in ``out``.
-
-    ``(x - edge) * 2^110`` exceeds every ``cot^2 d`` of the band (at most
-    ``4 / x^2``, and ``x - edge`` at least a float32 ulp of ``edge >=
-    1.4e-8`` when edge is finite) and is at most 0 outside it, so the
-    choice needs no mask.
-    """
-    np.subtract(x, edge, out=out)
-    out *= 2.0**110
-    np.minimum(out, cot2, out=out)
-    return np.maximum(out, tan2, out=out)
-
-
-def _clears(y: np.ndarray, lhs, rhs) -> np.ndarray:
-    """Where ``y > 0`` and ``lhs * y^2 > rhs``, the ratio bound's test; overwrites ``y``."""
-    positive = y > 0.0
-    np.square(y, out=y)
-    y *= lhs
-    return np.greater(y, rhs) & positive
-
-
-def _bracket(cos_a, sin_a, ratio) -> np.ndarray:
-    """``cos a - sin a R`` for (scenarios, 1) columns ``cos_a``, ``sin_a`` and a row of R."""
-    y = np.multiply.outer(-sin_a.ravel(), ratio)
-    y += cos_a
-    return y
-
-
-def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = False):
+def _surviving_rows(parties: np.ndarray, scenarios, ws, spare):
     """The rows of (n, rows) angles that some scenario needs, and how far each reads,
     or None where bounding them does not pay.
 
@@ -858,108 +829,161 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = 
     needs them, and, per scenario, how many leading rows of ``kept`` it
     reads: every row it needs, and otherwise only rows that a scenario of
     smaller weight needs.  The bound runs on the raw angles, before any
-    trigonometry, in ``spare``, three flat float64 buffers of at least
-    ``parties.size`` entries.  It pays while the entries it proves, 2^n
-    for each row and scenario, outnumber ``_BOUND_ROW_COST`` for each row
-    and scenario it tests; a block where they do not is not bounded
-    (None): at 2 parties none is.  With ``diagonal``, every party of a
-    row holds one angle (the diagonal grid), and the row is bounded by
-    outcome count (:func:`_diagonal_proven`).
+    trigonometry, in ``spare``: three flat float64 buffers of at least
+    ``parties.size`` entries and the float32 :func:`_bound_buffer`.  It
+    pays while the entries it proves, 2^n for each row and scenario,
+    outnumber ``_BOUND_ROW_COST`` for each row and scenario it tests; a
+    block where they do not is not bounded (None).  The diagonal grid's
+    rows, whose parties share one angle, take the same bound.
 
-    **The ratio bound.**  With ``x_j = min(t_j, pi - t_j) = 2 d_j`` and
+    **The ratio.**  With ``x_j = min(t_j, pi - t_j) = 2 d_j`` and
     ``c_j = |cos t_j| = cos x_j``, party j has, at the outcome of its
     cosine's sign (its forced one), K = cos d_j, Kr = sin d_j and P_L
     factor ``(1 + tau_j) / 2`` with ``tau_j = min(c_j / |cos t0|, 1)``, and
     at the other one K = sin d_j, Kr = cos d_j and ``(1 - tau_j) / 2``,
-    which is 0 when the party is saturated (tau_j = 1).  As
-    ``P_Q = K^2 (cos a - sin a Kr / K)^2``, every pattern with P_L > 0 has
+    0 when the party is saturated (tau_j = 1).  Write ``e_j = tan d_j``
+    and ``eps = tan(a)^(1/n)``: then ``|cos t0| = (1 - eps^2) / (1 + eps^2)``,
+    eps is ``tan d`` at the band edge, and party j is in the band
+    (unsaturated) exactly when ``e_j > eps``.  As ``sin a = cos a eps^n``
+    and ``P_Q = (cos a K - sin a Kr)^2``, the ratio at a pattern that
+    flips a set S of band parties is
 
-        ``P_Q / P_L >= G (cos a - sin a R)^2``  when  ``cos a - sin a R > 0``,
+        ``cos^2 a prod_sat 1/(1 + e_j^2) prod_band (1 - eps^2)/(1 - r_j^2) (1 - prod_all r_j)^2``
 
-    with ``K^2 / P_L >= G = prod g_j`` and ``Kr / K <= R = prod r_j``.  A
-    party that the scenario saturates, with x_j at most its
-    :func:`_band_edge`, has ``g_j = cos^2 d_j = (1 + c_j) / 2`` and
-    ``r_j = tan d_j``; any other has ``g_j = 2 cos^2 d_j / (1 + tau_j)`` and
-    ``r_j = cot d_j``.  Its other outcome's ``2 sin^2 d_j / (1 - tau_j)``
-    is no smaller, since ``tau_j >= c_j``, which the kernel's rounded tau
-    keeps while ``|cos t0| <= _BOUNDED_COS_T0 = 1 - 2^-40``; a scenario
-    closer to a product state proves no row.  The factors come from
-    :func:`_cosine_gaps`, ``gap_lo <= 1 - c <= gap_hi``, in float32:
-    ``2 cos^2 d >= 2 - gap_hi``, ``tan^2 d <= gap_hi / (2 - gap_hi)``,
-    ``cot^2 d <= (2 - gap_lo) / gap_lo``, and tau at most ``(1 + 2^-20 -
-    gap_lo) / |cos t0|``.  A row is proven for a scenario when, with
-    E = ``_ROW_BOUND_MARGIN`` = 2^-14, ``y = cos a - E - sin a R > 0`` and
-    ``G y^2 > w (1 + E)``.
+    with ``r_j = eps e_j`` at the forced outcome and ``eps / e_j`` at the
+    flipped one, each below 1 (the band factors are ``2 cos^2 d / (1 +
+    tau)`` and ``2 sin^2 d / (1 - tau)`` rewritten).
 
-    **The margin.**  With v = 2^-24 and u = 2^-53, to first order: the
-    float32 x is within v relative of the exact one (the float64
-    ``pi - t`` is exact up to u), every float32 gap, tan^2 and cot^2
-    within 22v relative of its polynomial, and the absolute 2^-20 above
-    exceeds the gaps' rounding, so the bound's tau is at least the
+    **The lemma: the least ratio of a row is its forced one,**
+    ``F = G (cos a - sin a R)^2`` with ``G = prod g_j``, ``g_j =
+    2 cos^2 d_j / (1 + tau_j)``, and ``R = prod tan d_j``.  Proof: write
+    ``z_j = -ln e_j``, ``Lam = -ln eps`` (band: ``0 <= z_j < Lam``),
+    ``phi(x) = -ln(1 - e^-x)`` and ``D_c(z) = phi(c - z) - phi(c + z)``.
+    Then ``|phi'| = 1/(e^x - 1)`` decreases and the third derivative of
+    phi is negative, so D_c(z) decreases in c, is convex in z and is 0 at
+    z = 0.  With k = |S| and ``Z = sum_S z_j``, the closed form gives
+    ``ln(ratio_S / F) = sum_S D_{2 Lam}(2 z_j) - 2 D_c(Z)``, with ``c = n Lam
+    + sum_{not S} z_j >= max(n, 2) Lam``.  At k = 1, convexity and then
+    c >= 2 Lam give ``D_{2Lam}(2z) >= 2 D_{2Lam}(z) >= 2 D_c(z)``.  At
+    k >= 2, Jensen gives ``sum_S D_{2Lam}(2 z_j) >= k D_{2Lam}(2Z/k) =
+    2Z int_{-1}^1 |phi'|(2 Lam + 2sZ/k) ds``, while ``2 D_{kLam}(Z) = 2Z
+    int_{-1}^1 |phi'|(k Lam + sZ) ds``; as ``k Lam + sZ - (2 Lam + 2sZ/k)
+    = (k - 2)(Lam + sZ/k) >= 0`` (Z/k < Lam), the first is the larger, and
+    ``D_{kLam}(Z) >= D_c(Z)`` as c >= k Lam.  Equality needs every z_j of
+    S at 0 (t = pi/2), or k = n = 2 with z_1 = z_2: at 2 parties
+    ``(1 - r_1 r_2)^2 = (1 - r_1^2)(1 - r_2^2) + (r_1 - r_2)^2`` makes every
+    pattern of a band row on the diagonal take the ratio F, which is
+    there the lower bound.
+
+    **The bound.**  So a row is proven for a scenario when F clears w.
+    The factors come from :func:`_cosine_gaps`, ``gap_lo <= 1 - c <=
+    gap_hi``, in float32: ``2 cos^2 d >= 2 - gap_hi``, ``tan^2 d <= gap_hi
+    / (2 - gap_hi)``, and tau at most ``(1 + 2^-20 - gap_lo) / |cos t0|``;
+    R and ``prod cos d`` have no alpha, and a scenario adds only each
+    ``(1 + tau_j) / 2``.  With E = ``_ROW_BOUND_MARGIN`` = 2^-14 a row is
+    proven when ``y = cos a - E - sin a R`` has ``y prod cos d >
+    sqrt(w (1 + E) prod (1 + tau_j) / 2)``, so y > 0.
+
+    **The margin at the forced pattern.**  With v = 2^-24 and u = 2^-53,
+    to first order: the float32 x is within v relative of the exact one
+    (the float64 ``pi - t`` is exact up to u), every float32 gap and
+    tan^2 within 22v relative of its polynomial, and the absolute 2^-20
+    above exceeds the gaps' rounding, so the bound's tau is at least the
     kernel's, whose cosine is within 4 ulp.  So the float32 R is at most
-    (12n + 1) v below the exact bound and G at most (13n + 3) v above it,
-    and the bracket, which stays below cos a <= 1, at most (24n + 7) v
-    above; the kernel's own K, Kr and P_L (float64, within (5n - 1) u and
-    (2n - 1) u) add below 13n u.  At 12 parties these come to 295v =
-    1.8e-5 on the bracket and 162v = 9.7e-6 relative on G, each below E
-    = 6.1e-5.  So a proven row's computed P_Q exceeds ``(1 + u) w P_L``,
-    and each of its computed residuals ``fl(P_Q - fl(w P_L))`` is positive
-    (every P_L > 0 here is far from underflow): the minimum it would have
-    joined stays as it is.
+    (12n + 1) v below the exact bound, ``prod cos d`` at most (7n + 3) v
+    above and ``prod (1 + tau_j) / 2`` at most (3n + 2) v below, and the
+    bracket, which stays below cos a <= 1, at most (24n + 7) v above; the
+    kernel's own K, Kr and P_L (float64, within (5n - 1) u and (2n - 1) u)
+    add below 13n u.  At 12 parties these come to 295v = 1.8e-5 on the
+    bracket and 130v = 7.7e-6 relative on the rest, each below E =
+    6.1e-5.  So the forced pattern's computed P_Q exceeds ``(1 + u) w
+    P_L``, and its residual ``fl(P_Q - fl(w P_L))`` is positive (every P_L
+    > 0 here is far from underflow).
+
+    **The margin at the flipped patterns.**  The lemma holds for exact
+    factors of one scenario, and the kernel rounds what it uses.  First,
+    its tau: fl(c_j) / |cos t0| is at least c_j / g+, with g+ =
+    ``|cos t0| (1 + 10u)``, so each flipped P_L factor is at most the exact
+    one of a model with g+ in place of |cos t0|, and each forced one
+    within 20u of it.  The lemma holds in that model at the alpha a+ whose
+    band edge is g+'s, and its F is no smaller than the scenario's (g_j
+    grows with |cos t0|, the bracket as alpha falls).  Second, the true
+    alpha: the bracket at a pattern is ``cos a (1 - lam p)``, with p =
+    ``prod r_j`` of the model and ``lam = tan a / tan a+``, ``ln lam <=
+    10 n u |cos t0| / (1 - cos^2 t0)``, so the ratio falls by at most
+    ``2 (lam - 1) p / (1 - p)``, relative.  Where S leaves a party at its
+    forced outcome, ``p <= eps`` and the fall is below ``20 n u / eps``,
+    2.7e-11 at 12 parties while ``eps^2 >= 2^-20``, which
+    ``_BOUNDED_COS_T0`` = 1 - 2^-19 keeps; a scenario closer to a product
+    state proves no row (at 1 - 2^-40 the kernel's residuals at diagonal
+    rows 1.4 times the band edge fall to -1e-32 at 2 parties).  Where S
+    flips every party, all in the band, ``1 - p = 1 - tan a / R``.  Third,
+    the bracket's cancellation: its float64 error, below ``2 (5n + 1) u
+    cos a K`` as sin a Kr <= cos a K, is ``2 (5n + 1) u / (1 - p)`` of it,
+    and the ratio falls by twice that.  Both falls need 1 - p
+    bounded from 0, which fails only next to a scenario's kink, where
+    every party sits at the band edge and ``R = tan a``: the forced ratio
+    there is the lower bound, and the pattern that flips every party has
+    P_Q and P_L near 0, whose rounded residuals reach -1e-33 at 2 parties
+    and -1e-124 at 8 even where F is twice w.  So a row whose x_j lie
+    within W = ``_KINK_WIDTH`` = 2^-8 of each other is not proven for a
+    scenario whose tan a may lie within W, relative, of the row's R
+    (taken between its float32 bounds from gap_lo and gap_hi, which may
+    lie 1 % apart near pi/2).  Every other row has ``1 - p >= W / (2n)``
+    at every pattern, and ``1 - p >= W / 2`` where S flips every party: a
+    pattern with 1 - p = b has every r_j, and so eps and every e_j, within
+    b of 1 if it leaves a party forced, and every ``ln(e_j / eps)``, so
+    every x_j less its band edge, below b if it flips them all; either
+    way the row's x_j lie within 2b of each other and its R within 2nb,
+    relative, of tan a.  Then the second fall is at most ``40 n u / (W (1
+    - cos^2 t0))`` = 3.6e-6 and the third ``8 n (5n + 1) u / W`` = 1.7e-10
+    at 12 parties, so each flipped pattern's computed ratio lies within
+    4e-6 of a ratio no smaller than F, and its residual is positive as
+    above.
     """
     n, rows = parties.shape
-    if (1 << n) <= _BOUND_ROW_COST:
-        return None
-    shape = (rows,) if diagonal else (n, rows)
-    size = math.prod(shape)
+    size = parties.size
     # Two float32 arrays in each buffer; the first holds x in float64
     # until it is rounded.
-    arrays = [b.view(np.float32)[k * size:(k + 1) * size].reshape(shape)
+    arrays = [b.view(np.float32)[k * size:(k + 1) * size].reshape(n, rows)
               for b in spare[1:3] + spare[:1] for k in (0, 1)]
     # Each scenario's place in falling weight, from 1 (ties by index).
     by_weight = sorted(range(len(ws)), key=lambda i: -ws[i])
     ranks = np.empty(len(ws), np.intp)
     ranks[by_weight] = np.arange(1, len(ws) + 1)
     gammas = [abs(cos_theta0(sc)) for sc in scenarios]
-    # Per scenario, (scenarios, 1) columns: the margin comes off cos a and
-    # onto w.
-    cos_a = np.array([[math.cos(sc.alpha) - _ROW_BOUND_MARGIN] for sc in scenarios], np.float32)
-    sin_a = np.array([[math.sin(sc.alpha)] for sc in scenarios], np.float32)
-    rhs = np.array([[w * (1.0 + _ROW_BOUND_MARGIN)] for w in ws], np.float32)
-    need = np.zeros(rows, np.intp)
+    bounded = [i for i, g in enumerate(gammas) if g <= _BOUNDED_COS_T0]
+    # A row's need is the largest rank of a scenario that does not prove
+    # it: that scenario, and each of larger weight, reads it.
+    need = np.full(rows, max((ranks[i] for i, g in enumerate(gammas) if g > _BOUNDED_COS_T0),
+                             default=0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, gap_lo, gap_hi = _cosine_gaps(parties[0] if diagonal else parties,
-                                         spare[0][:size].reshape(shape), arrays[:4])
+        x, gap_lo, gap_hi = _cosine_gaps(parties, spare[0][:size].reshape(n, rows), arrays[:4])
+        # prod cos d at least, and the row's Kr / K at its forced pattern,
+        # R = prod tan d, at most: no alpha.
         two_cos2 = np.subtract(2.0, gap_hi, out=arrays[1])
-        tan2 = np.divide(gap_hi, two_cos2, out=arrays[4])
-        cot2 = np.subtract(2.0, gap_lo, out=arrays[5])
-        cot2 /= gap_lo
-        if diagonal:
-            bounds = x, gap_lo, gap_hi, two_cos2, tan2, cot2
-        else:
-            # Every party's least K^2 / P_L, cos^2 d, and, for every
-            # scenario, its largest Kr / K: cot d in the batch's band.
-            wide = _band_edge(max((g for g in gammas if g <= _BOUNDED_COS_T0), default=0.0))
-            lhs = np.multiply.reduce(two_cos2, axis=0)
-            lhs *= 0.5**n
-            ratio = np.sqrt(np.multiply.reduce(_ratio_bound(x, wide, tan2, cot2, gap_hi),
-                                               axis=0))
-            bounds = x, gap_lo, tan2, cot2, lhs, ratio
-        # Smallest weight first: a row that one needs is read by every
-        # scenario of larger weight, which need not test it.
-        order = by_weight[::-1]
-        test = _diagonal_proven if diagonal else _sample_proven
-        for start in range(0, len(order), _BOUND_GROUP):
-            chunk = order[start:start + _BOUND_GROUP]
-            group = [i for i in chunk if gammas[i] <= _BOUNDED_COS_T0]
-            if group:
-                proven = test(*bounds, cos_a[group], sin_a[group], rhs[group],
-                              [gammas[i] for i in group], n)
-            for i in chunk:
-                left = need == 0
-                if i in group:
-                    left &= ~proven(group.index(i), left)
-                need[left] = ranks[i]
+        root = np.sqrt(np.multiply.reduce(two_cos2, axis=0))
+        root *= 0.5**(n / 2)
+        np.divide(gap_hi, two_cos2, out=gap_hi)
+        ratio = np.sqrt(np.multiply.reduce(gap_hi, axis=0))
+        # The rows whose parties lie within the kink's width of each other,
+        # the only ones that may lie at a scenario's kink, and their R at
+        # least.
+        spread = np.maximum.reduce(x, axis=0)
+        spread -= np.minimum.reduce(x, axis=0)
+        near = np.flatnonzero(spread < _KINK_WIDTH)
+        low = gap_lo.take(near, axis=1)
+        low /= 2.0 - low
+        near = near, np.sqrt(np.multiply.reduce(low, axis=0))
+        # |cos t| at most, from 1 - gap_lo.
+        cos_hi = np.subtract(1.0 + _FLOAT32_SLACK, gap_lo, out=gap_lo)
+        for start in range(0, len(bounded), _BOUND_GROUP):
+            group = bounded[start:start + _BOUND_GROUP]
+            unproven = ~_forced_proven(root, ratio, cos_hi, near, [scenarios[i] for i in group],
+                                       [ws[i] for i in group], spare[3])
+            columns = np.flatnonzero(np.logical_or.reduce(unproven, axis=0))
+            least = np.maximum.reduce(unproven[:, columns] * ranks[group][:, None], axis=0)
+            need[columns] = np.maximum(need[columns], least)
     reach = np.cumsum(np.bincount(need, minlength=len(ws) + 1)[::-1])[::-1]
     if (len(ws) * rows - int(reach[1:].sum())) << n <= _BOUND_ROW_COST * len(ws) * rows:
         return None
@@ -969,77 +993,46 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare, diagonal: bool = 
     return kept, reach[ranks].tolist()
 
 
-def _sample_proven(x, gap_lo, tan2, cot2, lhs, ratio, cos_a, sin_a, rhs, gammas, n):
-    """``proven(k, rows)``: where the ratio bound proves the boolean ``rows`` of
-    sample rows for the group's k-th scenario.
+def _bound_buffer(scenarios: int, rows: int) -> np.ndarray:
+    """The flat float32 buffer of :func:`_forced_proven`'s three (scenarios, rows)
+    arrays, for at most ``_BOUND_GROUP`` scenarios at a time."""
+    return np.empty(3 * min(scenarios, _BOUND_GROUP) * rows, np.float32)
 
-    A first test, for the whole group at once, takes every party's
-    smallest ``K^2 / P_L`` and the batch's largest ``Kr / K`` (``lhs`` and
-    ``ratio``); the rows it leaves take the scenario's own factors.
+
+def _forced_proven(root, ratio, cos_hi, near, scenarios, ws, buffer) -> np.ndarray:
+    """Where the bound on the forced ratio proves each row for each scenario,
+    a (scenarios, rows) boolean array.
+
+    Takes the rows' ``root``, a lower bound on ``prod cos d_j``, their
+    ``ratio`` R, an upper bound, and ``cos_hi``, an upper bound on each
+    ``|cos t_j|``, and ``near``: the rows whose parties lie within
+    ``_KINK_WIDTH`` of each other, with a lower bound on their R.  Such a
+    row is not proven for a scenario whose ``tan a`` may lie within
+    ``_KINK_WIDTH``, relative, of its R.
     """
-    passed = _clears(_bracket(cos_a, sin_a, ratio), lhs, rhs)
-
-    def proven(k, rows):
-        result = passed[k] & rows
-        columns = np.flatnonzero(rows & ~passed[k])
-        if not columns.size:
-            return result
-        xs, gaps, tans, cots = (a.take(columns, axis=1) for a in (x, gap_lo, tan2, cot2))
-        r2 = np.multiply.reduce(_ratio_bound(xs, _band_edge(gammas[k]), tans, cots, xs), axis=0)
-        y = cos_a[k] - sin_a[k] * np.sqrt(r2, out=r2)
-        # 1 + tau, with tau from the cosine's upper bound 1 - gap_lo.
-        tau = np.subtract(1.0 + _FLOAT32_SLACK, gaps, out=gaps)
-        tau *= 1.0 / gammas[k] if gammas[k] else math.inf
-        np.minimum(tau, 1.0, out=tau)
-        tau += 1.0
-        factor = np.multiply.reduce(tau, axis=0)
-        factor *= rhs[k] * 0.5**n
-        result[columns] = _clears(y, lhs[columns], factor)
-        return result
-
-    return proven
-
-
-def _power(a: np.ndarray, k: int) -> np.ndarray:
-    """``a^k`` for an integer ``k >= 1``, by repeated squaring."""
-    result, base = None, a
-    while True:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if not k:
-            return result
-        base = base * base
-
-
-def _diagonal_proven(x, gap_lo, gap_hi, two_cos2, tan2, cot2, cos_a, sin_a, rhs, gammas, n):
-    """:func:`_sample_proven` for rows whose parties share one angle, by outcome count.
-
-    Such a row's patterns fall into the counts k = 0..n of parties at
-    the forced outcome, each with ``G = g_f^k g_o^(n - k)`` and
-    ``R = tan^k d cot^(n - k) d``, where ``g_f = 2 cos^2 d / (1 + tau)`` and
-    ``g_o = 2 sin^2 d / (1 - tau)``, tau at least ``(1 - 2^-20 - gap_hi) /
-    |cos t0|``; the count k = n alone has P_L > 0 where the party is
-    saturated.  log G is linear in k and ``cos a - sin a R`` concave, so
-    ``log(G (cos a - sin a R)^2)`` is concave wherever the bracket is
-    positive, and its least value over k is at k = 0 or k = n: the row
-    clears every count when it clears those two.
-    """
-    inverse = np.array([1.0 / g if g else math.inf for g in gammas], np.float32)
-    g_f = np.multiply.outer(inverse, 1.0 + _FLOAT32_SLACK - gap_lo)
-    np.minimum(g_f, 1.0, out=g_f)
-    g_f += 1.0
-    np.divide(two_cos2, g_f, out=g_f)
-    passed = _clears(_bracket(cos_a, sin_a, np.sqrt(_power(tan2, n))), _power(g_f, n), rhs)
-    c_lo = np.maximum(1.0 - _FLOAT32_SLACK - gap_hi, 0.0)
-    g_o = np.multiply.outer(inverse, c_lo)
-    band = np.less.outer(np.array([_band_edge(g) for g in gammas], np.float32), x)
-    band &= g_o < 1.0
-    np.subtract(1.0, g_o, out=g_o)
-    np.divide(gap_lo, g_o, out=g_o)
-    passed &= ~band | _clears(_bracket(cos_a, sin_a, np.sqrt(_power(cot2, n))),
-                              _power(g_o, n), rhs)
-    return lambda k, rows: passed[k] & rows
+    gammas = [abs(cos_theta0(sc)) for sc in scenarios]
+    # (scenarios, 1) columns: the margin comes off cos a and onto w.
+    cos_a, sin_a, tan_a, rhs, inverse = (np.array(column, np.float32)[:, None] for column in (
+        [math.cos(sc.alpha) - _ROW_BOUND_MARGIN for sc in scenarios],
+        [math.sin(sc.alpha) for sc in scenarios], [math.tan(sc.alpha) for sc in scenarios],
+        [w * (1.0 + _ROW_BOUND_MARGIN) for w in ws],
+        [0.5 / g if g else math.inf for g in gammas]))
+    y, factor, term = buffer[:3 * sin_a.size * ratio.size].reshape(3, sin_a.size, -1)
+    np.multiply.outer(-sin_a.ravel(), ratio, out=y)
+    y += cos_a
+    rows, low = near
+    if rows.size:
+        kink = (ratio[rows] > tan_a * (1.0 - _KINK_WIDTH)) & (low < tan_a * (1.0 + _KINK_WIDTH))
+        y[:, rows] = np.where(kink, 0.0, y[:, rows])
+    y *= root
+    # w P_L at the forced pattern, w prod (1 + tau_j) / 2, at most.
+    for j, c in enumerate(cos_hi):
+        part = term if j else factor
+        np.multiply.outer(inverse.ravel(), c, out=part)
+        part += 0.5
+        np.minimum(part, 1.0, out=part)
+        factor *= rhs if j == 0 else part
+    return np.greater(y, np.sqrt(factor, out=factor))
 
 
 def _certification_blocks(n: int, samples: int, seed: int, rows: int, bound: float,
@@ -1069,7 +1062,8 @@ def _certification_blocks(n: int, samples: int, seed: int, rows: int, bound: flo
     # halves them in place; the hash runs in the other two, and the bound
     # in those and one more.
     hashing = buffers[2], buffers[0].view(np.uint64), buffers[1].view(np.uint64)
-    spare = buffers[:2] + ((np.empty(n * rows),) if weighted else ())
+    spare = buffers[:2] + ((np.empty(n * rows), _bound_buffer(len(weighted[1]), rows))
+                           if weighted else ())
 
     def chunks():
         grid = np.linspace(0.0, math.pi, DIAG_GRID_POINTS)
@@ -1077,15 +1071,14 @@ def _certification_blocks(n: int, samples: int, seed: int, rows: int, bound: flo
             angles = grid[start:start + rows]
             parties = buffers[2][:n * angles.size].reshape(n, -1)
             parties[...] = angles
-            yield parties, True
+            yield parties
         for start in range(0, samples, rows):
-            yield _certification_parties(seed, start, min(rows, samples - start), n,
-                                         hashing), False
+            yield _certification_parties(seed, start, min(rows, samples - start), n, hashing)
 
-    for parties, diagonal in chunks():
+    for parties in chunks():
         ends = None
         if weighted:
-            reach = _surviving_rows(parties, *weighted, spare, diagonal)
+            reach = _surviving_rows(parties, *weighted, spare)
             if reach is None:
                 weighted = None
             else:

@@ -865,9 +865,11 @@ class TestCertifySequence:
 
     def test_alpha_free_half_runs_once_per_chunk(self, monkeypatch):
         # The chunk size is read at call time, and the alpha-free half runs
-        # once per chunk however many scenarios share the pass.
+        # once per chunk however many scenarios share the pass.  The row
+        # bound is off, so that every chunk is read.
         builds = count_k_builds(monkeypatch)
         monkeypatch.setattr(epr2, "_CERT_MAX_ROWS", 512)
+        monkeypatch.setattr(epr2, "_surviving_rows", lambda *args: None)
         scenarios = [GhzScenario(3, alpha) for alpha in self.ALPHAS]
         certify(scenarios, self.WEIGHTS, samples=10_000, seed=7)
         assert sum(builds) == 4 + 20

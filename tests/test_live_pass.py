@@ -241,13 +241,12 @@ def _check_blocks(n, rows, weighted):
     weights = ([sc], [lower_bound(sc)]) if weighted else None
     blocks = epr2._certification_blocks(n, samples, seed, rows, abs(c0) if weighted else 1.0,
                                         weights)
-    spare = [np.empty(n * rows) for _ in range(3)]
+    spare = [np.empty(n * rows) for _ in range(3)] + [epr2._bound_buffer(1, rows)]
     read = 0
-    for chunk, thetas in enumerate(certification_rows(n, samples, seed, rows)):
+    for thetas in certification_rows(n, samples, seed, rows):
         parties = np.ascontiguousarray(thetas.T)
         if weights:
-            grid = chunk < -(-epr2.DIAG_GRID_POINTS // rows)
-            reach = epr2._surviving_rows(parties, *weights, spare, grid)
+            reach = epr2._surviving_rows(parties, *weights, spare)
             if reach is None:
                 weights = None
             elif not reach[0].size:

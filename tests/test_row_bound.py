@@ -1,12 +1,13 @@
 """Tests of the ratio bound that lets certify skip rows before their trigonometry.
 
-A row is left out for a scenario when a lower bound on P_Q / P_L at each of
-its patterns, taken from its raw angles alone, clears the scenario's weight
-(``epr2._surviving_rows``); the rows that are left are ordered so that each
-scenario reads a prefix of them.  These tests hold every row that the bound
-leaves out to the dense oracle ``epr2._residual_extrema``, hold ``certify``
-to the pass that bounds no row, repr for repr, batched and single, and pin
-which blocks of a pass are bounded.
+A row is left out for a scenario when a lower bound on its forced ratio
+P_Q / P_L, the least over its patterns, taken from its raw angles alone,
+clears the scenario's weight (``epr2._surviving_rows``); the rows that are
+left are ordered so that each scenario reads a prefix of them.  These tests
+hold every row that the bound leaves out to the dense oracle
+``epr2._residual_extrema``, hold ``certify`` to the pass that bounds no row,
+repr for repr, batched and single, and pin which blocks of a pass are
+bounded.  ``test_forced_pattern.py`` tests the lemma the bound rests on.
 """
 
 import math
@@ -21,6 +22,7 @@ from ghzlocal.epr2 import certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
 from certification_rows import special_angles, ulps_from
+from test_forced_pattern import _forced_ratio
 
 PROPERTIES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -33,6 +35,11 @@ alphas = st.one_of(st.sampled_from(ALPHAS), st.floats(0.0, math.pi / 4, allow_na
 weights = st.one_of(st.sampled_from(["lower_bound", "above", 0.5, 1.0, "cos2", "cos2-",
                                      "cos2+"]),
                     st.floats(0.0, 1.0, allow_nan=False))
+
+
+def _kink_angle(n, alpha):
+    """The saturation edge of a scenario, where its kink row puts every party."""
+    return math.acos(abs(cos_theta0(GhzScenario(n, alpha))))
 
 
 def _first_angle_below_one():
@@ -61,10 +68,10 @@ def _weight(scenario, w):
 
 @st.composite
 def batches(draw):
-    """(scenarios, weights, (rows, n) angles, diagonal): drawn rows, or rows
-    whose parties share one angle (the diagonal grid's), with angles at 0,
-    pi/2 and pi, near 0 and pi, and at the band edges of every scenario,
-    exact and as the bound takes them, a few ulps either way."""
+    """(scenarios, weights, (rows, n) angles): drawn rows, or rows whose
+    parties share one angle (the diagonal grid's, and the kink's), with
+    angles at 0, pi/2 and pi, near 0 and pi, and at the band edges of every
+    scenario, a few ulps either way."""
     n = draw(st.integers(2, 12))
     pairs = draw(st.lists(st.tuples(alphas, weights), min_size=1, max_size=3))
     scenarios = [GhzScenario(n, alpha) for alpha, _ in pairs]
@@ -74,7 +81,7 @@ def batches(draw):
     for c in bounds:
         edge = epr2._saturation_edge(c)
         if edge > 0.0:
-            specials += [ulps_from(e, k) for e in (edge, math.pi - edge, epr2._band_edge(c))
+            specials += [ulps_from(e, k) for e in (edge, math.pi - edge)
                          for k in (-2, -1, 0, 1, 2)]
     # The widest band, where a party may be unsaturated for some scenario.
     edge = max(0.0, min(epr2._saturation_edge(c) for c in bounds))
@@ -82,18 +89,24 @@ def batches(draw):
                       st.floats(0.0, 1e-6), st.floats(edge, math.pi - edge))
     if draw(st.booleans()):
         thetas = [[theta] * n for theta in draw(st.lists(angle, min_size=1, max_size=8))]
-        return scenarios, ws, np.array(thetas), True
+        return scenarios, ws, np.array(thetas)
     rows = draw(st.lists(st.lists(angle, min_size=n, max_size=n), min_size=1, max_size=8))
-    return scenarios, ws, np.array([[0.0] * n] + rows), False
+    return scenarios, ws, np.array([[0.0] * n] + rows)
 
 
-def _reads(scenarios, ws, thetas, diagonal):
+def _surviving_rows(parties, scenarios, ws):
+    """``epr2._surviving_rows`` of (n, rows) angles, with buffers of its own."""
+    spare = [np.empty(parties.size) for _ in range(3)]
+    return epr2._surviving_rows(parties, scenarios, ws,
+                                spare + [epr2._bound_buffer(len(ws), parties.shape[1])])
+
+
+def _reads(scenarios, ws, thetas):
     """The rows each scenario reads under the bound, with every block bounded."""
     parties = np.ascontiguousarray(thetas.T)
-    spare = [np.empty(parties.size) for _ in range(3)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(epr2, "_BOUND_ROW_COST", 0)
-        reach = epr2._surviving_rows(parties, scenarios, ws, spare, diagonal)
+        reach = _surviving_rows(parties, scenarios, ws)
     assert parties.tobytes() == np.ascontiguousarray(thetas.T).tobytes()
     if reach is None:
         return [np.arange(len(thetas))] * len(scenarios)
@@ -108,62 +121,99 @@ def _reads(scenarios, ws, thetas, diagonal):
 @PROPERTIES
 @given(batches())
 @example(([GhzScenario(2, 0.0), GhzScenario(2, 0.3)], [0.6, 1.0 - math.sin(0.6)],
-          np.array([[TINY_ANGLES[1], 0.3]]), False))
-@example(([GhzScenario(2, 0.3)], [0.75], np.array([[0.6, 0.6]]), False))
-@example(([GhzScenario(12, 1e-12)], [1.0], np.array([[TINY_ANGLES[1]] * 12]), True))
+          np.array([[TINY_ANGLES[1], 0.3]])))
+@example(([GhzScenario(2, 0.3)], [0.75], np.array([[0.6, 0.6]])))
+@example(([GhzScenario(12, 1e-12)], [1.0], np.array([[TINY_ANGLES[1]] * 12])))
 @example(([GhzScenario(3, math.pi / 4 - 1e-9), GhzScenario(3, 1e-12)],
-          [2.0**-32, "lower_bound"], np.array([[math.pi / 2] * 3]), True))
+          [2.0**-32, "lower_bound"], np.array([[math.pi / 2] * 3])))
+@example(([GhzScenario(2, 0.001)], [0.9976497480636932], np.array([[3.078368159067011] * 2])))
+@example(([GhzScenario(3, 0.5196107352227697)], [0.06368671705562519],
+          np.array([[1.7559091425573092] * 3])))
+@example(([GhzScenario(8, 0.5)], [0.0013245931512726457], np.array([[1.64629729922693] * 8])))
+@example(([GhzScenario(2, 6.431098710768743e-13)], [0.9998162841784012],
+          np.array([[1.6078210187128018e-06] * 2])))
 def test_every_skipped_row_is_positive_under_the_dense_oracle(batch):
     # A row that a scenario does not read never lowers the 0.0 its minimum
     # starts at: the dense oracle's least residual there is not negative.
     # In the first example the first party lies in the band of alpha = 0
     # only, where its -1 outcome has a rounded residual of about -1e-17,
     # and alpha = 0 is not bounded; in the second both parties are
-    # saturated, with residual 0.716 - 0.75 at their forced outcomes.
-    scenarios, ws, thetas, diagonal = batch
+    # saturated, with residual 0.716 - 0.75 at their forced outcomes.  The
+    # next three put every party at a scenario's kink, where the pattern
+    # that flips them all has a rounded residual of -1e-33 to -1e-124
+    # although the forced ratio clears the weight; in the third of them
+    # the float32 R of the kink row lies 0.5 % above tan a.  In the last
+    # a scenario with |cos t0| = 1 - 2^-40 has rounded residuals of -1e-32
+    # at a diagonal row 1.4 times its band edge.
+    scenarios, ws, thetas = batch
     ws = [_weight(sc, w) for sc, w in zip(scenarios, ws)]
     assume(any(w != 0.0 for w in ws))
-    reads = _reads(scenarios, ws, thetas, diagonal)
+    reads = _reads(scenarios, ws, thetas)
     for sc, w, read in zip(scenarios, ws, reads):
         skipped = np.setdiff1d(np.arange(len(thetas)), read)
         if skipped.size:
             assert epr2._residual_extrema(sc, w, thetas[skipped])[0] >= 0.0
 
 
+@PROPERTIES
+@given(batches())
+@example(([GhzScenario(12, 0.7)], [0.0], np.array([[1.4] * 6 + [1.7] * 6])))
+def test_no_row_is_skipped_above_its_forced_ratio(batch):
+    # The bound never claims more than the least ratio of a row, F, the
+    # forced one: each row is read at a weight 2^-20 above its F, where its
+    # forced pattern's residual is negative.
+    scenarios, _, thetas = batch
+    sc = scenarios[0]
+    for row in thetas:
+        forced = float(_forced_ratio(sc, row))
+        if 0.0 < forced < 1.0:
+            read = _reads([sc], [min(forced * (1.0 + 2.0**-20), 1.0)], row[None, :])[0]
+            assert read.tolist() == [0]
+
+
 def test_the_bound_skips_the_all_zero_row_only_past_its_residual():
     # At theta = 0, saturated for every alpha > 0, the bound is exact up to
     # its margin E = 2^-14: the ratio at the all-+1 pattern is
     # fl(cos a)^2, and the row is left out when (cos a - E)^2 > w (1 + E).
-    # So it is skipped 2^-12 below that weight, and read from 2^-15 below
-    # it on.  At alpha = 0 no party is certain to saturate, and at 2
-    # parties no row is bounded.
-    for n, diagonal in ((2, False), (3, True), (7, False), (12, True)):
+    # So it is skipped 2^-12 below that weight, at 2 parties too, and read
+    # from 2^-15 below it on.  At alpha = 0 no party is certain to saturate.
+    for n in (2, 3, 7, 12):
         parties = np.zeros((n, 1))
-        spare = [np.empty(n) for _ in range(3)]
-        reach = epr2._surviving_rows(parties, [GhzScenario(n, 0.0)], [0.5], spare, diagonal)
-        assert reach is None
-        for alpha in (1e-12, 0.3, math.pi / 4):
+        assert _surviving_rows(parties, [GhzScenario(n, 0.0)], [0.5]) is None
+        for alpha in (1e-3, 0.3, math.pi / 4):
             sc = GhzScenario(n, alpha)
             cos2 = math.cos(alpha) ** 2
-            for offset, skipped in ((-2.0**-12, n > 2), (-2.0**-15, False), (0.0, False),
+            for offset, skipped in ((-2.0**-12, True), (-2.0**-15, False), (0.0, False),
                                     (2.0**-32, False)):
-                reach = epr2._surviving_rows(parties, [sc], [cos2 + offset], spare, diagonal)
+                reach = _surviving_rows(parties, [sc], [cos2 + offset])
                 assert (reach is not None and reach[1] == [0]) == skipped
 
 
 @pytest.mark.parametrize("alphas, ws", [([0.3], [0.1]), ([0.3, 0.6], [0.1, 0.001])])
-def test_a_band_party_takes_cot_d_though_the_least_ratio_is_forced(alphas, ws, monkeypatch):
+def test_a_band_row_is_skipped_at_its_forced_ratio(alphas, ws, monkeypatch):
     # Three parties just inside the band of alpha = 0.3 (and outside that
     # of 0.6).  The least ratio of the row, 0.29, sits at the forced
-    # pattern, as on every row sampled so far, so skipping the row at
-    # w = 0.1 would be right; but that is not proven, and the bound takes
-    # cot d for a party that may be unsaturated: with it the row's bound
-    # is 0.05, and the scenario of alpha = 0.3 reads the row.
+    # pattern, as the lemma proves, and the bound takes it there: the row
+    # is skipped at w = 0.1, where a bound that took cot d for each band
+    # party, as one that does not know the least ratio's pattern must,
+    # gets 0.05 and reads the row.
     monkeypatch.setattr(epr2, "_BOUND_ROW_COST", 0)
     scenarios = [GhzScenario(3, alpha) for alpha in alphas]
     thetas = np.array([[1.34, 1.35, 1.36]])
     assert epr2._residual_extrema(scenarios[0], ws[0], thetas)[1] > 0.29
-    assert _reads(scenarios, ws, thetas, False)[0].tolist() == [0]
+    assert [read.tolist() for read in _reads(scenarios, ws, thetas)] == [[]] * len(alphas)
+
+
+@pytest.mark.parametrize("n, alpha", [(3, math.pi / 40), (4, math.pi / 40), (5, math.pi / 40),
+                                      (3, 0.3), (5, 0.3), (2, 0.3)])
+def test_the_bound_leaves_few_rows_at_the_lower_bound(n, alpha):
+    # Of the first sample block of a single scenario at its lower bound,
+    # the bound leaves no row from 3 parties on; at 2 parties the rows
+    # near the band diagonal stay, where every pattern's ratio is w_L.
+    sc = GhzScenario(n, alpha)
+    parties = epr2._certification_parties(0, 0, epr2._block_rows(n), n)
+    kept, ends = _surviving_rows(parties, [sc], [lower_bound(sc)])
+    assert ends[0] == kept.size <= (0.03 * parties.shape[1] if n == 2 else 0)
 
 
 def _unpruned(scenarios, ws, samples, seed):
@@ -221,44 +271,63 @@ def _bounded_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("alpha, rows_read", [(0.3, 2), (0.6, 0)])
-def test_a_mid_range_point_skips_almost_every_row(alpha, rows_read, monkeypatch):
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_a_mid_range_point_skips_almost_every_row(alpha, monkeypatch):
     # At 8 parties the lower bound is small (0.0087 at alpha = 0.3), and the
     # bound proves every sample row positive before its trigonometry, and
-    # all but the grid rows next to the kink; a block left empty is not
+    # all but the two grid rows next to the kink; a block left empty is not
     # read.  The residual is the pinned one.
     sc = GhzScenario(8, alpha)
     kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
     certificate = certify(sc, lower_bound(sc), samples=16384, seed=3)
     assert repr(certificate.min_residual) == "0.0"
     assert bounded == [epr2.DIAG_GRID_POINTS] + [4096] * 4
-    assert sum(kernel) == rows_read
+    assert sum(kernel) == 2
 
 
 def test_a_block_with_most_rows_left_runs_whole_and_ends_the_bounding(monkeypatch):
-    # At 3 parties and alpha = 1e-3 the lower bound is 0.97, and the bound
-    # leaves half of a sample block: too few proven entries to pay, so the
-    # block runs whole and no later block is bounded.  The grid pays.
-    sc = GhzScenario(3, 1e-3)
+    # At 3 parties and alpha = 0.3 the weight 0.7 lies far above the lower
+    # bound, 0.24, and the bound leaves most of a sample block: too few
+    # proven entries to pay, so the block runs whole and no later block is
+    # bounded.  The grid pays.
+    sc = GhzScenario(3, 0.3)
     kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
-    certify(sc, lower_bound(sc), samples=3 * 8192, seed=3)
+    certify(sc, 0.7, samples=3 * 8192, seed=3)
     assert bounded == [epr2.DIAG_GRID_POINTS, 8192]
     assert kernel[0] < epr2.DIAG_GRID_POINTS and kernel[1:] == [8192] * 3
 
 
-def test_two_parties_are_never_bounded(monkeypatch):
-    # A row of 2 parties holds 4 entries, no more than bounding it costs.
-    kernel = _kernel_rows(monkeypatch)
+def test_a_first_sample_block_at_the_lower_bound_pays(monkeypatch):
+    # At 3 parties and alpha = 1e-3, where a bound that took cot d for each
+    # band party left half of the first sample block and stopped there,
+    # every block is bounded, and the kernel reads the grid rows next to
+    # the kink, whose forced ratio lies within the margin of the bound, and
+    # a few sample rows.
+    sc = GhzScenario(3, 1e-3)
+    kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
+    certify(sc, lower_bound(sc), samples=3 * 8192, seed=3)
+    assert bounded == [epr2.DIAG_GRID_POINTS] + [8192] * 3
+    assert kernel[0] < 0.05 * epr2.DIAG_GRID_POINTS and sum(kernel[1:]) < 10
+
+
+def test_two_parties_are_bounded(monkeypatch):
+    # A row of 2 parties holds 4 entries, more than bounding it costs; at
+    # the lower bound the grid keeps the rows of the band, where the
+    # forced ratio is the lower bound, and a sample block the rows near
+    # the band diagonal, where it is close to it.
+    kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
     scenarios = [GhzScenario(2, alpha) for alpha in (0.1, 0.3, 0.6)]
     certify(scenarios, [lower_bound(sc) for sc in scenarios], samples=9000, seed=3)
-    assert kernel == [epr2.DIAG_GRID_POINTS, 8192, 808]
+    assert bounded == [epr2.DIAG_GRID_POINTS, 8192, 808]
+    assert kernel[0] < 0.7 * epr2.DIAG_GRID_POINTS and sum(kernel[1:]) < 0.1 * 9000
 
 
 def test_each_scenario_reads_a_prefix_by_weight(monkeypatch):
     # In a batch, the rows that the bound leaves come ordered by the last
     # scenario, in falling weight, that needs them: the dense prefixes of
     # a block shrink with the weight, and the scenario of largest weight
-    # reads every row, through the block's own kernel.
+    # reads every row, through the block's own kernel.  The weights lie
+    # above the lower bounds, so that every block keeps rows.
     prefixes = []
     original = epr2._dense_factors
 
@@ -268,12 +337,13 @@ def test_each_scenario_reads_a_prefix_by_weight(monkeypatch):
 
     monkeypatch.setattr(epr2, "_dense_factors", recorded)
     kernel = _kernel_rows(monkeypatch)
-    alphas = [0.3, 0.05, 0.6, 0.15]
+    alphas, ws = [0.3, 0.05, 0.6, 0.15], [0.3, 0.5, 0.2, 0.4]
     scenarios = [GhzScenario(4, alpha) for alpha in alphas]
-    certify(scenarios, [lower_bound(sc) for sc in scenarios], samples=3 * 8192, seed=3)
+    certify(scenarios, ws, samples=3 * 8192, seed=3)
     shares = [(a, e) for a, e in prefixes if len(a) > 1]
     assert any(len(set(ends)) > 1 for _, ends in shares)
     for scenario_alphas, ends in shares:
+        # The weights fall as alpha grows.
         by_weight = [e for _, e in sorted(zip(scenario_alphas, ends))]
         assert by_weight == sorted(by_weight, reverse=True)
     assert len(kernel) >= 4 and max(kernel) < 8192

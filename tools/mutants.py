@@ -110,32 +110,45 @@ MUTANTS = [
     Mutant("worker-count-one", CLI,
            "    return min(cpus, groups)\n", "    return 1\n",
            (f"{PARALLEL}::test_output_is_the_serial_output",)),
-    # The ratio bound (_surviving_rows and its helpers).
+    # The ratio bound (_surviving_rows and _forced_proven).
     Mutant("row-bound-gap-x4-over-12", EPR2,
            "    gap_hi += 1.0 / 24.0\n", "    gap_hi += 1.0 / 12.0\n",
-           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("row-bound-open-rows-proven", EPR2,
-           "        result[columns] = _clears(y, lhs[columns], factor)\n",
-           "        result[columns] = True\n",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
     Mutant("row-bound-margin-sign-flipped", EPR2,
            "math.cos(sc.alpha) - _ROW_BOUND_MARGIN", "math.cos(sc.alpha) + _ROW_BOUND_MARGIN",
            (f"{ROW_BOUND}::test_the_bound_skips_the_all_zero_row_only_past_its_residual",)),
-    Mutant("row-bound-band-smallest-cos-t0", EPR2,
-           "wide = _band_edge(max((g for g in gammas",
-           "wide = _band_edge(min((g for g in gammas",
-           (f"{ROW_BOUND}::test_a_band_party_takes_cot_d_though_the_least_ratio_is_forced",)),
+    Mutant("tan2-taken-as-sin2", EPR2,
+           "        np.divide(gap_hi, two_cos2, out=gap_hi)\n",
+           "        np.divide(gap_hi, 2.0, out=gap_hi)\n",
+           (f"{ROW_BOUND}::test_no_row_is_skipped_above_its_forced_ratio",)),
+    Mutant("ratio-without-one-party", EPR2,
+           "ratio = np.sqrt(np.multiply.reduce(gap_hi, axis=0))",
+           "ratio = np.sqrt(np.multiply.reduce(gap_hi[1:], axis=0))",
+           (f"{ROW_BOUND}::test_the_bound_leaves_few_rows_at_the_lower_bound",)),
+    Mutant("forced-factor-without-clamp", EPR2,
+           "        np.minimum(part, 1.0, out=part)\n", "",
+           (f"{ROW_BOUND}::test_the_bound_leaves_few_rows_at_the_lower_bound",)),
     Mutant("band-factor-tau-sign-swapped", EPR2,
-           "        tau += 1.0\n", "        np.subtract(1.0, tau, out=tau)\n",
+           "[0.5 / g if g else math.inf for g in gammas]",
+           "[-0.5 / g if g else math.inf for g in gammas]",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("band-ratio-without-cot", EPR2,
-           "    np.minimum(out, cot2, out=out)\n", "    np.minimum(out, tan2, out=out)\n",
-           (f"{ROW_BOUND}::test_a_band_party_takes_cot_d_though_the_least_ratio_is_forced",)),
-    Mutant("diagonal-forced-tau-sign-swapped", EPR2,
-           "    g_f += 1.0\n", "    np.subtract(1.0, g_f, out=g_f)\n",
+    Mutant("kink-rows-proven", EPR2,
+           "near = np.flatnonzero(spread < _KINK_WIDTH)", "near = np.flatnonzero(spread < 0.0)",
+           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
+    Mutant("kink-spread-one-sided", EPR2,
+           "        spread -= np.minimum.reduce(x, axis=0)\n", "",
+           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
+    Mutant("kink-window-from-upper-r", EPR2,
+           "(low < tan_a * (1.0 + _KINK_WIDTH))", "(ratio[rows] < tan_a * (1.0 + _KINK_WIDTH))",
+           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
+    Mutant("cos-t0-floor-loosened", EPR2,
+           "_BOUNDED_COS_T0 = 1.0 - 2.0**-19", "_BOUNDED_COS_T0 = 1.0 - 2.0**-40",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
     Mutant("product-state-bounded", EPR2,
-           "_BOUNDED_COS_T0 = 1.0 - 2.0**-40", "_BOUNDED_COS_T0 = 1.0",
+           "_BOUNDED_COS_T0 = 1.0 - 2.0**-19", "_BOUNDED_COS_T0 = 1.0",
+           (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
+    Mutant("need-from-least-rank", EPR2,
+           "least = np.maximum.reduce(unproven[:, columns]", "least = np.minimum.reduce(unproven[:, columns]",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
     Mutant("reach-from-largest-weight", EPR2,
            "    return kept, reach[ranks].tolist()\n",
