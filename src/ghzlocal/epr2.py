@@ -91,8 +91,8 @@ _BOUNDED_COS_T0 = 1.0 - 2.0**-19
 # the row's R.
 _KINK_WIDTH = 2.0**-8
 
-# Scenarios that :func:`_surviving_rows` bounds together: their three
-# (scenarios, rows) float32 arrays stay within 1.5 MiB.
+# Scenarios that :func:`_surviving_rows` bounds together: their two
+# (scenarios, rows) float32 arrays stay within 1 MiB.
 _BOUND_GROUP = 16
 
 # Sorting a block, taking its columns and forming its two-pattern products
@@ -994,9 +994,9 @@ def _surviving_rows(parties: np.ndarray, scenarios, ws, spare):
 
 
 def _bound_buffer(scenarios: int, rows: int) -> np.ndarray:
-    """The flat float32 buffer of :func:`_forced_proven`'s three (scenarios, rows)
+    """The flat float32 buffer of :func:`_forced_proven`'s two (scenarios, rows)
     arrays, for at most ``_BOUND_GROUP`` scenarios at a time."""
-    return np.empty(3 * min(scenarios, _BOUND_GROUP) * rows, np.float32)
+    return np.empty(2 * min(scenarios, _BOUND_GROUP) * rows, np.float32)
 
 
 def _forced_proven(root, ratio, cos_hi, near, scenarios, ws, buffer) -> np.ndarray:
@@ -1017,7 +1017,16 @@ def _forced_proven(root, ratio, cos_hi, near, scenarios, ws, buffer) -> np.ndarr
         [math.sin(sc.alpha) for sc in scenarios], [math.tan(sc.alpha) for sc in scenarios],
         [w * (1.0 + _ROW_BOUND_MARGIN) for w in ws],
         [0.5 / g if g else math.inf for g in gammas]))
-    y, factor, term = buffer[:3 * sin_a.size * ratio.size].reshape(3, sin_a.size, -1)
+    factor, y = buffer[:2 * sin_a.size * ratio.size].reshape(2, sin_a.size, -1)
+    # w P_L at the forced pattern, w prod (1 + tau_j) / 2, at most, with y
+    # as scratch.
+    for j, c in enumerate(cos_hi):
+        part = y if j else factor
+        np.multiply.outer(inverse.ravel(), c, out=part)
+        part += 0.5
+        np.minimum(part, 1.0, out=part)
+        factor *= rhs if j == 0 else part
+    np.sqrt(factor, out=factor)
     np.multiply.outer(-sin_a.ravel(), ratio, out=y)
     y += cos_a
     rows, low = near
@@ -1025,14 +1034,7 @@ def _forced_proven(root, ratio, cos_hi, near, scenarios, ws, buffer) -> np.ndarr
         kink = (ratio[rows] > tan_a * (1.0 - _KINK_WIDTH)) & (low < tan_a * (1.0 + _KINK_WIDTH))
         y[:, rows] = np.where(kink, 0.0, y[:, rows])
     y *= root
-    # w P_L at the forced pattern, w prod (1 + tau_j) / 2, at most.
-    for j, c in enumerate(cos_hi):
-        part = term if j else factor
-        np.multiply.outer(inverse.ravel(), c, out=part)
-        part += 0.5
-        np.minimum(part, 1.0, out=part)
-        factor *= rhs if j == 0 else part
-    return np.greater(y, np.sqrt(factor, out=factor))
+    return np.greater(y, factor)
 
 
 def _certification_blocks(n: int, samples: int, seed: int, rows: int, bound: float,
@@ -1199,13 +1201,13 @@ def certify(scenario: GhzScenario | Sequence[GhzScenario], w: float | Sequence[f
     zeros, so it is exactly 0.0 at w = 0, where no row is evaluated.  A
     scenario skips every row whose residual a bound from the raw angles
     proves positive at its weight, before the row's trigonometry
-    (:func:`_surviving_rows`): at every pattern with P_L > 0 the bound
-    holds P_Q / P_L above w, each party's K factor taken with its P_L
-    factor, and it proves a grid row by its outcome counts.  Rows are
-    bounded block by block, until a block, the grid's included, where
-    the entries proven do not pay for the bound, and never at 2 parties;
-    the grid row theta = 0 may be skipped, and its zeros are the 0.0
-    every minimum starts at.  Rows with few unsaturated parties are
+    (:func:`_surviving_rows`): the least P_Q / P_L over a row's patterns
+    with P_L > 0 is its ratio at the forced pattern, where every party
+    takes the outcome of its cosine's sign (proved there), and the bound
+    holds that ratio above w.  Rows are bounded block by block, until a
+    block, the grid's included, where the entries proven do not pay for
+    the bound; the grid row theta = 0 may be skipped, and its zeros are
+    the 0.0 every minimum starts at.  Rows with few unsaturated parties are
     evaluated only at patterns with P_L > 0, by one rule at every n
     (:func:`_block_factors`): when enough rows of a
     block have at most one, those rows are read at their two live
