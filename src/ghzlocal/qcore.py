@@ -242,6 +242,21 @@ def cos_theta0(scenario: GhzScenario) -> float:
     return -(1.0 - t) / (1.0 + t)
 
 
+def _party_terms(c0: float, cos_thetas):
+    """Per-party signed terms r-independent part: sgn(cos t)*min(1,|cos t/c0|).
+
+    Takes the cosines ``cos t`` of the angles.  ``cos t / |c0|`` clipped to
+    [-1, 1]; at c0 = 0, sgn(cos t), the +-inf of the division clipped, as
+    no float angle in [0, pi] has cos t = 0 (6.1e-17 at pi/2).  The
+    quotient gets its own array, also for a scalar, so that the clip runs
+    in place and skips ``np.clip``'s dispatch.
+    """
+    if c0 == 0.0:
+        return np.copysign(1.0, cos_thetas)
+    terms = np.divide(cos_thetas, abs(c0), out=np.empty_like(cos_thetas))
+    return terms.clip(-1.0, 1.0, out=terms)
+
+
 def theta0(scenario: GhzScenario) -> float:
     """The vanishing angle itself, in [pi/2, pi]; ``math.pi / 2`` at alpha = pi/4."""
     return math.acos(cos_theta0(scenario))

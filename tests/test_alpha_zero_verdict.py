@@ -8,7 +8,8 @@ rows; with alpha = 0 out of the batch, a sample's cosine is computed only
 where some scenario may leave its party unsaturated, at every n.  These
 tests hold the bound to the kernel, pin which scenarios the CLI samples,
 and hold batches whose largest ``|cos theta0|`` is just below 1 to the
-dense reference.
+dense reference (``test_kernel_pieces.py`` holds the pass to it at the
+edges of the cosine stand-ins).
 """
 
 import json
@@ -21,9 +22,9 @@ from hypothesis import strategies as st
 
 from ghzlocal import cli, epr2
 from ghzlocal.epr2 import CERT_TOLERANCE, certify, lower_bound, sampled_min_ratio
-from ghzlocal.qcore import MAX_PARTIES, GhzScenario, cos_theta0
+from ghzlocal.qcore import MAX_PARTIES, GhzScenario
 
-from certification_rows import block_extrema, certification_rows
+from certification_rows import certification_rows
 from cli_calls import record_calls
 from test_epr2 import _dense_residual_extrema
 
@@ -124,40 +125,3 @@ def test_near_zero_batches_are_single_calls_and_dense_minima(n):
             assert certificate.min_residual == min(residual for residual, _ in dense)
             ratio = min(max(min(ratio for _, ratio in dense), 0.0), 1.0)
             assert repr(sampled_min_ratio(sc, samples=samples, seed=seed)) == repr(ratio)
-
-
-@st.composite
-def edge_batches(draw):
-    """(scenarios, weights, (rows, n) angles) at 2 to 8 parties, with angles at
-    the edge of the batch's cosine bound and at each scenario's band edges."""
-    n = draw(st.integers(2, 8))
-    alpha = st.one_of(st.sampled_from(NEAR_ZERO_ALPHAS), st.floats(1e-15, math.pi / 4))
-    weight = st.sampled_from(["lower_bound", 0.5, 1.0])
-    pairs = draw(st.lists(st.tuples(alpha, weight), min_size=1, max_size=4))
-    scenarios = [GhzScenario(n, a) for a, _ in pairs]
-    ws = [lower_bound(sc) if w == "lower_bound" else w for sc, (_, w) in zip(scenarios, pairs)]
-    bound = max(abs(cos_theta0(sc)) for sc in scenarios)
-    edges = [math.acos(min(bound + epr2._COS_MARGIN, 1.0)) - epr2._COS_MARGIN]
-    edges += [math.acos(abs(cos_theta0(sc))) for sc in scenarios]
-    offsets = (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12)
-    specials = [0.0, math.pi, math.pi / 2]
-    specials += [t for e in edges for d in offsets for t in (e + d, math.pi - e + d)]
-    angle = st.one_of(st.sampled_from([min(max(t, 0.0), math.pi) for t in specials]),
-                      st.floats(0.0, math.pi, allow_nan=False))
-    rows = draw(st.lists(st.lists(angle, min_size=n, max_size=n), min_size=1, max_size=10))
-    return scenarios, ws, np.array([[0.0] * n] + rows)
-
-
-@PROPERTIES
-@given(edge_batches(), st.sampled_from([1, 3, 8192]))
-def test_stand_in_cosines_change_no_minimum(batch, chunk_rows):
-    # The pass over a block with the batch's stand-in cosines, split for
-    # every row that can skip the dense kernel, equals the dense
-    # reference; the theta = 0 row puts the residual's 0.0 in both.
-    scenarios, ws, thetas = batch
-    bound = max(abs(cos_theta0(sc)) for sc in scenarios)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(epr2, "_SPLIT_ROW_COST", 0)
-        patch.setattr(epr2, "_CERT_MAX_ROWS", chunk_rows)
-        got = block_extrema(scenarios, ws, thetas, bound=bound)
-    assert got == [epr2._residual_extrema(sc, w, thetas) for sc, w in zip(scenarios, ws)]

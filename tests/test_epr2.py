@@ -15,7 +15,7 @@ from ghzlocal.qcore import (
     joint_prob_ghz,
     outcome_sign_matrix,
 )
-from ghzlocal import epr2
+from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import (
     CERT_TOLERANCE,
     DIAG_GRID_POINTS,
@@ -35,7 +35,7 @@ from ghzlocal.epr2 import (
     theta0,
 )
 
-from certification_rows import certification_rows, count_k_builds
+from certification_rows import certification_rows, chunk_bytes, k_builds
 
 
 def _dense_residual_extrema(scenario, w, thetas):
@@ -621,7 +621,7 @@ class TestCertify:
         sc = GhzScenario(3, 0.4)
         whole = (certify(sc, 0.1, samples=10_000, seed=7),
                  sampled_min_ratio(sc, samples=10_000, seed=7))
-        monkeypatch.setattr(epr2, "_CERT_MAX_ROWS", 512)
+        monkeypatch.setattr(_kernel, "_CERT_CHUNK_BYTES", chunk_bytes(3, 512))
         assert len(list(certification_rows(3, 10_000, 7))) == 4 + 20
         chunked = (certify(sc, 0.1, samples=10_000, seed=7),
                    sampled_min_ratio(sc, samples=10_000, seed=7))
@@ -702,7 +702,7 @@ class TestCertify:
         # _residual_extrema reduces its rows chunk by chunk, from +inf: over
         # more rows than one chunk, and with no row of exact zeros, both of
         # its values are the np.prod reference's, also where they lie above 0.
-        rows = certification_thetas(n + 20, 0, 2 * epr2._chunk_rows(n) + 3, n)
+        rows = certification_thetas(n + 20, 0, 2 * _kernel._chunk_rows(n) + 3, n)
         for alpha in (0.2, 0.5):
             sc = GhzScenario(n, alpha)
             for w in (0.0, 0.05, 1.0):
@@ -716,7 +716,7 @@ class TestCertify:
         for rows in (1, 37):
             plus, minus = rng.uniform(size=(2, n, rows))
             out, spare = np.empty(2**n * rows), np.empty(2**n * rows)
-            got = epr2._kron_rows(plus, minus, out, spare)
+            got = _kernel._kron_rows(plus, minus, out, spare)
             assert np.shares_memory(got, out)
             assert np.array_equal(got, _broadcast_kron_rows(plus, minus))
 
@@ -726,7 +726,7 @@ class TestCertify:
         buffers = np.empty(2**n * 37), np.empty(2**n * 37)
         for rows in (37, 5):
             plus, minus = rng.uniform(size=(2, n, rows))
-            got = epr2._kron_rows(plus, minus, *buffers)
+            got = _kernel._kron_rows(plus, minus, *buffers)
             assert np.array_equal(got, _broadcast_kron_rows(plus, minus))
 
     @pytest.mark.parametrize("n", [3, 9, 12])
@@ -741,7 +741,7 @@ class TestCertify:
         default = scans()
         # 32 MiB per array, and one n = 12 sample row per chunk
         for budget in (32 * 2**20, 8 * 2**12):
-            monkeypatch.setattr(epr2, "_CERT_CHUNK_BYTES", budget)
+            monkeypatch.setattr(_kernel, "_CERT_CHUNK_BYTES", budget)
             assert scans() == default
 
     def test_kernel_refuses_other_patterns(self):
@@ -857,22 +857,20 @@ class TestCertifySequence:
         scenarios = [GhzScenario(n, alpha) for alpha in self.ALPHAS]
         default, singles = self._batch_and_singles(n, 64, 4)
         assert default == singles
-        for name, value in (("_CERT_MAX_ROWS", 512), ("_CERT_CHUNK_BYTES", 32 * 2**20),
-                            ("_CERT_CHUNK_BYTES", 8 * 2**12)):
+        for budget in (chunk_bytes(n, 512), 32 * 2**20, 8 * 2**12):
             with monkeypatch.context() as patch:
-                patch.setattr(epr2, name, value)
+                patch.setattr(_kernel, "_CERT_CHUNK_BYTES", budget)
                 assert certify(scenarios, self.WEIGHTS, samples=64, seed=4) == default
 
     def test_alpha_free_half_runs_once_per_chunk(self, monkeypatch):
         # The chunk size is read at call time, and the alpha-free half runs
         # once per chunk however many scenarios share the pass.  The row
         # bound is off, so that every chunk is read.
-        builds = count_k_builds(monkeypatch)
-        monkeypatch.setattr(epr2, "_CERT_MAX_ROWS", 512)
-        monkeypatch.setattr(epr2, "_surviving_rows", lambda *args: None)
+        monkeypatch.setattr(_kernel, "_CERT_CHUNK_BYTES", chunk_bytes(3, 512))
+        monkeypatch.setattr(_kernel, "_surviving_rows", lambda *args: None)
         scenarios = [GhzScenario(3, alpha) for alpha in self.ALPHAS]
-        certify(scenarios, self.WEIGHTS, samples=10_000, seed=7)
-        assert sum(builds) == 4 + 20
+        builds, _ = k_builds(scenarios, 10_000, 7, list(self.WEIGHTS))
+        assert builds == 4 + 20
 
     def test_batch_memory_does_not_grow_with_the_scenarios(self):
         # Each block's rows are read within that block, so 100 scenarios at
@@ -904,7 +902,7 @@ class TestCertifySequence:
             raise AssertionError("computed before checking every weight")
 
         monkeypatch.setattr(epr2, "_min_residuals", refuse)
-        monkeypatch.setattr(epr2, "_certification_blocks", refuse)
+        monkeypatch.setattr(epr2, "factor_pieces", refuse)
         with pytest.raises(ValueError, match="w must lie in"):
             certify([GhzScenario(3, a) for a in self.ALPHAS], [0.1, 0.2, bad])
 

@@ -2,7 +2,7 @@
 
 At every angle row, the least ratio P_Q / P_L over the outcome patterns with
 P_L > 0 sits at the forced pattern, where every party takes the outcome of
-the sign of its cosine (proof in ``epr2._surviving_rows``).  With
+the sign of its cosine (proof in ``_kernel._surviving_rows``).  With
 ``x_j = |cos t_j|``, ``d_j = min(t_j, pi - t_j) / 2`` and ``c0 = |cos t0|``,
 that ratio is
 

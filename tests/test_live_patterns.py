@@ -1,8 +1,8 @@
-"""Property tests of the live-pattern certification path against the dense kernel.
+"""Tests of the live-pattern certification path against the dense kernel.
 
 The live path evaluates a row only at its patterns with P_L > 0; it must
-agree with the dense kernel bit for bit there, and the patterns it skips
-must never lower a certificate.
+agree with the dense kernel bit for bit there (``test_kernel_pieces.py``),
+and the patterns it skips must never lower a certificate.
 """
 
 import math
@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzlocal import epr2
+from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import certify
 from ghzlocal.qcore import GhzScenario
 
-from certification_rows import certification_rows, dense_factors
+from certification_rows import certification_rows, dense_factors, rows_read
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -36,43 +36,6 @@ def theta_rows(draw, n_max=12):
     rows = draw(st.lists(st.lists(angles, min_size=n, max_size=n),
                          min_size=count, max_size=count))
     return n, np.array(rows, dtype=float)
-
-
-
-
-def _live(scenario, thetas, slice_rows):
-    """Every live entry's (P_Q, P_L), read by the live path from all the rows.
-
-    The buffers fit the factors of ``slice_rows`` rows at all 2^n patterns,
-    so the rows whose parties are all unsaturated run in slices of that many.
-    """
-    n, rows = scenario.n, len(thetas)
-    block = epr2._block(np.ascontiguousarray(thetas.T), 1.0)
-    buffers = epr2._certification_buffers(3 * n * slice_rows, n)
-    pieces = [(pq.ravel().copy(), pl.ravel().copy())
-              for pq, pl in epr2._live_factors(scenario, block, np.arange(rows), buffers)]
-    return tuple(np.concatenate(entries) for entries in zip(*pieces))
-
-
-@PROPERTIES
-@given(theta_rows(), alphas, weights, st.sampled_from([1, 2, 6]))
-def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w, slice_rows):
-    n, thetas = rows
-    scenario = GhzScenario(n, alpha)
-    pq, pl = dense_factors(scenario, thetas)
-    positive = pl > 0.0
-    live_pq, live_pl = _live(scenario, thetas, slice_rows)
-    assert live_pl.size == np.count_nonzero(positive)
-    assert np.all(live_pl > 0.0)
-    # Same values, possibly in another order: compare the sorted entries.
-    assert np.array_equal(np.sort(live_pq), np.sort(pq[positive]))
-    assert np.array_equal(np.sort(live_pl), np.sort(pl[positive]))
-    assert np.min(live_pq - w * live_pl) == np.min(pq[positive] - w * pl[positive])
-    ratio = pl > 1e-12
-    live_ratio = live_pl > 1e-12
-    if ratio.any():
-        assert np.min(live_pq[live_ratio] / live_pl[live_ratio]) == np.min(
-            pq[ratio] / pl[ratio])
 
 
 @PROPERTIES
@@ -105,23 +68,13 @@ def _grid_minimum(scenario, w):
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 12])
-def test_certify_reads_only_live_patterns_at_interior_alphas(n, monkeypatch):
+def test_certify_reads_only_live_patterns_at_interior_alphas(n):
     # The rows with few unsaturated parties are read at their live
-    # patterns only: the dense kernel sees only the rest, and the
-    # certificate is unchanged.
-    # The dense references run first: they read their rows through
-    # _dense_factors too.
+    # patterns only: the dense kernel sees under half of the rows, and the
+    # certificate is the dense one.
     sc = GhzScenario(n, 0.3)
     expected = epr2._residual_extrema(sc, 0.2, epr2.certification_thetas(3, 0, 256, n))[0]
     expected = min(0.0, expected, _grid_minimum(sc, 0.2))
-    dense_rows = []
-    original = epr2._dense_factors
-
-    def counted(scenarios, block, ends, buffers):
-        dense_rows.append(max(ends))
-        return original(scenarios, block, ends, buffers)
-
-    monkeypatch.setattr(epr2, "_dense_factors", counted)
-    cert = certify(sc, 0.2, samples=256, seed=3)
-    assert cert.min_residual == expected
-    assert sum(dense_rows) < (epr2.DIAG_GRID_POINTS + 256) // 2
+    assert certify(sc, 0.2, samples=256, seed=3).min_residual == expected
+    read = rows_read(_kernel.factor_pieces([sc], 256, 3, [0.2]))
+    assert read.get("dense", 0) < (_kernel.DIAG_GRID_POINTS + 256) // 2

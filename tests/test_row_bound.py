@@ -2,7 +2,7 @@
 
 A row is left out for a scenario when a lower bound on its forced ratio
 P_Q / P_L, the least over its patterns, taken from its raw angles alone,
-clears the scenario's weight (``epr2._surviving_rows``); the rows that are
+clears the scenario's weight (``_kernel._surviving_rows``); the rows that are
 left are ordered so that each scenario reads a prefix of them.  These tests
 hold every row that the bound leaves out to the dense oracle
 ``epr2._residual_extrema``, hold ``certify`` to the pass that bounds no row,
@@ -17,11 +17,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ghzlocal import epr2
+from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import special_angles, ulps_from
+from certification_rows import rows_read, special_angles, ulps_from
 from test_forced_pattern import _forced_ratio
 
 PROPERTIES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -79,12 +79,12 @@ def batches(draw):
     bounds = [abs(cos_theta0(sc)) for sc in scenarios]
     specials = special_angles(bounds) + TINY_ANGLES + [math.pi - t for t in TINY_ANGLES]
     for c in bounds:
-        edge = epr2._saturation_edge(c)
+        edge = _kernel._saturation_edge(c)
         if edge > 0.0:
             specials += [ulps_from(e, k) for e in (edge, math.pi - edge)
                          for k in (-2, -1, 0, 1, 2)]
     # The widest band, where a party may be unsaturated for some scenario.
-    edge = max(0.0, min(epr2._saturation_edge(c) for c in bounds))
+    edge = max(0.0, min(_kernel._saturation_edge(c) for c in bounds))
     angle = st.one_of(st.sampled_from(specials), st.floats(0.0, math.pi, allow_nan=False),
                       st.floats(0.0, 1e-6), st.floats(edge, math.pi - edge))
     if draw(st.booleans()):
@@ -95,17 +95,18 @@ def batches(draw):
 
 
 def _surviving_rows(parties, scenarios, ws):
-    """``epr2._surviving_rows`` of (n, rows) angles, with buffers of its own."""
+    """``_kernel._surviving_rows`` of (n, rows) angles, with buffers of its own:
+    three float64 ones and a float32 one for two (scenarios, rows) arrays."""
     spare = [np.empty(parties.size) for _ in range(3)]
-    return epr2._surviving_rows(parties, scenarios, ws,
-                                spare + [epr2._bound_buffer(len(ws), parties.shape[1])])
+    return _kernel._surviving_rows(parties, scenarios, ws,
+                                   spare + [np.empty(2 * len(ws) * parties.shape[1], np.float32)])
 
 
 def _reads(scenarios, ws, thetas):
     """The rows each scenario reads under the bound, with every block bounded."""
     parties = np.ascontiguousarray(thetas.T)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(epr2, "_BOUND_ROW_COST", 0)
+        patch.setattr(_kernel, "_BOUND_ROW_COST", 0)
         reach = _surviving_rows(parties, scenarios, ws)
     assert parties.tobytes() == np.ascontiguousarray(thetas.T).tobytes()
     if reach is None:
@@ -197,7 +198,7 @@ def test_a_band_row_is_skipped_at_its_forced_ratio(alphas, ws, monkeypatch):
     # is skipped at w = 0.1, where a bound that took cot d for each band
     # party, as one that does not know the least ratio's pattern must,
     # gets 0.05 and reads the row.
-    monkeypatch.setattr(epr2, "_BOUND_ROW_COST", 0)
+    monkeypatch.setattr(_kernel, "_BOUND_ROW_COST", 0)
     scenarios = [GhzScenario(3, alpha) for alpha in alphas]
     thetas = np.array([[1.34, 1.35, 1.36]])
     assert epr2._residual_extrema(scenarios[0], ws[0], thetas)[1] > 0.29
@@ -211,7 +212,7 @@ def test_the_bound_leaves_few_rows_at_the_lower_bound(n, alpha):
     # the bound leaves no row from 3 parties on; at 2 parties the rows
     # near the band diagonal stay, where every pattern's ratio is w_L.
     sc = GhzScenario(n, alpha)
-    parties = epr2._certification_parties(0, 0, epr2._block_rows(n), n)
+    parties = _kernel._certification_parties(0, 0, _kernel._block_rows(n), n)
     kept, ends = _surviving_rows(parties, [sc], [lower_bound(sc)])
     assert ends[0] == kept.size <= (0.03 * parties.shape[1] if n == 2 else 0)
 
@@ -219,7 +220,7 @@ def test_the_bound_leaves_few_rows_at_the_lower_bound(n, alpha):
 def _unpruned(scenarios, ws, samples, seed):
     """The min_residual of each certificate from the pass that bounds no row."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(epr2, "_surviving_rows", lambda *args: None)
+        patch.setattr(_kernel, "_surviving_rows", lambda *args: None)
         return [c.min_residual for c in certify(scenarios, ws, samples=samples, seed=seed)]
 
 
@@ -232,7 +233,7 @@ def test_certify_is_the_unpruned_pass(n):
     # every lower bound, 1e-3 above them and at 0.5, and single scenarios
     # at weights where rows are skipped, where residuals are negative and
     # at the all-zero row's own ratio, 2^-32 either side.
-    samples, seed = epr2._block_rows(n) + 700, n
+    samples, seed = _kernel._block_rows(n) + 700, n
     scenarios = [GhzScenario(n, alpha) for alpha in SWEEP_ALPHAS]
     bounds = [lower_bound(sc) for sc in scenarios]
     for ws in (bounds, [min(1.001 * w, 1.0) for w in bounds], [0.5] * len(scenarios)):
@@ -245,30 +246,30 @@ def test_certify_is_the_unpruned_pass(n):
             assert repr(got) == repr(_unpruned([sc], [w], samples, seed)[0])
 
 
-def _kernel_rows(monkeypatch):
-    """A list of the row count of every block the kernel reads."""
-    rows = []
-    original = epr2._block_factors
-
-    def recorded(scenarios, block, *args):
-        rows.append(block.cosines.shape[1])
-        return original(scenarios, block, *args)
-
-    monkeypatch.setattr(epr2, "_block_factors", recorded)
-    return rows
-
-
 def _bounded_rows(monkeypatch):
     """A list of the row count of every block the bound reads."""
     rows = []
-    original = epr2._surviving_rows
+    original = _kernel._surviving_rows
 
     def recorded(parties, *args):
         rows.append(parties.shape[1])
         return original(parties, *args)
 
-    monkeypatch.setattr(epr2, "_surviving_rows", recorded)
+    monkeypatch.setattr(_kernel, "_surviving_rows", recorded)
     return rows
+
+
+def _rows_per_block(monkeypatch, scenarios, ws, samples, seed):
+    """(rows of each block the bound reads, rows of each piece of the scenario
+    of largest weight) in the pass of the kernel's entry that certify runs.
+
+    That scenario reads every row a block keeps, at 2 and 3 parties in one
+    dense piece, so its pieces' rows are the kept rows of each block that
+    keeps any.
+    """
+    bounded, top = _bounded_rows(monkeypatch), ws.index(max(ws))
+    pieces = _kernel.factor_pieces(scenarios, samples, seed, ws)
+    return bounded, [pq.shape[1] for i, _, pq, _ in pieces if i == top]
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6])
@@ -278,10 +279,10 @@ def test_a_mid_range_point_skips_almost_every_row(alpha, monkeypatch):
     # all but the two grid rows next to the kink; a block left empty is not
     # read.  The residual is the pinned one.
     sc = GhzScenario(8, alpha)
-    kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
     certificate = certify(sc, lower_bound(sc), samples=16384, seed=3)
     assert repr(certificate.min_residual) == "0.0"
-    assert bounded == [epr2.DIAG_GRID_POINTS] + [4096] * 4
+    bounded, kernel = _rows_per_block(monkeypatch, [sc], [lower_bound(sc)], 16384, 3)
+    assert bounded == [_kernel.DIAG_GRID_POINTS] + [4096] * 4
     assert sum(kernel) == 2
 
 
@@ -291,10 +292,9 @@ def test_a_block_with_most_rows_left_runs_whole_and_ends_the_bounding(monkeypatc
     # proven entries to pay, so the block runs whole and no later block is
     # bounded.  The grid pays.
     sc = GhzScenario(3, 0.3)
-    kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
-    certify(sc, 0.7, samples=3 * 8192, seed=3)
-    assert bounded == [epr2.DIAG_GRID_POINTS, 8192]
-    assert kernel[0] < epr2.DIAG_GRID_POINTS and kernel[1:] == [8192] * 3
+    bounded, kernel = _rows_per_block(monkeypatch, [sc], [0.7], 3 * 8192, 3)
+    assert bounded == [_kernel.DIAG_GRID_POINTS, 8192]
+    assert kernel[0] < _kernel.DIAG_GRID_POINTS and kernel[1:] == [8192] * 3
 
 
 def test_a_first_sample_block_at_the_lower_bound_pays(monkeypatch):
@@ -304,10 +304,9 @@ def test_a_first_sample_block_at_the_lower_bound_pays(monkeypatch):
     # the kink, whose forced ratio lies within the margin of the bound, and
     # a few sample rows.
     sc = GhzScenario(3, 1e-3)
-    kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
-    certify(sc, lower_bound(sc), samples=3 * 8192, seed=3)
-    assert bounded == [epr2.DIAG_GRID_POINTS] + [8192] * 3
-    assert kernel[0] < 0.05 * epr2.DIAG_GRID_POINTS and sum(kernel[1:]) < 10
+    bounded, kernel = _rows_per_block(monkeypatch, [sc], [lower_bound(sc)], 3 * 8192, 3)
+    assert bounded == [_kernel.DIAG_GRID_POINTS] + [8192] * 3
+    assert kernel[0] < 0.05 * _kernel.DIAG_GRID_POINTS and sum(kernel[1:]) < 10
 
 
 def test_two_parties_are_bounded(monkeypatch):
@@ -315,38 +314,29 @@ def test_two_parties_are_bounded(monkeypatch):
     # the lower bound the grid keeps the rows of the band, where the
     # forced ratio is the lower bound, and a sample block the rows near
     # the band diagonal, where it is close to it.
-    kernel, bounded = _kernel_rows(monkeypatch), _bounded_rows(monkeypatch)
     scenarios = [GhzScenario(2, alpha) for alpha in (0.1, 0.3, 0.6)]
-    certify(scenarios, [lower_bound(sc) for sc in scenarios], samples=9000, seed=3)
-    assert bounded == [epr2.DIAG_GRID_POINTS, 8192, 808]
-    assert kernel[0] < 0.7 * epr2.DIAG_GRID_POINTS and sum(kernel[1:]) < 0.1 * 9000
+    ws = [lower_bound(sc) for sc in scenarios]
+    bounded, kernel = _rows_per_block(monkeypatch, scenarios, ws, 9000, 3)
+    assert bounded == [_kernel.DIAG_GRID_POINTS, 8192, 808]
+    assert kernel[0] < 0.7 * _kernel.DIAG_GRID_POINTS and sum(kernel[1:]) < 0.1 * 9000
 
 
 def test_each_scenario_reads_a_prefix_by_weight(monkeypatch):
     # In a batch, the rows that the bound leaves come ordered by the last
-    # scenario, in falling weight, that needs them: the dense prefixes of
-    # a block shrink with the weight, and the scenario of largest weight
-    # reads every row, through the block's own kernel.  The weights lie
-    # above the lower bounds, so that every block keeps rows.
-    prefixes = []
-    original = epr2._dense_factors
-
-    def recorded(scenarios, block, ends, buffers):
-        prefixes.append(([sc.alpha for sc in scenarios], list(ends)))
-        return original(scenarios, block, ends, buffers)
-
-    monkeypatch.setattr(epr2, "_dense_factors", recorded)
-    kernel = _kernel_rows(monkeypatch)
+    # scenario, in falling weight, that needs them, so each scenario reads
+    # a prefix of them, the shorter the smaller its weight, and the
+    # scenario of largest weight reads every row a block keeps.  The
+    # weights lie above the lower bounds, so that every block keeps rows.
     alphas, ws = [0.3, 0.05, 0.6, 0.15], [0.3, 0.5, 0.2, 0.4]
     scenarios = [GhzScenario(4, alpha) for alpha in alphas]
-    certify(scenarios, ws, samples=3 * 8192, seed=3)
-    shares = [(a, e) for a, e in prefixes if len(a) > 1]
-    assert any(len(set(ends)) > 1 for _, ends in shares)
-    for scenario_alphas, ends in shares:
-        # The weights fall as alpha grows.
-        by_weight = [e for _, e in sorted(zip(scenario_alphas, ends))]
-        assert by_weight == sorted(by_weight, reverse=True)
-    assert len(kernel) >= 4 and max(kernel) < 8192
+    bounded = _bounded_rows(monkeypatch)
+    pieces = [(i, path, pq[:0], None) for i, path, pq, _ in
+              _kernel.factor_pieces(scenarios, 3 * 8192, 3, ws)]
+    by_weight = [sum(rows_read(pieces, i).values())
+                 for i in sorted(range(4), key=lambda i: -ws[i])]
+    assert by_weight == sorted(by_weight, reverse=True) and len(set(by_weight)) > 1
+    assert bounded == [_kernel.DIAG_GRID_POINTS] + [8192] * 3
+    assert 0 < by_weight[0] < _kernel.DIAG_GRID_POINTS + 3 * 8192
 
 
 def test_no_weight_no_bound(monkeypatch):

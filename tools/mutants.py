@@ -40,52 +40,60 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids or paths, run from the repository root
 
 
-EPR2, CLI = "ghzlocal/epr2.py", "ghzlocal/cli.py"
+KERNEL, EPR2, CLI = "ghzlocal/_kernel.py", "ghzlocal/epr2.py", "ghzlocal/cli.py"
 LIVE_PASS, ROW_BOUND = "tests/test_live_pass.py", "tests/test_row_bound.py"
-TWO_PATTERN, LIVE_PATTERNS = "tests/test_two_pattern_rows.py", "tests/test_live_patterns.py"
+TWO_PATTERN = "tests/test_two_pattern_rows.py"
+PIECES = "tests/test_kernel_pieces.py::test_each_path_reads_its_share_of_the_dense_entries"
 PARALLEL = "tests/test_cli.py::TestParallelScan"
 
 MUTANTS = [
     # The sample cosines of the saturated parties (_block_cosines).
-    Mutant("cos-margin-negative", EPR2,
+    Mutant("cos-margin-negative", KERNEL,
            "_COS_MARGIN = 1e-12", "_COS_MARGIN = -1e-12",
            (f"{LIVE_PASS}::test_block_cosines_at_the_band_edges",)),
-    Mutant("block-bound-smallest-cos-t0", EPR2,
-           "    bound = max(abs(cos_theta0(sc)) for sc in scenarios)\n    live_max",
-           "    bound = min(abs(cos_theta0(sc)) for sc in scenarios)\n    live_max",
+    Mutant("block-bound-smallest-cos-t0", KERNEL,
+           "    bound = max(abs(cos_theta0(sc)) for sc in scenarios)\n    return n, buffers",
+           "    bound = min(abs(cos_theta0(sc)) for sc in scenarios)\n    return n, buffers",
            (f"{TWO_PATTERN}::test_batch_certificates_are_the_dense_minima",)),
     # The two-pattern suffix and the split of a block (_block_factors).
-    Mutant("flipped-swap-left-out", EPR2,
+    Mutant("flipped-swap-left-out", KERNEL,
            "    k[1].reshape(-1)[cells] = kr[0].reshape(-1)[cells]\n"
            "    kr[1].reshape(-1)[cells] = k[0].reshape(-1)[cells]\n", "",
-           (f"{LIVE_PASS}::test_two_pattern_products_are_the_dense_k_entries",)),
-    Mutant("searchsorted-right", EPR2,
+           (PIECES,)),
+    Mutant("searchsorted-right", KERNEL,
            "ends = np.searchsorted(second[order], bounds).tolist()",
            'ends = np.searchsorted(second[order], bounds, side="right").tolist()',
            (f"{TWO_PATTERN}::test_a_key_equal_to_the_bound_is_a_two_pattern_row",)),
-    Mutant("dense-prefix-in-second-key-order", EPR2,
+    Mutant("dense-prefix-in-second-key-order", KERNEL,
            "        prefix = prefix[inner]\n", "",
            (f"{TWO_PATTERN}::test_the_dense_rows_of_a_split_block_are_those_of_the_live_key",)),
     # The live rows (_live_factors).
-    Mutant("live-cells-party-major", EPR2,
+    Mutant("live-cells-party-major", KERNEL,
            "row, party = np.nonzero(unsaturated.T[part])",
            "party, row = np.nonzero(unsaturated[:, part])",
-           (f"{LIVE_PATTERNS}::test_live_minimum_is_the_dense_minimum_where_p_l_is_positive",)),
-    Mutant("half-angles-at-slice-positions", EPR2,
+           (PIECES,)),
+    Mutant("half-angles-at-slice-positions", KERNEL,
            "(a.take(columns[part], axis=1)", "(a.take(part, axis=1)",
            ("tests/test_epr2.py::TestCertify::test_split_reductions_match_both_extrema",)),
+    # The path tags of the pieces.
+    Mutant("two-pattern-tagged-dense", KERNEL,
+           'yield i, "two-pattern", *_two_pattern_factors(',
+           'yield i, "dense", *_two_pattern_factors(', (PIECES,)),
+    Mutant("live-group-dropped", KERNEL,
+           "    for u in np.unique(counts).tolist():\n",
+           "    for u in np.unique(counts).tolist()[1:]:\n", (PIECES,)),
     # The worst-phase formula of every path (_worst_phase).
-    Mutant("worst-phase-sin-cos-swapped", EPR2,
+    Mutant("worst-phase-sin-cos-swapped", KERNEL,
            "    np.multiply(kr, math.sin(alpha), out=spare)\n"
            "    np.multiply(k, math.cos(alpha), out=out)\n",
            "    np.multiply(kr, math.cos(alpha), out=spare)\n"
            "    np.multiply(k, math.sin(alpha), out=out)\n",
            ("tests/test_epr2.py::TestCertify::test_kernel_matches_dense_reference_bit_for_bit",)),
     # The chunks of the grid and of the samples (_certification_blocks).
-    Mutant("grid-angles-left-unwritten", EPR2,
+    Mutant("grid-angles-left-unwritten", KERNEL,
            "            parties[...] = angles\n", "",
            (f"{LIVE_PASS}::test_blocks_are_the_trigonometry_of_their_rows",)),
-    Mutant("bounding-never-ends", EPR2,
+    Mutant("bounding-never-ends", KERNEL,
            "            if reach is None:\n                weighted = None\n",
            "            if reach is None:\n                pass\n",
            (f"{ROW_BOUND}::test_a_block_with_most_rows_left_runs_whole_and_ends_the_bounding",)),
@@ -111,46 +119,46 @@ MUTANTS = [
            "    return min(cpus, groups)\n", "    return 1\n",
            (f"{PARALLEL}::test_output_is_the_serial_output",)),
     # The ratio bound (_surviving_rows and _forced_proven).
-    Mutant("row-bound-gap-x4-over-12", EPR2,
+    Mutant("row-bound-gap-x4-over-12", KERNEL,
            "    gap_hi += 1.0 / 24.0\n", "    gap_hi += 1.0 / 12.0\n",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("row-bound-margin-sign-flipped", EPR2,
+    Mutant("row-bound-margin-sign-flipped", KERNEL,
            "math.cos(sc.alpha) - _ROW_BOUND_MARGIN", "math.cos(sc.alpha) + _ROW_BOUND_MARGIN",
            (f"{ROW_BOUND}::test_the_bound_skips_the_all_zero_row_only_past_its_residual",)),
-    Mutant("tan2-taken-as-sin2", EPR2,
+    Mutant("tan2-taken-as-sin2", KERNEL,
            "        np.divide(gap_hi, two_cos2, out=gap_hi)\n",
            "        np.divide(gap_hi, 2.0, out=gap_hi)\n",
            (f"{ROW_BOUND}::test_no_row_is_skipped_above_its_forced_ratio",)),
-    Mutant("ratio-without-one-party", EPR2,
+    Mutant("ratio-without-one-party", KERNEL,
            "ratio = np.sqrt(np.multiply.reduce(gap_hi, axis=0))",
            "ratio = np.sqrt(np.multiply.reduce(gap_hi[1:], axis=0))",
            (f"{ROW_BOUND}::test_the_bound_leaves_few_rows_at_the_lower_bound",)),
-    Mutant("forced-factor-without-clamp", EPR2,
+    Mutant("forced-factor-without-clamp", KERNEL,
            "        np.minimum(part, 1.0, out=part)\n", "",
            (f"{ROW_BOUND}::test_the_bound_leaves_few_rows_at_the_lower_bound",)),
-    Mutant("band-factor-tau-sign-swapped", EPR2,
+    Mutant("band-factor-tau-sign-swapped", KERNEL,
            "[0.5 / g if g else math.inf for g in gammas]",
            "[-0.5 / g if g else math.inf for g in gammas]",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("kink-rows-proven", EPR2,
+    Mutant("kink-rows-proven", KERNEL,
            "near = np.flatnonzero(spread < _KINK_WIDTH)", "near = np.flatnonzero(spread < 0.0)",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("kink-spread-one-sided", EPR2,
+    Mutant("kink-spread-one-sided", KERNEL,
            "        spread -= np.minimum.reduce(x, axis=0)\n", "",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("kink-window-from-upper-r", EPR2,
+    Mutant("kink-window-from-upper-r", KERNEL,
            "(low < tan_a * (1.0 + _KINK_WIDTH))", "(ratio[rows] < tan_a * (1.0 + _KINK_WIDTH))",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("cos-t0-floor-loosened", EPR2,
+    Mutant("cos-t0-floor-loosened", KERNEL,
            "_BOUNDED_COS_T0 = 1.0 - 2.0**-19", "_BOUNDED_COS_T0 = 1.0 - 2.0**-40",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("product-state-bounded", EPR2,
+    Mutant("product-state-bounded", KERNEL,
            "_BOUNDED_COS_T0 = 1.0 - 2.0**-19", "_BOUNDED_COS_T0 = 1.0",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("need-from-least-rank", EPR2,
+    Mutant("need-from-least-rank", KERNEL,
            "least = np.maximum.reduce(unproven[:, columns]", "least = np.minimum.reduce(unproven[:, columns]",
            (f"{ROW_BOUND}::test_every_skipped_row_is_positive_under_the_dense_oracle",)),
-    Mutant("reach-from-largest-weight", EPR2,
+    Mutant("reach-from-largest-weight", KERNEL,
            "    return kept, reach[ranks].tolist()\n",
            "    return kept, [int(reach[1])] * len(ws)\n",
            (f"{ROW_BOUND}::test_each_scenario_reads_a_prefix_by_weight",)),
