@@ -1,9 +1,10 @@
-"""The seam of the certification kernel: what code outside ``src/`` may reach.
+"""The seam of the certification kernel: what the rest of the code may reach.
 
 ``ghzlocal._kernel`` is read through its entry ``factor_pieces`` and its
-door ``block_pieces``, whose pieces carry their path.  The tests, tools and
-demos reach its private names only from a short allowlist, so that a change
-inside the kernel does not rewrite the tests that watch it.
+door ``block_pieces``, whose pieces carry their path.  The rest of the
+package reaches none of its private names, and the tests, tools and demos
+only those of a short allowlist, so that a change inside the kernel does
+not rewrite the tests that watch it.
 """
 
 import ast
@@ -74,6 +75,11 @@ def test_outside_code_reaches_only_allowlisted_private_kernel_names():
             found.setdefault(name, []).append(path.relative_to(ROOT).as_posix())
     assert {name: paths for name, paths in found.items() if name not in ALLOWED} == {}
     assert len(ALLOWED) <= 10 and ALLOWED.keys() <= vars(_kernel).keys()
+
+
+def test_the_rest_of_the_package_reaches_only_public_kernel_names():
+    for path in (ROOT / "src" / "ghzlocal").glob("*.py"):
+        assert path.name == "_kernel.py" or reached(path.read_text()) == set(), path.name
 
 
 def test_the_scan_sees_each_way_to_reach_a_name():
