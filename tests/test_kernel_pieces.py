@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import _kernel
@@ -75,8 +75,17 @@ def _pairs(pq, pl):
     return np.stack((pq.ravel(), pl.ravel()), axis=1).copy().view(complex).ravel()
 
 
+# Live rows of 8 parties, 2 and 3 of them unsaturated, in the order the
+# live path reads its cells.
+LIVE_ROWS = np.array([[1.5, 0.1, 1.6, 3.0, 0.2, 1.4, 0.1, 3.1],
+                      [0.1, 1.7, 0.2, 1.5, 3.0, 0.1, 0.2, 0.1],
+                      [1.45, 1.65, 0.1, 0.2, 3.1, 0.1, 1.55, 0.2],
+                      [3.0, 0.1, 1.5, 1.6, 0.2, 0.1, 3.1, 0.1]])
+
+
 @PROPERTIES
 @given(batches(), st.sampled_from([None, 1, 3]), st.booleans())
+@example(([GhzScenario(8, 0.3)], [0.5], LIVE_ROWS), None, True)
 def test_each_path_reads_its_share_of_the_dense_entries(batch, chunk, split):
     # With ``split`` every block that can skip the dense kernel splits, and
     # short chunks put one block's dense rows in several and slice its live
