@@ -64,6 +64,29 @@ def copied(pieces):
     return [(i, path, pq.copy(), pl.copy()) for i, path, pq, pl in pieces]
 
 
+def pass_pieces(scenarios, thetas, chunk=None, split=True):
+    """Copied :func:`_kernel.block_pieces`: with ``split`` every block that can
+    skip the dense kernel splits, and with ``chunk`` the chunks hold that many rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        if split:
+            patch.setattr(_kernel, "_SPLIT_ROW_COST", 0)
+        if chunk:
+            patch.setattr(_kernel, "_CERT_CHUNK_BYTES", chunk_bytes(scenarios[0].n, chunk))
+        return copied(_kernel.block_pieces(scenarios, thetas))
+
+
+def piece_extrema(pieces, ws):
+    """(min residual, min ratio) of each scenario over its pieces, the ratio where
+    P_L > 1e-12.  The residual starts at 0.0, as in certify: with a theta = 0
+    row, the dense minimum is at most 0.0."""
+    residuals, ratios = [0.0] * len(ws), [math.inf] * len(ws)
+    for i, _, pq, pl in pieces:
+        positive = pl > 1e-12
+        ratios[i] = min(ratios[i], float(np.min(pq[positive] / pl[positive], initial=math.inf)))
+        residuals[i] = min(residuals[i], float(np.min(pq - ws[i] * pl)))
+    return list(zip(residuals, ratios))
+
+
 def dense_factors(scenario, thetas):
     """The dense kernel's (2^n, rows) worst-phase P_Q and P_L at (rows, n) angles."""
     pieces = copied(_kernel.block_pieces([scenario], thetas, dense=True))

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzlocal import cli, epr2
+from ghzlocal import _kernel, cli, epr2
 from ghzlocal.epr2 import CERT_TOLERANCE, certify, lower_bound, sampled_min_ratio
-from ghzlocal.qcore import MAX_PARTIES, GhzScenario
+from ghzlocal.qcore import MAX_PARTIES, GhzScenario, cos_theta0
 
-from certification_rows import certification_rows
+from certification_rows import certification_rows, piece_extrema, special_angles, pass_pieces
 from cli_calls import record_calls
 from test_epr2 import _dense_residual_extrema
 
@@ -125,3 +125,33 @@ def test_near_zero_batches_are_single_calls_and_dense_minima(n):
             assert certificate.min_residual == min(residual for residual, _ in dense)
             ratio = min(max(min(ratio for _, ratio in dense), 0.0), 1.0)
             assert repr(sampled_min_ratio(sc, samples=samples, seed=seed)) == repr(ratio)
+
+
+@st.composite
+def edge_batches(draw):
+    """(scenarios, weights, (rows, n) angles) at 2 to 8 parties, with angles at
+    the edge of the batch's cosine stand-ins and at each scenario's band edges."""
+    n = draw(st.integers(2, 8))
+    alpha = st.one_of(st.sampled_from(NEAR_ZERO_ALPHAS), st.floats(1e-15, math.pi / 4))
+    weight = st.sampled_from(["lower_bound", 0.5, 1.0])
+    pairs = draw(st.lists(st.tuples(alpha, weight), min_size=1, max_size=4))
+    scenarios = [GhzScenario(n, a) for a, _ in pairs]
+    ws = [lower_bound(sc) if w == "lower_bound" else w for sc, (_, w) in zip(scenarios, pairs)]
+    bounds = [abs(cos_theta0(sc)) for sc in scenarios]
+    edge = _kernel._saturation_edge(max(bounds))
+    specials = special_angles(bounds) + special_angles([math.cos(edge)] if edge > 0.0 else [])
+    angle = st.one_of(st.sampled_from(specials), st.floats(0.0, math.pi, allow_nan=False))
+    rows = draw(st.lists(st.lists(angle, min_size=n, max_size=n), min_size=1, max_size=10))
+    return scenarios, ws, np.array([[0.0] * n] + rows)
+
+
+@PROPERTIES
+@given(edge_batches(), st.sampled_from([1, 3, None]))
+def test_stand_in_cosines_change_no_minimum(batch, chunk_rows):
+    # The pass over a block with the batch's stand-in cosines, split for
+    # every row that can skip the dense kernel, equals the dense
+    # reference; the theta = 0 row puts the residual's 0.0 in both.
+    scenarios, ws, thetas = batch
+    pieces = pass_pieces(scenarios, thetas, chunk_rows)
+    assert piece_extrema(pieces, ws) == [epr2._residual_extrema(sc, w, thetas)
+                                         for sc, w in zip(scenarios, ws)]

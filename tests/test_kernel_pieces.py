@@ -11,7 +11,6 @@ for ``"live"``.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +18,8 @@ from ghzlocal import _kernel
 from ghzlocal.epr2 import _residual_extrema, lower_bound
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import chunk_bytes, copied, dense_factors, special_angles, ulps_from
+from certification_rows import (dense_factors, pass_pieces, piece_extrema, special_angles,
+                                ulps_from)
 
 PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -95,13 +95,9 @@ def test_each_path_reads_its_share_of_the_dense_entries(batch, chunk, split):
     # scenario's minima are the dense oracle's.
     scenarios, ws, thetas = batch
     n = scenarios[0].n
-    with pytest.MonkeyPatch.context() as patch:
-        if split:
-            patch.setattr(_kernel, "_SPLIT_ROW_COST", 0)
-        if chunk:
-            patch.setattr(_kernel, "_CERT_CHUNK_BYTES", chunk_bytes(n, chunk))
-        pieces = copied(_kernel.block_pieces(scenarios, thetas))
+    pieces = pass_pieces(scenarios, thetas, chunk, split)
     counts = {"dense": [2**n], "two-pattern": [2], "live": [2**u for u in range(2, n)]}
+    extrema = piece_extrema(pieces, ws)
     for i, (sc, w) in enumerate(zip(scenarios, ws)):
         mine = [(path, pq, pl) for k, path, pq, pl in pieces if k == i]
         assert sum(pq.shape[1] for _, pq, _ in mine) == len(thetas)
@@ -110,11 +106,8 @@ def test_each_path_reads_its_share_of_the_dense_entries(batch, chunk, split):
             assert path != "live" or np.all(pl > 0.0)
         # Residuals start at 0.0, as in certify: an entry left out has P_L = 0
         # and residual P_Q >= 0.
-        residual = min([0.0] + [float(np.min(pq - w * pl)) for _, pq, pl in mine])
-        ratio = min(float(np.min(pq[pl > 1e-12] / pl[pl > 1e-12], initial=math.inf))
-                    for _, pq, pl in mine)
         oracle = _residual_extrema(sc, w, thetas)
-        assert (residual, ratio) == (min(0.0, oracle[0]), oracle[1])
+        assert extrema[i] == (min(0.0, oracle[0]), oracle[1])
         got = np.concatenate([_pairs(pq, pl) for _, pq, pl in mine])
         dense = _pairs(*dense_factors(sc, thetas))
         assert np.all(np.isin(got, dense))

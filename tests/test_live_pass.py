@@ -20,7 +20,7 @@ from ghzlocal.epr2 import _party_terms, certify, lower_bound
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
 from certification_rows import (certification_rows, copied, dense_factors, rows_read,
-                                special_angles)
+                                special_angles, pass_pieces)
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -112,6 +112,58 @@ def test_batch_pieces_are_dense_entries_and_read_every_positive_one(n):
     for sc, got in zip(scenarios, pieces):
         got = np.unique(np.concatenate(got), axis=0)
         every, positive = _dense_entries(sc, certification_rows(n, samples, seed))
+        assert np.all(np.isin(got.view(complex), every.view(complex)))
+        assert np.all(np.isin(positive.view(complex), got.view(complex)))
+
+
+# ---------------------------------------------------------------------------
+# the split pass over given rows
+
+
+def _pattern(bits):
+    """Dense pattern index of (n, rows) outcome bits (1 for -1), party 0 most significant."""
+    n = bits.shape[0]
+    return (bits.astype(np.intp) << np.arange(n - 1, -1, -1)[:, None]).sum(axis=0)
+
+
+@PROPERTIES
+@given(batches())
+def test_two_pattern_products_are_the_dense_k_entries(batch):
+    # A row is read at two patterns by each scenario whose |cos t0| its
+    # second-smallest |cos t_j| reaches: the forced pattern (every party at
+    # its cosine's sign) and the flipped one (the parties of smallest
+    # |cos t_j| flipped), the dense entries there.  One row at a time, so
+    # each piece is the row's.
+    scenarios, parties = batch
+    cosines = _kernel._block_cosines(parties, _batch_bound(scenarios), np.empty(parties.shape))
+    magnitudes = np.abs(cosines)
+    least, second = np.sort(magnitudes, axis=0)[:2]
+    forced = _pattern(cosines < 0.0)
+    patterns = np.stack((forced, forced ^ _pattern(magnitudes == least)))
+    for row, thetas in enumerate(parties.T[:, None, :]):
+        pieces = sorted(pass_pieces(scenarios, thetas), key=lambda piece: piece[0])
+        assert [i for i, _, _, _ in pieces] == list(range(len(scenarios)))
+        for sc, (_, path, pq, pl) in zip(scenarios, pieces):
+            assert (path == "two-pattern") == (second[row] >= abs(cos_theta0(sc)))
+            if path == "two-pattern":
+                dense_pq, dense_pl = dense_factors(sc, thetas)
+                assert pq.tobytes() == dense_pq[patterns[:, row]].tobytes()
+                assert pl.tobytes() == dense_pl[patterns[:, row]].tobytes()
+
+
+@PROPERTIES
+@given(batches(), st.sampled_from([None, 1, 3]))
+def test_pass_and_groups_cover_every_positive_dense_entry(batch, chunk):
+    # The two-pattern rows, the live rows and the dense rows of a block,
+    # split for every row that can skip the dense kernel, read only dense
+    # entries, and together every entry with P_L > 0.  Short chunks shrink
+    # the buffers, and with them the live cap and the live slices.
+    scenarios, parties = batch
+    pieces = pass_pieces(scenarios, parties.T, chunk)
+    for i, sc in enumerate(scenarios):
+        got = [np.stack((pq.ravel(), pl.ravel()), axis=1) for k, _, pq, pl in pieces if k == i]
+        got = np.unique(np.concatenate(got), axis=0)
+        every, positive = _dense_entries(sc, [parties.T])
         assert np.all(np.isin(got.view(complex), every.view(complex)))
         assert np.all(np.isin(positive.view(complex), got.view(complex)))
 

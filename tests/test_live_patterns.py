@@ -9,14 +9,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import certify
 from ghzlocal.qcore import GhzScenario
 
-from certification_rows import certification_rows, dense_factors, rows_read
+from certification_rows import certification_rows, dense_factors, rows_read, pass_pieces
+from test_kernel_pieces import LIVE_ROWS
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -36,6 +37,31 @@ def theta_rows(draw, n_max=12):
     rows = draw(st.lists(st.lists(angles, min_size=n, max_size=n),
                          min_size=count, max_size=count))
     return n, np.array(rows, dtype=float)
+
+
+@PROPERTIES
+@given(theta_rows(), alphas, weights, st.sampled_from([1, 2, 6]))
+@example((8, LIVE_ROWS), 0.3, 0.5, 1)
+def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w, chunk_rows):
+    # The split pass reads each row at its live patterns, every one with
+    # P_L > 0, or at two patterns, or densely: its entries with P_L > 0 are
+    # the dense ones, once each.  Short chunks slice the live rows.
+    n, thetas = rows
+    pq, pl = dense_factors(GhzScenario(n, alpha), thetas)
+    positive = pl > 0.0
+    pieces = pass_pieces([GhzScenario(n, alpha)], thetas, chunk_rows)
+    assert all(np.all(got > 0.0) for _, path, _, got in pieces if path == "live")
+    got_pq, got_pl = (np.concatenate([piece[k].ravel() for piece in pieces]) for k in (2, 3))
+    got_pq, got_pl = got_pq[got_pl > 0.0], got_pl[got_pl > 0.0]
+    assert got_pl.size == np.count_nonzero(positive)
+    # Same values, possibly in another order: compare the sorted entries.
+    assert np.array_equal(np.sort(got_pq), np.sort(pq[positive]))
+    assert np.array_equal(np.sort(got_pl), np.sort(pl[positive]))
+    assert np.min(got_pq - w * got_pl) == np.min(pq[positive] - w * pl[positive])
+    ratio = pl > 1e-12
+    got_ratio = got_pl > 1e-12
+    if ratio.any():
+        assert np.min(got_pq[got_ratio] / got_pl[got_ratio]) == np.min(pq[ratio] / pl[ratio])
 
 
 @PROPERTIES

@@ -19,7 +19,8 @@ from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import _party_terms, certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import certification_rows, copied, k_builds, rows_read, ulps_from
+from certification_rows import (certification_rows, copied, k_builds, piece_extrema, rows_read,
+                                pass_pieces, ulps_from)
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -51,6 +52,38 @@ def test_a_party_saturates_exactly_when_its_magnitude_reaches_the_bound(pair):
     x, y = pair
     assume(x >= 0.0 and (x > 0.0 or y > 0.0))
     assert (abs(_party_terms(-y, np.float64(x))) == 1.0) == (x >= y)
+
+
+angles = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
+                   st.floats(0.0, math.pi, allow_nan=False))
+alphas = st.one_of(st.sampled_from([0.0, 1e-12, math.pi / 4 - 1e-12, math.pi / 4]),
+                   st.floats(0.0, math.pi / 4, allow_nan=False))
+# "lower_bound" stands for the scenario's own lower bound.
+weights = st.sampled_from([0.0, "lower_bound", 0.5, 1.0])
+
+
+@st.composite
+def blocks(draw):
+    """(n, (rows, n) angles): a theta = 0 row, drawn rows and all-equal rows."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8]))
+    rows = draw(st.lists(st.lists(angles, min_size=n, max_size=n), min_size=0, max_size=8))
+    equal = draw(st.lists(angles, min_size=0, max_size=3))
+    return n, np.array([[0.0] * n] + rows + [[theta] * n for theta in equal])
+
+
+@PROPERTIES
+@given(blocks(), st.lists(st.tuples(alphas, weights), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 3, None]))
+def test_block_factors_are_the_dense_reference(block, pairs, chunk_rows):
+    # Every block splits: the theta = 0 row is a two-pattern row.  Short
+    # chunks put the dense rows of one block in several.
+    n, thetas = block
+    scenarios = [GhzScenario(n, alpha) for alpha, _ in pairs]
+    ws = [_weight(sc, w) for sc, (_, w) in zip(scenarios, pairs)]
+    pieces = pass_pieces(scenarios, thetas, chunk_rows)
+    assert "two-pattern" in {path for _, path, _, _ in pieces}
+    assert piece_extrema(pieces, ws) == [epr2._residual_extrema(sc, w, thetas)
+                                         for sc, w in zip(scenarios, ws)]
 
 
 def _paths(scenarios, samples, seed, ws=None):
