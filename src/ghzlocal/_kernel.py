@@ -560,7 +560,8 @@ def block_pieces(scenarios, thetas: np.ndarray, dense: bool = False):
     """The pieces of :func:`factor_pieces` over the (rows, n) angles ``thetas``, no row bounded.
 
     With ``dense`` every cosine is computed and every row runs the dense
-    kernel: the reference that every path equals, bit for bit.
+    kernel: the mode of the test-only dense oracle ``epr2._residual_extrema``,
+    which goes when that oracle moves into the tests (ROADMAP item 8).
     """
     n, buffers, bound, live_max = _pass(scenarios)
     rows = _block_rows(n)

@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 from ghzlocal import _kernel
+from ghzlocal.epr2 import _party_terms
+from ghzlocal.qcore import cos_theta0, outcome_sign_matrix
 
+
+# Live rows of 8 parties, 2 and 3 of them unsaturated at alpha = 0.3, in
+# the order the live path reads its cells.
+LIVE_ROWS = np.array([[1.5, 0.1, 1.6, 3.0, 0.2, 1.4, 0.1, 3.1],
+                      [0.1, 1.7, 0.2, 1.5, 3.0, 0.1, 0.2, 0.1],
+                      [1.45, 1.65, 0.1, 0.2, 3.1, 0.1, 1.55, 0.2],
+                      [3.0, 0.1, 1.5, 1.6, 0.2, 0.1, 3.1, 0.1]])
 
 # Offsets from the edges acos(c) and pi - acos(c) of a scenario's band.
 BAND_EDGE_OFFSETS = (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12)
@@ -75,6 +84,35 @@ def pass_pieces(scenarios, thetas, chunk=None, split=True):
         return copied(_kernel.block_pieces(scenarios, thetas))
 
 
+def dense_reference(scenario, thetas):
+    """Worst-phase P_Q and P_L, (rows, 2^n) arrays, of (rows, n) angles: products
+    over the dense (rows, 2^n, n) factors of np.cos and np.sin, which the
+    kernel's entries equal bit for bit.  Kr is K at the complement pattern."""
+    patterns, thetas = outcome_sign_matrix(scenario.n), np.ascontiguousarray(thetas)
+    ch, sh = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    k = np.prod(np.where(patterns[None, :, :] > 0.0, ch[:, None, :], sh[:, None, :]), axis=-1)
+    pq_worst = (math.cos(scenario.alpha) * k - math.sin(scenario.alpha) * k[:, ::-1]) ** 2
+    terms = _party_terms(cos_theta0(scenario), np.cos(thetas))
+    return pq_worst, np.prod(0.5 * (1.0 + patterns[None, :, :] * terms[:, None, :]), axis=-1)
+
+
+def same_entries(pieces, scenario, thetas) -> bool:
+    """Whether the copied ``pieces`` hold each :func:`dense_reference` entry of the
+    (rows, n) ``thetas`` with P_L > 0 once, and no entry that is not dense."""
+    def positive(pq, pl):
+        return np.stack((pq[pl > 0.0], pl[pl > 0.0]), axis=1).view(complex).ravel()
+
+    zero = np.unique(np.concatenate([pq[pl == 0.0] for _, _, pq, pl in pieces] + [[math.inf]]))
+    found, expected, step = zero == math.inf, [np.empty(0, complex)], max(1, 2**16 >> scenario.n)
+    for start in range(0, len(thetas), step):
+        pq, pl = dense_reference(scenario, thetas[start:start + step])
+        expected.append(positive(pq, pl))
+        at = np.searchsorted(zero, pq[pl == 0.0])
+        found[at[zero[at] == pq[pl == 0.0]]] = True
+    got = np.concatenate([positive(pq, pl) for _, _, pq, pl in pieces] + [expected[0]])
+    return np.array_equal(np.sort(got), np.sort(np.concatenate(expected))) and bool(found.all())
+
+
 def piece_extrema(pieces, ws):
     """(min residual, min ratio) of each scenario over its pieces, the ratio where
     P_L > 1e-12.  The residual starts at 0.0, as in certify: with a theta = 0
@@ -85,12 +123,6 @@ def piece_extrema(pieces, ws):
         ratios[i] = min(ratios[i], float(np.min(pq[positive] / pl[positive], initial=math.inf)))
         residuals[i] = min(residuals[i], float(np.min(pq - ws[i] * pl)))
     return list(zip(residuals, ratios))
-
-
-def dense_factors(scenario, thetas):
-    """The dense kernel's (2^n, rows) worst-phase P_Q and P_L at (rows, n) angles."""
-    pieces = copied(_kernel.block_pieces([scenario], thetas, dense=True))
-    return tuple(np.concatenate([piece[k] for piece in pieces], axis=1) for k in (2, 3))
 
 
 def rows_read(pieces, index=0) -> dict:

@@ -8,8 +8,7 @@ rows; with alpha = 0 out of the batch, a sample's cosine is computed only
 where some scenario may leave its party unsaturated, at every n.  These
 tests hold the bound to the kernel, pin which scenarios the CLI samples,
 and hold batches whose largest ``|cos theta0|`` is just below 1 to the
-dense reference (``test_kernel_pieces.py`` holds the pass to it at the
-edges of the cosine stand-ins).
+dense reference.
 """
 
 import json

@@ -35,25 +35,12 @@ from ghzlocal.epr2 import (
     theta0,
 )
 
-from certification_rows import certification_rows, chunk_bytes, k_builds
+from certification_rows import certification_rows, chunk_bytes, dense_reference, k_builds
 
 
 def _dense_residual_extrema(scenario, w, thetas):
-    """Dense reference for the certification kernel, on (rows, 2^n, n) arrays.
-
-    The Kronecker kernel must reproduce both of its values exactly.
-    """
-    patterns = outcome_sign_matrix(scenario.n)
-    half = 0.5 * thetas
-    ch, sh = np.cos(half), np.sin(half)
-    plus = patterns[None, :, :] > 0.0
-    p = np.where(plus, ch[:, None, :], sh[:, None, :])
-    q = np.where(plus, sh[:, None, :], ch[:, None, :])
-    a = math.cos(scenario.alpha) * np.prod(p, axis=-1)
-    b = math.sin(scenario.alpha) * np.prod(q, axis=-1)
-    pq_worst = (a - b) ** 2
-    terms = _party_terms(cos_theta0(scenario), np.cos(thetas))
-    pl = np.prod(0.5 * (1.0 + patterns[None, :, :] * terms[:, None, :]), axis=-1)
+    """Both minima of :func:`dense_reference`, which the kernel must reproduce exactly."""
+    pq_worst, pl = dense_reference(scenario, thetas)
     min_residual = float(np.min(pq_worst - w * pl))
     positive = pl > 1e-12
     if np.any(positive):

@@ -2,25 +2,25 @@
 
 The angles get their cosine only where a scenario of the batch may leave a
 party unsaturated; the pass reads the grid and the sample stream, each row
-on one path.  These tests hold the cosines' terms to np.cos, the entry's
-pieces over the stream to the dense reference bit for bit, and pin the
-angle hash and the w = 0 skip.  ``test_kernel_pieces.py`` holds each path
-to the dense entries over adversarial rows.
+on one path.  These tests hold the cosines' terms to np.cos, each path's
+pieces, over the stream and over adversarial rows, to the dense entries
+bit for bit, and pin the angle hash and the w = 0 skip.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import _party_terms, certify, lower_bound
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import (certification_rows, copied, dense_factors, rows_read,
-                                special_angles, pass_pieces)
+from certification_rows import (LIVE_ROWS, certification_rows, copied, dense_reference,
+                                pass_pieces, piece_extrema, same_entries, special_angles,
+                                ulps_from)
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -31,11 +31,17 @@ alphas = st.one_of(st.sampled_from(EDGE_ALPHAS), st.floats(0.0, math.pi / 4, all
 
 @st.composite
 def batches(draw):
-    """(scenarios, (n, rows) angles) with angles at the batch's band edges."""
+    """(scenarios, (n, rows) angles) with angles at the batch's band edges, a
+    few ulps around the edge of its cosine stand-ins, or in its widest band."""
     n = draw(st.integers(2, 12))
     scenarios = [GhzScenario(n, a) for a in draw(st.lists(alphas, min_size=1, max_size=4))]
-    specials = special_angles([abs(cos_theta0(sc)) for sc in scenarios])
-    angle = st.one_of(st.sampled_from(specials), st.floats(0.0, math.pi, allow_nan=False))
+    bound = _batch_bound(scenarios)
+    edge = _kernel._saturation_edge(bound)
+    specials = special_angles([abs(cos_theta0(sc)) for sc in scenarios]) + [
+        ulps_from(e, k) for e in (edge, math.pi - edge) for k in range(-2, 3)] * (edge > 0.0)
+    band = math.acos(bound)
+    angle = st.one_of(st.sampled_from(specials), st.floats(0.0, math.pi, allow_nan=False),
+                      st.floats(band, math.pi - band))
     rows = draw(st.integers(1, 12))
     parties = draw(st.lists(angle, min_size=n * rows, max_size=n * rows))
     return scenarios, np.array(parties).reshape(n, rows)
@@ -83,16 +89,6 @@ def test_block_cosines_at_the_band_edges(alpha):
 # the entry's pieces over the stream
 
 
-def _dense_entries(scenario, thetas_chunks):
-    """Distinct dense (P_Q, P_L) pairs, and those with P_L > 0, over row chunks."""
-    pairs = []
-    for thetas in thetas_chunks:
-        pq, pl = dense_factors(scenario, thetas)
-        pairs.append(np.stack((pq.ravel(), pl.ravel()), axis=1))
-    pairs = np.unique(np.concatenate(pairs), axis=0)
-    return pairs, pairs[pairs[:, 1] > 0.0]
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_batch_pieces_are_dense_entries_and_read_every_positive_one(n):
     # Each piece of a batch pass holds dense entries only, and together
@@ -103,17 +99,11 @@ def test_batch_pieces_are_dense_entries_and_read_every_positive_one(n):
     alphas += [0.2, 0.5, 0.7] * (n <= 6) + [0.1, 0.4, 0.6, 0.75] * (n == 3)
     scenarios = [GhzScenario(n, a) for a in alphas]
     samples, seed = 400, 21
-    pieces = [[] for _ in scenarios]
-    paths = set()
-    for i, path, pq, pl in _kernel.factor_pieces(scenarios, samples, seed):
-        pieces[i].append(np.stack((pq.ravel(), pl.ravel()), axis=1))
-        paths.add(path)
-    assert "two-pattern" in paths
-    for sc, got in zip(scenarios, pieces):
-        got = np.unique(np.concatenate(got), axis=0)
-        every, positive = _dense_entries(sc, certification_rows(n, samples, seed))
-        assert np.all(np.isin(got.view(complex), every.view(complex)))
-        assert np.all(np.isin(positive.view(complex), got.view(complex)))
+    pieces = copied(_kernel.factor_pieces(scenarios, samples, seed))
+    assert "two-pattern" in {path for _, path, _, _ in pieces}
+    thetas = np.concatenate(list(certification_rows(n, samples, seed)))
+    for i, sc in enumerate(scenarios):
+        assert same_entries([piece for piece in pieces if piece[0] == i], sc, thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -146,26 +136,33 @@ def test_two_pattern_products_are_the_dense_k_entries(batch):
         for sc, (_, path, pq, pl) in zip(scenarios, pieces):
             assert (path == "two-pattern") == (second[row] >= abs(cos_theta0(sc)))
             if path == "two-pattern":
-                dense_pq, dense_pl = dense_factors(sc, thetas)
-                assert pq.tobytes() == dense_pq[patterns[:, row]].tobytes()
-                assert pl.tobytes() == dense_pl[patterns[:, row]].tobytes()
+                dense_pq, dense_pl = dense_reference(sc, thetas)
+                assert pq.tobytes() == dense_pq[0, patterns[:, row]].tobytes()
+                assert pl.tobytes() == dense_pl[0, patterns[:, row]].tobytes()
 
 
-@PROPERTIES
-@given(batches(), st.sampled_from([None, 1, 3]))
-def test_pass_and_groups_cover_every_positive_dense_entry(batch, chunk):
-    # The two-pattern rows, the live rows and the dense rows of a block,
-    # split for every row that can skip the dense kernel, read only dense
-    # entries, and together every entry with P_L > 0.  Short chunks shrink
-    # the buffers, and with them the live cap and the live slices.
+@settings(PROPERTIES, max_examples=200)
+@given(batches(), st.sampled_from([None, 1, 3]), st.booleans())
+@example(([GhzScenario(8, 0.3)], LIVE_ROWS.T), None, True)
+def test_pass_and_groups_cover_every_positive_dense_entry(batch, chunk, split):
+    # With ``split`` every block that can skip the dense kernel splits into
+    # its two-pattern rows, its live rows and its dense rows; short chunks
+    # shrink the buffers, and with them the live cap and the live slices.
+    # Each row reaches one piece of each scenario, whose pattern count is
+    # its path's: 2^n, 2, or 2^u for u unsaturated parties, each live entry
+    # with P_L > 0.  Together the pieces hold every dense entry with P_L > 0
+    # once, and nothing but dense entries.
     scenarios, parties = batch
-    pieces = pass_pieces(scenarios, parties.T, chunk)
+    n, rows = parties.shape
+    counts = {"dense": [2**n], "two-pattern": [2], "live": [2**u for u in range(2, n)]}
+    pieces = pass_pieces(scenarios, parties.T, chunk, split)
     for i, sc in enumerate(scenarios):
-        got = [np.stack((pq.ravel(), pl.ravel()), axis=1) for k, _, pq, pl in pieces if k == i]
-        got = np.unique(np.concatenate(got), axis=0)
-        every, positive = _dense_entries(sc, [parties.T])
-        assert np.all(np.isin(got.view(complex), every.view(complex)))
-        assert np.all(np.isin(positive.view(complex), got.view(complex)))
+        mine = [piece for piece in pieces if piece[0] == i]
+        assert sum(pq.shape[1] for _, _, pq, _ in mine) == rows
+        for _, path, pq, pl in mine:
+            assert pq.shape == pl.shape and pq.shape[0] in counts[path]
+            assert path != "live" or np.all(pl > 0.0)
+        assert same_entries(mine, sc, parties.T)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +213,34 @@ def _check_blocks(n, rows, weighted, monkeypatch):
     # Grid and sample blocks of ``rows`` rows take one route: their angles
     # are written into reused buffers (a grid row's one angle to every
     # party, a sample's hashed there), bounded when a certificate gives
-    # weights, and their trigonometry computed in place.  Each row reaches
-    # one piece unless the bound proves it: at the lower bound it skips
-    # rows at every n.  Both minima are the dense oracle's over the plain
-    # stream, the residual from 0.0.
+    # weights, and their trigonometry computed in place.  A single
+    # scenario reads, block by block, every row the bound leaves, and the
+    # pieces of a block hold the entries that np.cos and np.sin give those
+    # rows: each with P_L > 0 once, and no other.  At the lower bound it skips
+    # rows at every n.  Both minima are the dense oracle's over the kept
+    # rows, and the residual, from 0.0, is its minimum over every row.
     monkeypatch.setattr(_kernel, "_block_rows", lambda n: rows)
-    samples, seed = 2000, 5
-    sc = GhzScenario(n, 0.3)
-    w = lower_bound(sc)
-    pieces = copied(_kernel.factor_pieces([sc], samples, seed, [w] if weighted else None))
-    read = sum(rows_read(pieces).values())
-    assert (read < _kernel.DIAG_GRID_POINTS + samples) if weighted else (
-        read == _kernel.DIAG_GRID_POINTS + samples)
-    residual = min([0.0] + [float(np.min(pq - w * pl)) for _, _, pq, pl in pieces])
-    ratio = min(float(np.min(pq[pl > 1e-12] / pl[pl > 1e-12], initial=math.inf))
-                for _, _, pq, pl in pieces)
-    dense = [epr2._residual_extrema(sc, w, t) for t in certification_rows(n, samples, seed)]
-    assert residual == min(r for r, _ in dense)
-    assert weighted or ratio == min(r for _, r in dense)
+    sc, samples, seed = GhzScenario(n, 0.3), 2000, 5
+    w, reaches, bound = lower_bound(sc), [], _kernel._surviving_rows
+    monkeypatch.setattr(_kernel, "_surviving_rows",
+                        lambda *args: reaches.append(bound(*args)) or reaches[-1])
+    pieces = _kernel.factor_pieces([sc], samples, seed, [w] if weighted else None)
+    piece, kept, oracle, minima = next(pieces, None), 0, 0.0, []
+    for k, thetas in enumerate(certification_rows(n, samples, seed, rows)):
+        oracle = min(oracle, epr2._residual_extrema(sc, w, thetas)[0])
+        if k < len(reaches) and reaches[k] is not None:
+            thetas = thetas[reaches[k][0]]
+        mine, read = [], 0
+        while read < len(thetas):
+            mine += copied([piece])
+            read, piece = read + piece[2].shape[1], next(pieces, None)
+        assert read == len(thetas) and same_entries(mine, sc, thetas)
+        residual, ratio = epr2._residual_extrema(sc, w, thetas)
+        minima += piece_extrema(mine, [w])
+        assert minima[-1] == (min(0.0, residual), ratio)
+        kept += len(thetas)
+    assert piece is None and (kept < _kernel.DIAG_GRID_POINTS + samples) == weighted
+    assert min(residual for residual, _ in minima) == oracle
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests of the live-pattern certification path against the dense kernel.
 
 The live path evaluates a row only at its patterns with P_L > 0; it must
-agree with the dense kernel bit for bit there (``test_kernel_pieces.py``),
-and the patterns it skips must never lower a certificate.
+agree with the dense kernel bit for bit there, and the patterns it skips
+must never lower a certificate.
 """
 
 import math
@@ -16,8 +16,8 @@ from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import certify
 from ghzlocal.qcore import GhzScenario
 
-from certification_rows import certification_rows, dense_factors, rows_read, pass_pieces
-from test_kernel_pieces import LIVE_ROWS
+from certification_rows import (LIVE_ROWS, certification_rows, copied, pass_pieces,
+                                piece_extrema, rows_read, same_entries)
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -46,22 +46,14 @@ def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w,
     # The split pass reads each row at its live patterns, every one with
     # P_L > 0, or at two patterns, or densely: its entries with P_L > 0 are
     # the dense ones, once each.  Short chunks slice the live rows.
+    # Both minima are then the dense oracle's, the residual from 0.0.
     n, thetas = rows
-    pq, pl = dense_factors(GhzScenario(n, alpha), thetas)
-    positive = pl > 0.0
-    pieces = pass_pieces([GhzScenario(n, alpha)], thetas, chunk_rows)
-    assert all(np.all(got > 0.0) for _, path, _, got in pieces if path == "live")
-    got_pq, got_pl = (np.concatenate([piece[k].ravel() for piece in pieces]) for k in (2, 3))
-    got_pq, got_pl = got_pq[got_pl > 0.0], got_pl[got_pl > 0.0]
-    assert got_pl.size == np.count_nonzero(positive)
-    # Same values, possibly in another order: compare the sorted entries.
-    assert np.array_equal(np.sort(got_pq), np.sort(pq[positive]))
-    assert np.array_equal(np.sort(got_pl), np.sort(pl[positive]))
-    assert np.min(got_pq - w * got_pl) == np.min(pq[positive] - w * pl[positive])
-    ratio = pl > 1e-12
-    got_ratio = got_pl > 1e-12
-    if ratio.any():
-        assert np.min(got_pq[got_ratio] / got_pl[got_ratio]) == np.min(pq[ratio] / pl[ratio])
+    sc = GhzScenario(n, alpha)
+    pieces = pass_pieces([sc], thetas, chunk_rows)
+    assert all(np.all(pl > 0.0) for _, path, _, pl in pieces if path == "live")
+    assert same_entries(pieces, sc, thetas)
+    residual, ratio = epr2._residual_extrema(sc, w, thetas)
+    assert piece_extrema(pieces, [w]) == [(min(0.0, residual), ratio)]
 
 
 @PROPERTIES
@@ -69,7 +61,8 @@ def test_live_minimum_is_the_dense_minimum_where_p_l_is_positive(rows, alpha, w,
 def test_dense_minimum_where_p_l_vanishes_is_zero_with_the_zero_row(rows, alpha, w):
     n, thetas = rows
     thetas = np.vstack((np.zeros(n), thetas))
-    pq, pl = dense_factors(GhzScenario(n, alpha), thetas)
+    # At most 7 rows, one dense piece.
+    (_, _, pq, pl), = copied(_kernel.block_pieces([GhzScenario(n, alpha)], thetas, dense=True))
     dead = pl == 0.0
     assert dead.any()
     assert np.min(pq[dead] - w * pl[dead]) == 0.0
@@ -87,20 +80,14 @@ def test_batch_certificates_equal_single_calls(n, pairs, samples, seed):
     assert all(c.min_residual <= 0.0 for c in batch)
 
 
-def _grid_minimum(scenario, w):
-    """Dense minimum residual over the diagonal grid, in chunks."""
-    rows = list(certification_rows(scenario.n, 0, 0))
-    return min(epr2._residual_extrema(scenario, w, t)[0] for t in rows)
-
-
 @pytest.mark.parametrize("n", [7, 8, 9, 12])
 def test_certify_reads_only_live_patterns_at_interior_alphas(n):
     # The rows with few unsaturated parties are read at their live
     # patterns only: the dense kernel sees under half of the rows, and the
     # certificate is the dense one.
     sc = GhzScenario(n, 0.3)
-    expected = epr2._residual_extrema(sc, 0.2, epr2.certification_thetas(3, 0, 256, n))[0]
-    expected = min(0.0, expected, _grid_minimum(sc, 0.2))
+    rows = certification_rows(n, 256, 3)
+    expected = min([0.0] + [epr2._residual_extrema(sc, 0.2, t)[0] for t in rows])
     assert certify(sc, 0.2, samples=256, seed=3).min_residual == expected
     read = rows_read(_kernel.factor_pieces([sc], 256, 3, [0.2]))
     assert read.get("dense", 0) < (_kernel.DIAG_GRID_POINTS + 256) // 2

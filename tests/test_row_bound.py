@@ -21,7 +21,7 @@ from ghzlocal import _kernel, epr2
 from ghzlocal.epr2 import certify, lower_bound, sampled_min_ratio
 from ghzlocal.qcore import GhzScenario, cos_theta0
 
-from certification_rows import rows_read, special_angles, ulps_from
+from certification_rows import special_angles, ulps_from
 from test_forced_pattern import _forced_ratio
 
 PROPERTIES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -247,16 +247,18 @@ def test_certify_is_the_unpruned_pass(n):
 
 
 def _bounded_rows(monkeypatch):
-    """A list of the row count of every block the bound reads."""
-    rows = []
-    original = _kernel._surviving_rows
+    """Lists of the row count of every block the bound reads, and of the rows
+    it keeps there (None when it stops bounding)."""
+    rows, kept, original = [], [], _kernel._surviving_rows
 
     def recorded(parties, *args):
+        reach = original(parties, *args)
         rows.append(parties.shape[1])
-        return original(parties, *args)
+        kept.append(None if reach is None else reach[0].size)
+        return reach
 
     monkeypatch.setattr(_kernel, "_surviving_rows", recorded)
-    return rows
+    return rows, kept
 
 
 def _rows_per_block(monkeypatch, scenarios, ws, samples, seed):
@@ -267,7 +269,7 @@ def _rows_per_block(monkeypatch, scenarios, ws, samples, seed):
     dense piece, so its pieces' rows are the kept rows of each block that
     keeps any.
     """
-    bounded, top = _bounded_rows(monkeypatch), ws.index(max(ws))
+    (bounded, _), top = _bounded_rows(monkeypatch), ws.index(max(ws))
     pieces = _kernel.factor_pieces(scenarios, samples, seed, ws)
     return bounded, [pq.shape[1] for i, _, pq, _ in pieces if i == top]
 
@@ -323,26 +325,29 @@ def test_two_parties_are_bounded(monkeypatch):
 
 def test_each_scenario_reads_a_prefix_by_weight(monkeypatch):
     # In a batch, the rows that the bound leaves come ordered by the last
-    # scenario, in falling weight, that needs them, so each scenario reads
-    # a prefix of them, the shorter the smaller its weight, and the
-    # scenario of largest weight reads every row a block keeps.  The
-    # weights lie above the lower bounds, so that every block keeps rows.
+    # scenario, in falling weight, that needs them, so in each block each
+    # scenario reads a prefix of them, the shorter the smaller its weight,
+    # and the scenario of largest weight reads every row the block keeps.
+    # The pass draws a block's pieces before it bounds the next block.
+    # The weights lie above the lower bounds, so that every block keeps rows.
     alphas, ws = [0.3, 0.05, 0.6, 0.15], [0.3, 0.5, 0.2, 0.4]
     scenarios = [GhzScenario(4, alpha) for alpha in alphas]
-    bounded = _bounded_rows(monkeypatch)
-    pieces = [(i, path, pq[:0], None) for i, path, pq, _ in
-              _kernel.factor_pieces(scenarios, 3 * 8192, 3, ws)]
-    by_weight = [sum(rows_read(pieces, i).values())
-                 for i in sorted(range(4), key=lambda i: -ws[i])]
-    assert by_weight == sorted(by_weight, reverse=True) and len(set(by_weight)) > 1
+    (bounded, kept), reads = _bounded_rows(monkeypatch), {}
+    for i, _, pq, _ in _kernel.factor_pieces(scenarios, 3 * 8192, 3, ws):
+        reads.setdefault(len(bounded) - 1, [0] * len(ws))[i] += pq.shape[1]
     assert bounded == [_kernel.DIAG_GRID_POINTS] + [8192] * 3
-    assert 0 < by_weight[0] < _kernel.DIAG_GRID_POINTS + 3 * 8192
+    order = sorted(range(len(ws)), key=lambda i: -ws[i])
+    for k, rows in enumerate(bounded):
+        by_weight = [reads[k][i] for i in order]
+        assert by_weight == sorted(by_weight, reverse=True)
+        assert 0 < by_weight[0] == kept[k] < rows
+    assert any(len(set(read)) > 1 for read in reads.values())
 
 
 def test_no_weight_no_bound(monkeypatch):
     # sampled_min_ratio passes no weights, and a certificate whose weights
     # are all 0 evaluates nothing: neither reaches the bound.
-    bounded = _bounded_rows(monkeypatch)
+    bounded, _ = _bounded_rows(monkeypatch)
     sc = GhzScenario(8, 0.3)
     assert 0.0 < sampled_min_ratio(sc, samples=5000, seed=1) <= 1.0
     assert certify(sc, 0.0, samples=5000, seed=1).min_residual == 0.0

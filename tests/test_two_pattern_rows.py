@@ -156,14 +156,9 @@ def test_the_dense_rows_of_a_split_block_are_those_of_the_live_key(n, monkeypatc
     thetas = np.array([two] * 5 + [[math.acos(0.01)] * n])
     pieces = copied(_kernel.block_pieces(scenarios, thetas))
     assert {pq.shape[0] for _, path, pq, _ in pieces if path == "live"} == {4}
-    for i, (sc, w) in enumerate(zip(scenarios, ws)):
-        assert rows_read(pieces, i) == {"live": 5, "dense": 1}
-        residual = min(float(np.min(pq - w * pl)) for k, _, pq, pl in pieces if k == i)
-        ratio = min(float(np.min(pq[pl > 1e-12] / pl[pl > 1e-12], initial=math.inf))
-                    for k, _, pq, pl in pieces if k == i)
-        oracle = epr2._residual_extrema(sc, w, thetas)
-        assert (repr(min(residual, 0.0)), repr(ratio)) == (repr(min(oracle[0], 0.0)),
-                                                           repr(oracle[1]))
+    assert [rows_read(pieces, i) for i in (0, 1)] == [{"live": 5, "dense": 1}] * 2
+    oracle = [epr2._residual_extrema(sc, w, thetas) for sc, w in zip(scenarios, ws)]
+    assert repr(piece_extrema(pieces, ws)) == repr([(min(r, 0.0), q) for r, q in oracle])
 
 
 def test_blocks_are_whole_chunks_that_fit_the_two_pattern_factors():

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 KERNEL, EPR2, CLI = "ghzlocal/_kernel.py", "ghzlocal/epr2.py", "ghzlocal/cli.py"
 LIVE_PASS, ROW_BOUND = "tests/test_live_pass.py", "tests/test_row_bound.py"
 TWO_PATTERN = "tests/test_two_pattern_rows.py"
-PIECES = "tests/test_kernel_pieces.py::test_each_path_reads_its_share_of_the_dense_entries"
+PIECES = f"{LIVE_PASS}::test_pass_and_groups_cover_every_positive_dense_entry"
 PARALLEL = "tests/test_cli.py::TestParallelScan"
 
 MUTANTS = [
